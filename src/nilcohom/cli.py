@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=os.cpu_count(),
-        help="degree-level parallelism; results are independent of this",
+        help="accepted for compatibility; does not change the computation",
     )
     common.add_argument(
         "--unsafe-large",

@@ -2,29 +2,21 @@
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import Element, Signature, basis_index, basis_of_degree, transport
 from .cdga import CDGA
-from .linalg import rank_exact, rank_only
-
-_rank_lock = threading.Lock()
+from .linalg import _reduce_against, _sparse, rank_exact, rank_only
 
 
 def _rank_of_degree(cdga: CDGA, n: int) -> int:
     """rank of d_n, cached on the CDGA; adjacent degrees share the result."""
-    with _rank_lock:
-        cached = cdga._rank_cache.get(n)
-    if cached is not None:
-        return cached
-    value = rank_only(cdga.differential_matrix(n))
-    with _rank_lock:
-        cdga._rank_cache[n] = value
-    return value
+    cached = cdga._rank_cache.get(n)
+    if cached is None:
+        cached = cdga._rank_cache[n] = rank_only(cdga.differential_matrix(n))
+    return cached
 
 
 def _degree_range(cdga: CDGA) -> range:
@@ -65,14 +57,11 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
 
     For purely odd signatures the whole table is produced; otherwise degrees
     0 .. truncation-1 are reported and ``truncated_at`` records the window.
-    ``jobs`` controls degree-level parallelism; results are independent of it.
+    Degrees are ranked in order in this thread; ``jobs`` is accepted for API
+    stability and does not change the computation.
     """
     degrees = _degree_range(cdga)
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            ranks = list(pool.map(lambda n: _rank_of_degree(cdga, n), degrees))
-    else:
-        ranks = [_rank_of_degree(cdga, n) for n in degrees]
+    ranks = [_rank_of_degree(cdga, n) for n in degrees]
     dims = [len(basis_of_degree(cdga.signature, n)) for n in degrees]
     per_degree = []
     for n in degrees:
@@ -181,50 +170,32 @@ def verify_classes(cdga: CDGA, elems: Sequence[Element]) -> VerifyReport:
         i for i, e in enumerate(elems) if not cdga.apply_d(e).is_zero()
     )
 
-    # Independence mod boundaries, degree by degree, with augmented reduction
-    # so a dependency can be reported as an explicit combination.
-    from .linalg import _reduce_against, _sparse
-
+    # Independence mod boundaries, degree by degree. Element i carries a tag
+    # coordinate dim + i set to 1, and one echelon holds the boundaries and
+    # the classes accepted so far; a residue left with only tag entries is
+    # an explicit vanishing combination of classes.
     dependency = None
     independent_count: dict = {}
     by_degree: dict = {}
     for i, d in enumerate(degrees):
         by_degree.setdefault(d, []).append(i)
     for d in sorted(by_degree):
+        dim = len(basis_of_degree(cdga.signature, d))
         echelon: dict = {}
         for b in _boundary_vectors(cdga, d):
-            sp = _sparse(b)
-            residue = _reduce_against(echelon, sp)
+            residue = _reduce_against(echelon, _sparse(b))
             if residue:
                 echelon[min(residue)] = residue
-        aug: dict = {}  # pivot -> (row, combination dict index -> coeff)
         for i in by_degree[d]:
             vec = _sparse(_element_vector(elems[i], d))
-            combo = {i: Fraction(1)}
-            vec = _reduce_against(echelon, vec)
-            while vec:
-                lead = min(vec)
-                if lead not in aug:
-                    break
-                row, row_combo = aug[lead]
-                factor = vec[lead] / row[lead]
-                for j, v in row.items():
-                    s = vec.get(j, Fraction(0)) - factor * v
-                    if s:
-                        vec[j] = s
-                    else:
-                        vec.pop(j, None)
-                for j, v in row_combo.items():
-                    s = combo.get(j, Fraction(0)) - factor * v
-                    if s:
-                        combo[j] = s
-                    else:
-                        combo.pop(j, None)
-            if vec:
-                aug[min(vec)] = (vec, combo)
+            vec[dim + i] = Fraction(1)
+            residue = _reduce_against(echelon, vec)
+            lead = min(residue)
+            if lead < dim:
+                echelon[lead] = residue
                 independent_count[d] = independent_count.get(d, 0) + 1
             elif dependency is None:
-                dependency = tuple(sorted(combo.items()))
+                dependency = tuple(sorted((j - dim, v) for j, v in residue.items()))
 
     table = betti(cdga)
     missing = []

@@ -2,11 +2,11 @@
 
 The eliminator clears denominators row-wise (which changes neither rank nor
 kernel), splits the matrix into connected components of its nonzero pattern,
-and runs an integer-preserving cross-multiplication elimination with row GCD
-normalization and Markowitz-style pivoting per component. Pivot choice
-depends only on matrix content: minimize (row_nnz-1)*(col_nnz-1), break ties
-by lowest column index, then lowest row index. Results are therefore
-deterministic regardless of scheduling or worker count.
+and runs one cross-multiplication elimination core per component: exact over
+the integers with row GCD normalization, or modulo a prime for the
+multimodular rank bounds. Pivoting is Markowitz-style and depends only on
+matrix content: minimize (row_nnz-1)*(col_nnz-1), break ties by lowest column
+index, then lowest row index. Results are therefore deterministic.
 """
 
 from __future__ import annotations
@@ -220,12 +220,15 @@ def _normalize_row(row: dict) -> None:
             row[c] //= g
 
 
-def _eliminate(rows: dict, keep_pivot_rows: bool):
-    """Integer elimination; returns (pivots, frozen_rows).
+def _eliminate(rows: dict, keep_pivot_rows: bool, modulus: Optional[int] = None):
+    """Cross-multiplication elimination; returns (pivots, frozen_rows).
 
-    ``pivots`` is the list of (row, col) in elimination order; ``frozen_rows``
-    maps pivot row id to its content at freeze time (support only on its own
-    and later pivot columns plus free columns), empty unless requested.
+    Exact over Z with row GCD normalization when ``modulus`` is None;
+    otherwise over Z/p for the prime ``modulus``, on entries already reduced
+    mod p and without normalization. ``pivots`` is the list of (row, col) in
+    elimination order; ``frozen_rows`` maps pivot row id to its content at
+    freeze time (support only on its own and later pivot columns plus free
+    columns), empty unless requested.
     """
     col_rows: dict = {}
     for r, row in rows.items():
@@ -250,23 +253,24 @@ def _eliminate(rows: dict, keep_pivot_rows: bool):
         _, c, r = best
         pivot_row = rows[r]
         p = pivot_row[c]
+        if modulus is not None and gcd(p, modulus) != 1:
+            raise ValueError(f"pivot {p} is not invertible modulo {modulus}")
         for i in list(col_rows[c]):
             if i == r:
                 continue
             row_i = rows[i]
             a = row_i.pop(c)
             col_rows[c].discard(i)
-            for j in list(row_i):
-                if j == c:
-                    continue
+            for j in row_i:  # p is nonzero, and a unit mod modulus: support kept
                 row_i[j] *= p
-                if not row_i[j]:
-                    del row_i[j]
-                    col_rows[j].discard(i)
+                if modulus is not None:
+                    row_i[j] %= modulus
             for j, w in pivot_row.items():
                 if j == c:
                     continue
                 val = row_i.get(j, 0) - a * w
+                if modulus is not None:
+                    val %= modulus
                 if val:
                     if j not in row_i:
                         col_rows.setdefault(j, set()).add(i)
@@ -274,7 +278,8 @@ def _eliminate(rows: dict, keep_pivot_rows: bool):
                 elif j in row_i:
                     del row_i[j]
                     col_rows[j].discard(i)
-            _normalize_row(row_i)
+            if modulus is None:
+                _normalize_row(row_i)
         for j in pivot_row:
             col_rows[j].discard(r)
         pivots.append((r, c))
@@ -427,54 +432,16 @@ def quotient_representatives(cocycles: Iterable, boundaries: Iterable) -> list:
 
 
 def _rank_mod_p(rows: dict, p: int):
-    """Rank mod p with the same deterministic pivot rule; returns pivots."""
+    """Rank mod p with the same core and pivot rule; returns pivots."""
     mod_rows = {}
     for r, row in rows.items():
         mr = {c: v % p for c, v in row.items() if v % p}
         if mr:
             mod_rows[r] = mr
-    col_rows: dict = {}
-    for r, row in mod_rows.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(r)
     pivots = []
-    while True:
-        best = None
-        for c in sorted(col_rows):
-            rs = col_rows[c]
-            if not rs:
-                continue
-            cc = len(rs) - 1
-            for r in sorted(rs):
-                key = ((len(mod_rows[r]) - 1) * cc, c, r)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        _, c, r = best
-        pivot_row = mod_rows[r]
-        inv = pow(pivot_row[c], -1, p)
-        for i in list(col_rows[c]):
-            if i == r:
-                continue
-            row_i = mod_rows[i]
-            factor = (row_i.pop(c) * inv) % p
-            col_rows[c].discard(i)
-            for j, w in pivot_row.items():
-                if j == c:
-                    continue
-                val = (row_i.get(j, 0) - factor * w) % p
-                if val:
-                    if j not in row_i:
-                        col_rows.setdefault(j, set()).add(i)
-                    row_i[j] = val
-                elif j in row_i:
-                    del row_i[j]
-                    col_rows[j].discard(i)
-        for j in pivot_row:
-            col_rows[j].discard(r)
-        pivots.append((r, c))
-        del mod_rows[r]
+    for _, row_ids in _components(mod_rows):
+        sub = {r: mod_rows[r] for r in row_ids}
+        pivots.extend(_eliminate(sub, keep_pivot_rows=False, modulus=p)[0])
     return pivots
 
 
@@ -486,7 +453,8 @@ def rank_multimodular(
     The bound never exceeds the exact rank. Equality is flagged only when
     verified: via the exact rank of a full-size mod-p pivot minor when the
     bound reaches min(rows, cols), or via full exact elimination when
-    ``confirm`` is set.
+    ``confirm`` is set. Raises ValueError when a pivot is not invertible
+    modulo one of the given numbers, which a prime never causes.
     """
     primes = list(primes)
     if not primes:

@@ -87,6 +87,24 @@ def _dense_rank(matrix):
     return rank
 
 
+def dense_rank_mod_p(matrix, p):
+    """Textbook Gaussian elimination over Z/p on a dense integer matrix."""
+    m = [[v % p for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                factor = m[r][col] * inv % p
+                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 def dense_betti(cdga):
     """Per-degree Betti numbers over the full 2^g basis."""
     degrees, diffs = _generator_data(cdga)

@@ -235,6 +235,22 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert report["outputs"]["verdict"]["independent"] is False
 
+    def test_class_list_not_spanning_degree_2_exit_1(self, capsys, tmp_path):
+        # b*x1 + a*b is cohomologous to b*x1 (a*b = d x1), so this list
+        # repeats a class and misses one in degree 2.
+        text = (DATA / "x5_classes.txt").read_text()
+        assert "x1*x2 - b*x3\n" in text
+        path = tmp_path / "classes.txt"
+        path.write_text(text.replace("x1*x2 - b*x3\n", "b*x1 + a*b\n"))
+        code, out, err = run_cli(
+            capsys, "verify", "--builtin", "xr:5", "--classes", str(path)
+        )
+        assert code == 1
+        verdict = json.loads(out)["outputs"]["verdict"]
+        assert verdict["independent"] is False
+        assert verdict["dependency"] is not None
+        assert 2 in [m["degree"] for m in verdict["missing_degrees"]]
+
 
 class TestReportEnvelope:
     def test_schema_fields_present(self, capsys):

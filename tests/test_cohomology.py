@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from nilcohom import (
     Element,
+    basis_of_degree,
     betti,
     representatives,
     split_at_k,
@@ -164,6 +165,26 @@ class TestVerifyClasses:
         report = verify_classes(x5, x5_class_elements(x5)[:-1])
         assert not report.spanning
         assert report.missing_degrees == ((7, 0, 1),)
+
+    def test_class_plus_boundary_depends_on_class(self, x5):
+        # [c + beta] = [c]: reducing c against c + beta exposes a boundary
+        # pivot, which the reduction must still clear.
+        sig = x5.signature
+        pairs = 0
+        for n in range(1, 5):
+            boundaries = [
+                x5.apply_d(Element(sig, {mono: 1}))
+                for mono in basis_of_degree(sig, n - 1)
+            ]
+            for c in representatives(x5, n):
+                for beta in boundaries:
+                    if beta.is_zero():
+                        continue
+                    report = verify_classes(x5, [c + beta, c])
+                    assert report.independent is False, (c, beta)
+                    assert report.dependency == ((0, -1), (1, 1)), (c, beta)
+                    pairs += 1
+        assert pairs == 218
 
     def test_inhomogeneous_input_rejected(self, x5):
         sig = x5.signature

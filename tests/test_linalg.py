@@ -14,6 +14,7 @@ from nilcohom import (
     rank_only,
     upper_tri_model,
 )
+from dense_oracle import dense_rank_mod_p
 
 
 def random_sparse(rng, rows, cols, density=0.3):
@@ -160,6 +161,49 @@ class TestRankMultimodular:
         m = random_sparse(rng, rng.randint(1, 6), rng.randint(1, 6))
         cert = rank_multimodular(m, [2, 5], confirm=False)
         assert cert.bound <= rank_only(m)
+
+    @given(
+        st.lists(
+            st.lists(
+                st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+                min_size=1,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.sampled_from([2, 3, 5]),
+    )
+    def test_bound_matches_dense_oracle_mod_p(self, blocks, p):
+        # Block-diagonal stacking of random blocks gives several components.
+        width = 3 * len(blocks)
+        dense = []
+        for k, block in enumerate(blocks):
+            for row in block:
+                dense.append([0] * (3 * k) + row + [0] * (width - 3 * k - 3))
+        m = SparseExactMatrix.from_dense(dense)
+        cert = rank_multimodular(m, [p], confirm=False)
+        assert cert.bound == dense_rank_mod_p(dense, p)
+        assert cert.per_prime == ((p, cert.bound),)
+
+    def test_rank_drops_only_during_elimination_mod_2(self):
+        # No entry vanishes mod 2, but the determinant 2 does.
+        m = SparseExactMatrix.from_dense([[1, 1], [1, 3]])
+        cert = rank_multimodular(m, [2])
+        assert cert.bound == 1
+        assert cert.exact_rank == 2
+        assert not cert.confirmed
+
+    def test_minor_from_two_components_mod_7(self):
+        dense = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 3, 1], [0, 0, 5, 3]]
+        cert = rank_multimodular(SparseExactMatrix.from_dense(dense), [7])
+        assert cert.bound == 4
+        assert cert.confirmed and cert.method == "minor"
+
+    def test_non_invertible_pivot_modulus_rejected(self):
+        # 4 is no prime: the first pivot, 2, has no inverse mod 4.
+        with pytest.raises(ValueError):
+            rank_multimodular(SparseExactMatrix.from_dense([[2, 1], [1, 1]]), [4])
 
     def test_distinct_primes_required(self):
         with pytest.raises(ValueError):
