@@ -405,23 +405,34 @@ def basis_of_degree(sig: Signature, n: int) -> tuple:
         return cached
     gens = sig.generators
     count = len(gens)
+    # reach[pos]: the largest degree generators pos.. can still add, capped at
+    # n; any even generator among them can add as much as needed.
+    reach = [0] * (count + 1)
+    for pos in range(count - 1, -1, -1):
+        g = gens[pos]
+        reach[pos] = min(n, reach[pos + 1] + g.degree) if g.is_odd else n
     out = []
-    exps = [0] * count
+    evens = [0] * len(sig.even_indices)
 
-    def rec(pos: int, remaining: int) -> None:
+    def rec(pos: int, remaining: int, mask: int) -> None:
         if remaining == 0:
-            out.append(sig.monomial(exps[:pos] + [0] * (count - pos)))
+            out.append(Monomial(sig, mask, tuple(evens)))
             return
-        if pos == count:
+        if reach[pos] < remaining:
             return
         g = gens[pos]
-        top = 1 if g.is_odd else remaining // g.degree
-        for e in range(min(top, remaining // g.degree) + 1):
-            exps[pos] = e
-            rec(pos + 1, remaining - e * g.degree)
-        exps[pos] = 0
+        if g.is_odd:
+            rec(pos + 1, remaining, mask)
+            if g.degree <= remaining:
+                rec(pos + 1, remaining - g.degree, mask | 1 << sig._odd_pos[pos])
+            return
+        q = sig._even_pos[pos]
+        for e in range(remaining // g.degree + 1):
+            evens[q] = e
+            rec(pos + 1, remaining - e * g.degree, mask)
+        evens[q] = 0
 
-    rec(0, n)
+    rec(0, n, 0)
     result = tuple(out)
     sig._basis_cache[n] = result
     return result

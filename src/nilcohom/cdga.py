@@ -6,6 +6,13 @@ for every generator, which suffices by the derivation property; a validated
 CDGA is therefore unforgeable and everything downstream may rely on it.
 The checker reports the offending generator and the nonzero residue instead
 of a bare boolean, because the obstruction solver needs the failure data.
+
+Construction also turns each generator's differential into a term list of
+integer keys (odd bitmask, even exponent tuple) with int coefficients where
+they are integral. d acts on keys alone: one Leibniz expansion with popcount
+prefix and Koszul signs serves both ``differential_matrix``, which looks its
+target rows up by key, and ``apply_d``, which wraps the keys back into
+monomials. No Monomial or Fraction is built per term.
 """
 
 from __future__ import annotations
@@ -19,9 +26,7 @@ from .algebra import (
     Monomial,
     Signature,
     SignatureMismatchError,
-    basis_index,
     basis_of_degree,
-    mono_mul,
 )
 from .linalg import SparseExactMatrix
 
@@ -62,10 +67,35 @@ def default_truncation(sig: Signature) -> Optional[int]:
     return odd_sum + 2 * even_max
 
 
+def _term_list(value: Element) -> tuple:
+    """A differential as (odd_mask, even_exps or (), coeff) triples.
+
+    ``even_exps`` is () when the term has no even factor; ``coeff`` is an
+    int when integral and a Fraction otherwise.
+    """
+    return tuple(
+        (
+            u.odd_mask,
+            u.even_exps if any(u.even_exps) else (),
+            c.numerator if c.denominator == 1 else c,
+        )
+        for u, c in value.terms.items()
+    )
+
+
 class CDGA:
     """Validated commutative differential graded algebra on a free signature."""
 
-    __slots__ = ("signature", "name", "truncation", "_diff", "_matrix_cache", "_rank_cache")
+    __slots__ = (
+        "signature",
+        "name",
+        "truncation",
+        "_diff",
+        "_odd_terms",
+        "_even_terms",
+        "_matrix_cache",
+        "_rank_cache",
+    )
 
     def __init__(
         self,
@@ -91,6 +121,9 @@ class CDGA:
                 )
             diffs.append(value)
         self._diff = tuple(diffs)
+        terms = [_term_list(value) for value in diffs]
+        self._odd_terms = tuple(terms[i] for i in signature.odd_indices)
+        self._even_terms = tuple(terms[i] for i in signature.even_indices)
         if truncation is None and not signature.is_purely_odd:
             truncation = default_truncation(signature)
         self.truncation = truncation
@@ -136,58 +169,48 @@ class CDGA:
 
     # ---- differential ------------------------------------------------------
 
-    def _d_monomial(self, mono: Monomial) -> dict:
-        """Graded Leibniz expansion of d on one monomial, as a term dict.
+    def _d_key(self, mask: int, evens: tuple) -> dict:
+        """Graded Leibniz expansion of d on the monomial key (mask, evens).
 
-        For the factor at signature index i, the prefix sign is the parity of
-        the number of odd factors before i; even factors never change parity.
-        Every image monomial u of an odd generator has even degree, so moving
-        u to the front is sign-free, and for even generators the two signs
-        cancel, so each contribution is u * (mono / factor).
+        Returns {(odd_mask, even_exps): coefficient}. Removing the odd factor
+        with bit ``low`` costs the prefix sign (-1)^popcount(mask & (low - 1));
+        an even factor of exponent e scales by e and costs no sign. Each image
+        term u then multiplies the rest from the left: u has even degree, so
+        only the Koszul sign of u's odd bits past the lower bits of the rest
+        remains, the sum over u's bits ul of popcount(rest & (ul - 1)).
         """
-        sig = self.signature
-        acc: dict = {}
-        mask = mono.odd_mask
-        parity = 0
+        removals = []
         mm = mask
         while mm:
             low = mm & -mm
             mm ^= low
-            pos = low.bit_length() - 1
-            dg = self._diff[sig.odd_indices[pos]]
-            if dg.terms:
-                sign = -1 if parity & 1 else 1
-                rest = Monomial(sig, mask ^ low, mono.even_exps)
-                for u, cu in dg.terms.items():
-                    r = mono_mul(u, rest)
-                    if r is None:
-                        continue
-                    s, prod = r
-                    val = acc.get(prod, 0) + sign * s * cu
-                    if val:
-                        acc[prod] = val
-                    else:
-                        acc.pop(prod, None)
-            parity += 1
-        for q, e in enumerate(mono.even_exps):
-            if not e:
-                continue
-            dg = self._diff[sig.even_indices[q]]
-            if not dg.terms:
-                continue
-            evens = list(mono.even_exps)
-            evens[q] = e - 1
-            rest = Monomial(sig, mask, tuple(evens))
-            for u, cu in dg.terms.items():
-                r = mono_mul(u, rest)
-                if r is None:
+            terms = self._odd_terms[low.bit_length() - 1]
+            if terms:
+                removals.append((mask ^ low, evens, (mask & (low - 1)).bit_count(), 1, terms))
+        for q, e in enumerate(evens):
+            if e and self._even_terms[q]:
+                lowered = evens[:q] + (e - 1,) + evens[q + 1 :]
+                removals.append((mask, lowered, 0, e, self._even_terms[q]))
+        acc: dict = {}
+        for rest, rest_evens, prefix, scale, terms in removals:
+            for umask, uevens, coeff in terms:
+                if umask & rest:
                     continue
-                s, prod = r
-                val = acc.get(prod, 0) + e * s * cu
-                if val:
-                    acc[prod] = val
+                count = prefix
+                um = umask
+                while um:
+                    ul = um & -um
+                    um ^= ul
+                    count += (rest & (ul - 1)).bit_count()
+                if uevens:
+                    key = (rest | umask, tuple(a + b for a, b in zip(rest_evens, uevens)))
                 else:
-                    acc.pop(prod, None)
+                    key = (rest | umask, rest_evens)
+                val = acc.get(key, 0) + (-scale * coeff if count & 1 else scale * coeff)
+                if val:
+                    acc[key] = val
+                else:
+                    acc.pop(key, None)
         return acc
 
     def apply_d(self, elem: Element) -> Element:
@@ -196,19 +219,22 @@ class CDGA:
             raise SignatureMismatchError("element over a different signature")
         acc: dict = {}
         for mono, coeff in elem.terms.items():
-            for prod, val in self._d_monomial(mono).items():
-                s = acc.get(prod, 0) + coeff * val
+            for key, val in self._d_key(mono.odd_mask, mono.even_exps).items():
+                s = acc.get(key, 0) + coeff * val
                 if s:
-                    acc[prod] = s
+                    acc[key] = s
                 else:
-                    acc.pop(prod, None)
-        return Element(self.signature, acc)
+                    acc.pop(key, None)
+        sig = self.signature
+        return Element(sig, {Monomial(sig, *key): c for key, c in acc.items()})
 
     def differential_matrix(self, n: int) -> SparseExactMatrix:
         """Matrix of d from the degree-n basis to the degree-(n+1) basis.
 
         Column j holds the expansion of d applied to the j-th basis monomial;
-        deterministic given the canonical basis order.
+        deterministic given the canonical basis order. Each column comes from
+        the integer expansion on the monomial's key (odd_mask, even_exps),
+        and target rows are looked up by the same key.
         """
         if n < 0:
             raise ValueError("degree must be >= 0")
@@ -220,12 +246,14 @@ class CDGA:
         if cached is not None:
             return cached
         source = basis_of_degree(self.signature, n)
-        target_index = basis_index(self.signature, n + 1)
+        target = basis_of_degree(self.signature, n + 1)
+        row_of = {(m.odd_mask, m.even_exps): i for i, m in enumerate(target)}
+        d_key = self._d_key
         entries = {}
         for col, mono in enumerate(source):
-            for prod, val in self._d_monomial(mono).items():
-                entries[(target_index[prod], col)] = Fraction(val)
-        matrix = SparseExactMatrix(len(target_index), len(source), entries)
+            for key, val in d_key(mono.odd_mask, mono.even_exps).items():
+                entries[(row_of[key], col)] = Fraction(val)
+        matrix = SparseExactMatrix._trusted(len(target), len(source), entries)
         self._matrix_cache[n] = matrix
         return matrix
 

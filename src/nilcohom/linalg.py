@@ -43,6 +43,15 @@ class SparseExactMatrix:
         self.entries = clean
 
     @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: dict) -> "SparseExactMatrix":
+        """Adopt entries already known to be in range, nonzero and Fraction."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
+
+    @classmethod
     def from_dense(cls, data: Sequence[Sequence]) -> "SparseExactMatrix":
         rows = len(data)
         cols = len(data[0]) if rows else 0
@@ -161,7 +170,7 @@ def _integer_rows(m: SparseExactMatrix) -> dict:
         for v in row.values():
             d = v.denominator
             den = den // gcd(den, d) * d
-        out[r] = {c: int(v * den) for c, v in row.items()}
+        out[r] = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
     return out
 
 
@@ -220,15 +229,25 @@ def _normalize_row(row: dict) -> None:
             row[c] //= g
 
 
+def _discard(col_rows: dict, c: int, r: int) -> None:
+    rs = col_rows[c]
+    rs.discard(r)
+    if not rs:
+        del col_rows[c]
+
+
 def _eliminate(rows: dict, keep_pivot_rows: bool, modulus: Optional[int] = None):
     """Cross-multiplication elimination; returns (pivots, frozen_rows).
 
     Exact over Z with row GCD normalization when ``modulus`` is None;
     otherwise over Z/p for the prime ``modulus``, on entries already reduced
-    mod p and without normalization. ``pivots`` is the list of (row, col) in
-    elimination order; ``frozen_rows`` maps pivot row id to its content at
-    freeze time (support only on its own and later pivot columns plus free
-    columns), empty unless requested.
+    mod p and without normalization. Each pivot is the minimum of the total
+    order (cost, col, row) over all nonzero entries, so the choice does not
+    depend on dict or set iteration order; emptied column sets are dropped.
+    ``pivots`` is the list of (row, col) in elimination order;
+    ``frozen_rows`` maps pivot row id to its content at freeze time (support
+    only on its own and later pivot columns plus free columns), empty unless
+    requested.
     """
     col_rows: dict = {}
     for r, row in rows.items():
@@ -236,25 +255,14 @@ def _eliminate(rows: dict, keep_pivot_rows: bool, modulus: Optional[int] = None)
             col_rows.setdefault(c, set()).add(r)
     pivots = []
     frozen = {}
-    while True:
-        best = None
-        for c in sorted(col_rows):
-            rs = col_rows[c]
-            if not rs:
-                continue
-            cc = len(rs) - 1
-            for r in sorted(rs):
-                cost = (len(rows[r]) - 1) * cc
-                key = (cost, c, r)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        _, c, r = best
+    while col_rows:
+        _, c, r = min(
+            ((len(rows[r]) - 1) * (len(rs) - 1), c, r)
+            for c, rs in col_rows.items()
+            for r in rs
+        )
         pivot_row = rows[r]
         p = pivot_row[c]
-        if modulus is not None and gcd(p, modulus) != 1:
-            raise ValueError(f"pivot {p} is not invertible modulo {modulus}")
         for i in list(col_rows[c]):
             if i == r:
                 continue
@@ -277,11 +285,11 @@ def _eliminate(rows: dict, keep_pivot_rows: bool, modulus: Optional[int] = None)
                     row_i[j] = val
                 elif j in row_i:
                     del row_i[j]
-                    col_rows[j].discard(i)
+                    _discard(col_rows, j, i)
             if modulus is None:
                 _normalize_row(row_i)
         for j in pivot_row:
-            col_rows[j].discard(r)
+            _discard(col_rows, j, r)
         pivots.append((r, c))
         if keep_pivot_rows:
             frozen[r] = pivot_row
@@ -431,6 +439,34 @@ def quotient_representatives(cocycles: Iterable, boundaries: Iterable) -> list:
 # multimodular path
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 12 prime bases is exact below this bound
+# (Sorenson and Webster 2015).
+_MR_LIMIT = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 2 <= n < _MR_LIMIT."""
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _rank_mod_p(rows: dict, p: int):
     """Rank mod p with the same core and pivot rule; returns pivots."""
     mod_rows = {}
@@ -453,14 +489,19 @@ def rank_multimodular(
     The bound never exceeds the exact rank. Equality is flagged only when
     verified: via the exact rank of a full-size mod-p pivot minor when the
     bound reaches min(rows, cols), or via full exact elimination when
-    ``confirm`` is set. Raises ValueError when a pivot is not invertible
-    modulo one of the given numbers, which a prime never causes.
+    ``confirm`` is set. Every modulus must be a prime below 3.18e23, the
+    range where the deterministic Miller-Rabin test used here is exact;
+    anything else (0, 1, negatives, composites, larger numbers) raises
+    ValueError.
     """
     primes = list(primes)
     if not primes:
         raise ValueError("need at least one prime")
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
+    for p in primes:
+        if not 2 <= p < _MR_LIMIT or not _is_prime(p):
+            raise ValueError(f"modulus {p} is not a prime below {_MR_LIMIT}")
     rows = _integer_rows(m)
     per_prime = []
     best_pivots = None

@@ -105,6 +105,36 @@ def dense_rank_mod_p(matrix, p):
     return rank
 
 
+def _words_by_degree(degrees):
+    """Every monomial word, grouped by degree and sorted by exponent vector."""
+    g = len(degrees)
+    by_degree = {}
+    for size in range(g + 1):
+        for word in combinations(range(g), size):
+            by_degree.setdefault(sum(degrees[i] for i in word), []).append(word)
+    for words in by_degree.values():
+        words.sort(key=lambda w: tuple(int(i in w) for i in range(g)))
+    return by_degree
+
+
+def dense_differential(cdga, n):
+    """(rows, cols, dense rows) of the matrix of d from degree n to n + 1.
+
+    Rows and columns follow the exponent-vector lexicographic order that
+    ``basis_of_degree`` documents; the entries come from ``_d_word``.
+    """
+    degrees, diffs = _generator_data(cdga)
+    by_degree = _words_by_degree(degrees)
+    source = by_degree.get(n, [])
+    target = by_degree.get(n + 1, [])
+    index = {w: i for i, w in enumerate(target)}
+    dense = [[Fraction(0)] * len(source) for _ in target]
+    for col, word in enumerate(source):
+        for image, coeff in _d_word(word, degrees, diffs).items():
+            dense[index[image]][col] = coeff
+    return len(target), len(source), dense
+
+
 def dense_betti(cdga):
     """Per-degree Betti numbers over the full 2^g basis."""
     degrees, diffs = _generator_data(cdga)

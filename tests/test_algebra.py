@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -191,3 +192,16 @@ class TestBasisOfDegree:
         total = sum(len(basis_of_degree(sig, n)) for n in range(k + 1))
         assert total == 2**k
         assert len(basis_of_degree(sig, k // 2)) == math.comb(k, k // 2)
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6), st.integers(0, 8))
+    def test_matches_brute_force_in_lex_order(self, degrees, n):
+        sig = Signature([(f"g{i}", d) for i, d in enumerate(degrees)])
+        ranges = [range(2) if d % 2 else range(n // d + 1) for d in degrees]
+        expected = sorted(
+            exps
+            for exps in itertools.product(*ranges)
+            if sum(e * d for e, d in zip(exps, degrees)) == n
+        )
+        basis = basis_of_degree(sig, n)
+        assert [m.exponents() for m in basis] == expected
+        assert all(m == sig.monomial(m.exponents()) for m in basis)

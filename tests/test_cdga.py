@@ -10,15 +10,19 @@ from nilcohom import (
     DifferentialError,
     Element,
     Signature,
+    SparseExactMatrix,
     TruncationError,
     basis_of_degree,
+    borel_twist,
     check_d_squared,
+    degree_shift,
     elem_mul,
     upper_tri_model,
     torus_model,
     xr_model,
 )
 from conftest import random_two_step_cdga
+from dense_oracle import dense_differential
 
 
 def _failing_candidate():
@@ -180,3 +184,92 @@ class TestDifferentialMatrix:
             (-1) ** n * len(basis_of_degree(sig, n)) for n in range(sig.top_degree() + 1)
         )
         assert total == 0
+
+
+def _polynomial_model():
+    """The model of TestApplyD's polynomial-generator test: d u = y."""
+    sig = Signature([("x", 1), ("y", 3), ("u", 2)])
+    return CDGA(
+        sig,
+        {
+            "x": Element.zero(sig),
+            "y": Element.zero(sig),
+            "u": Element.generator(sig, "y"),
+        },
+        truncation=12,
+    )
+
+
+def _leibniz_columns(model, n):
+    """d on each degree-n basis monomial via d(g*m) = d(g)*m + (-1)^|g| g*d(m).
+
+    g is the first factor of the monomial in signature order, so g*m needs no
+    sign; products go through the public elem_mul only.
+    """
+    sig = model.signature
+    memo = {}
+
+    def d_of(mono):
+        if mono in memo:
+            return memo[mono]
+        exps = list(mono.exponents())
+        if not any(exps):
+            memo[mono] = Element.zero(sig)
+            return memo[mono]
+        first = next(i for i, e in enumerate(exps) if e)
+        gen = sig.generators[first]
+        exps[first] -= 1
+        rest = sig.monomial(exps)
+        rest_elem = Element.from_monomial(rest)
+        g_elem = Element.generator(sig, gen.name)
+        assert elem_mul(g_elem, rest_elem) == Element.from_monomial(mono)
+        value = elem_mul(model.d_of(gen.name), rest_elem) + elem_mul(
+            g_elem, d_of(rest)
+        ).scale((-1) ** gen.degree)
+        memo[mono] = value
+        return value
+
+    return [d_of(mono) for mono in basis_of_degree(sig, n)]
+
+
+class TestDifferentialMatrixAgainstOracles:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            upper_tri_model(3),
+            upper_tri_model(4),
+            xr_model(5),
+            degree_shift(upper_tri_model(3), 1),
+        ]
+        + [
+            random_two_step_cdga(random.Random(seed), closed=4, upper=3)
+            for seed in range(20)
+        ],
+        ids=lambda m: m.name,
+    )
+    def test_purely_odd_matches_dense_oracle(self, model):
+        for n in range(model.top_degree()):
+            rows, cols, dense = dense_differential(model, n)
+            expected = SparseExactMatrix(
+                rows,
+                cols,
+                {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row)},
+            )
+            assert model.differential_matrix(n) == expected
+
+    @pytest.mark.parametrize(
+        "model",
+        [borel_twist(xr_model(r), f"x{r}") for r in range(3, 6)] + [_polynomial_model()],
+        ids=lambda m: m.name,
+    )
+    def test_mixed_parity_matches_leibniz_recursion(self, model):
+        sig = model.signature
+        for n in range(model.truncation):
+            matrix = model.differential_matrix(n)
+            target = basis_of_degree(sig, n + 1)
+            for col, value in enumerate(_leibniz_columns(model, n)):
+                column = {
+                    target.index(mono): coeff for mono, coeff in value.terms.items()
+                }
+                actual = {r: v for (r, c), v in matrix.entries.items() if c == col}
+                assert actual == column

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from nilcohom import (
     verify_classes,
     xr_model,
 )
-from nilcohom.dsl import parse_element
+from nilcohom.dsl import parse_element, render_element
 from conftest import random_two_step_cdga
 from dense_oracle import dense_betti
 
@@ -127,6 +129,30 @@ class TestRepresentatives:
         for n in range(8):
             for rep in representatives(x5, n):
                 assert x5.apply_d(rep).is_zero()
+
+
+GOLDEN_REPRESENTATIVES = Path(__file__).parent / "data" / "representatives_golden.json"
+
+
+class TestRepresentativesGolden:
+    """Representatives of u_2..u_5 and X_5 in every degree, as rendered text.
+
+    The golden file fixes the exact elements, not only their count, so any
+    change of pivot choice, basis order or sign shows up here.
+    """
+
+    @pytest.mark.parametrize(
+        "model",
+        [upper_tri_model(n) for n in range(2, 6)] + [xr_model(5)],
+        ids=lambda m: m.name,
+    )
+    def test_matches_golden_file(self, model):
+        golden = json.loads(GOLDEN_REPRESENTATIVES.read_text())[model.name]
+        actual = {
+            str(k): [render_element(e) for e in representatives(model, k)]
+            for k in range(model.top_degree() + 1)
+        }
+        assert actual == golden
 
 
 class TestVerifyClasses:

@@ -205,6 +205,27 @@ class TestRankMultimodular:
         with pytest.raises(ValueError):
             rank_multimodular(SparseExactMatrix.from_dense([[2, 1], [1, 1]]), [4])
 
+    def test_composite_modulus_rejected_before_elimination(self):
+        # No pivot of [[1, 2], [2, 1]] is a zero divisor mod 4; the modulus
+        # itself must be refused.
+        m = SparseExactMatrix.from_dense([[1, 2], [2, 1]])
+        with pytest.raises(ValueError):
+            rank_multimodular(m, [4])
+
+    # The last value is the least strong pseudoprime to the first 12 prime
+    # bases, where the deterministic test stops being exact.
+    @pytest.mark.parametrize("modulus", [1, 0, -7, 318665857834031151167461])
+    def test_non_prime_moduli_rejected(self, modulus):
+        with pytest.raises(ValueError):
+            rank_multimodular(SparseExactMatrix.identity(2), [modulus])
+
+    @pytest.mark.parametrize("p", [2, 1000003])
+    def test_prime_moduli_accepted(self, p):
+        m = SparseExactMatrix.from_dense([[1, 2], [2, 1]])
+        cert = rank_multimodular(m, [p])
+        assert cert.per_prime == ((p, 2),)
+        assert cert.confirmed and cert.bound == 2
+
     def test_distinct_primes_required(self):
         with pytest.raises(ValueError):
             rank_multimodular(SparseExactMatrix.identity(2), [5, 5])
