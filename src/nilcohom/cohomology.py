@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 from .algebra import Element, Signature, basis_index, basis_of_degree, transport
 from .cdga import CDGA
-from .linalg import _reduce_against, _sparse, rank_exact, rank_only
+from .linalg import _kernel, _quotient, _reduce_against, rank_only
 
 
 def _rank_of_degree(cdga: CDGA, n: int) -> int:
@@ -74,48 +74,40 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
     )
 
 
-def _element_vector(elem: Element, degree: int) -> tuple:
-    index = basis_index(elem.signature, degree)
-    vec = [Fraction(0)] * len(index)
-    for mono, coeff in elem.terms.items():
-        vec[index[mono]] = coeff
-    return tuple(vec)
-
-
-def _vector_element(sig: Signature, degree: int, vec: Sequence) -> Element:
-    basis = basis_of_degree(sig, degree)
-    return Element(sig, {basis[i]: v for i, v in enumerate(vec) if v})
-
-
 def _boundary_vectors(cdga: CDGA, n: int) -> list:
-    """Images of the degree-(n-1) basis under d, as degree-n coordinate vectors."""
+    """Images of the degree-(n-1) basis under d, as sparse degree-n vectors.
+
+    These are the nonzero columns of ``differential_matrix(n - 1)`` in column
+    order, each a dict from row index to Fraction.
+    """
     if n == 0:
         return []
-    matrix = cdga.differential_matrix(n - 1)
     cols: dict = {}
-    for (r, c), v in matrix.entries.items():
+    for (r, c), v in cdga.differential_matrix(n - 1).entries.items():
         cols.setdefault(c, {})[r] = v
-    out = []
-    for c in sorted(cols):
-        vec = [Fraction(0)] * matrix.rows
-        for r, v in cols[c].items():
-            vec[r] = v
-        out.append(tuple(vec))
-    return out
+    return [cols[c] for c in sorted(cols)]
 
 
 def representatives(cdga: CDGA, n: int) -> list:
-    """Closed elements whose classes form a basis of H^n; deterministic."""
-    from .linalg import quotient_representatives
+    """Closed elements whose classes form a basis of H^n; deterministic.
 
+    The kernel of d_n and its quotient by the image of d_(n-1) are computed
+    on sparse vectors; the classes are primitive integer kernel vectors,
+    picked in free-column order. The rank of d_n found on the way is stored
+    in the CDGA's rank cache for a later ``betti``.
+    """
     if n not in _degree_range(cdga):
         if cdga.top_degree() is not None and n > cdga.top_degree():
             return []
         raise ValueError(f"degree {n} outside the computable window")
-    cocycles = rank_exact(cdga.differential_matrix(n)).kernel_basis
-    boundaries = _boundary_vectors(cdga, n)
-    vectors = quotient_representatives(cocycles, boundaries)
-    return [_vector_element(cdga.signature, n, vec) for vec in vectors]
+    pivot_columns, cocycles = _kernel(cdga.differential_matrix(n))
+    cdga._rank_cache.setdefault(n, len(pivot_columns))
+    chosen = _quotient(cocycles, _boundary_vectors(cdga, n))
+    basis = basis_of_degree(cdga.signature, n)
+    return [
+        Element(cdga.signature, {basis[j]: v for j, v in cocycles[i].items()})
+        for i in chosen
+    ]
 
 
 @dataclass(frozen=True)
@@ -180,14 +172,15 @@ def verify_classes(cdga: CDGA, elems: Sequence[Element]) -> VerifyReport:
     for i, d in enumerate(degrees):
         by_degree.setdefault(d, []).append(i)
     for d in sorted(by_degree):
-        dim = len(basis_of_degree(cdga.signature, d))
+        index = basis_index(cdga.signature, d)
+        dim = len(index)
         echelon: dict = {}
         for b in _boundary_vectors(cdga, d):
-            residue = _reduce_against(echelon, _sparse(b))
+            residue = _reduce_against(echelon, b)
             if residue:
                 echelon[min(residue)] = residue
         for i in by_degree[d]:
-            vec = _sparse(_element_vector(elems[i], d))
+            vec = {index[mono]: c for mono, c in elems[i].terms.items()}
             vec[dim + i] = Fraction(1)
             residue = _reduce_against(echelon, vec)
             lead = min(residue)

@@ -7,6 +7,11 @@ the integers with row GCD normalization, or modulo a prime for the
 multimodular rank bounds. Pivoting is Markowitz-style and depends only on
 matrix content: minimize (row_nnz-1)*(col_nnz-1), break ties by lowest column
 index, then lowest row index. Results are therefore deterministic.
+
+Kernel and quotient work on sparse vectors, dicts from index to Fraction:
+``_kernel`` back-substitutes one primitive integer vector per free column
+and ``_quotient`` picks cocycles modulo boundaries by index. The public
+``rank_exact`` and ``quotient_representatives`` wrap them with dense tuples.
 """
 
 from __future__ import annotations
@@ -297,8 +302,8 @@ def _eliminate(rows: dict, keep_pivot_rows: bool, modulus: Optional[int] = None)
     return pivots, frozen
 
 
-def _kernel_of_component(cols, pivots, frozen, ncols_total) -> list:
-    """Back-substitute one free column at a time; primitive integer vectors."""
+def _kernel_of_component(cols, pivots, frozen) -> list:
+    """Back-substitute one free column at a time; (free column, dict) pairs."""
     pivot_cols = {c for _, c in pivots}
     free_cols = [c for c in cols if c not in pivot_cols]
     vectors = []
@@ -316,20 +321,43 @@ def _kernel_of_component(cols, pivots, frozen, ncols_total) -> list:
     return vectors
 
 
-def _primitive(dense: list) -> tuple:
+def _primitive(vec: dict) -> dict:
+    """Clear the denominators of a back-substituted vector, sorted by index.
+
+    Its free-column entry is 1, so the result is already primitive: for each
+    prime power p^e exactly dividing the common denominator, some entry's
+    denominator has p^e and its scaled numerator stays prime to p.
+    """
     den = 1
-    for v in dense:
+    for v in vec.values():
         d = v.denominator
         den = den // gcd(den, d) * d
-    ints = [int(v * den) for v in dense]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints)
+    return {j: Fraction(vec[j].numerator * (den // vec[j].denominator)) for j in sorted(vec)}
+
+
+def _kernel(m: SparseExactMatrix) -> tuple:
+    """Sorted pivot columns and a sparse kernel basis of ``m``.
+
+    The basis has one primitive integer vector per free column, ordered by
+    free column, as a dict from index to Fraction with positive entry at
+    its free column; ``rank_exact`` is this spread into dense tuples.
+    """
+    rows = _integer_rows(m)
+    pivot_columns = []
+    kernel = []
+    seen_cols = set()
+    for cols, row_ids in _components(rows):
+        seen_cols.update(cols)
+        sub = {r: dict(rows[r]) for r in row_ids}
+        pivots, frozen = _eliminate(sub, keep_pivot_rows=True)
+        pivot_columns.extend(c for _, c in pivots)
+        for f, x in _kernel_of_component(cols, pivots, frozen):
+            kernel.append((f, _primitive(x)))
+    for j in range(m.cols):
+        if j not in seen_cols:
+            kernel.append((j, {j: Fraction(1)}))
+    kernel.sort(key=lambda fv: fv[0])
+    return sorted(pivot_columns), [v for _, v in kernel]
 
 
 def rank_exact(m: SparseExactMatrix) -> RankResult:
@@ -338,29 +366,18 @@ def rank_exact(m: SparseExactMatrix) -> RankResult:
     Kernel vectors are primitive integer vectors, one per free column,
     ordered by free column index; the entry at the free column is positive.
     """
-    rows = _integer_rows(m)
-    comps = _components(rows)
-    pivot_columns = []
+    pivot_columns, vectors = _kernel(m)
+    zero = Fraction(0)
     kernel = []
-    seen_cols = set()
-    for cols, row_ids in comps:
-        seen_cols.update(cols)
-        sub = {r: dict(rows[r]) for r in row_ids}
-        pivots, frozen = _eliminate(sub, keep_pivot_rows=True)
-        pivot_columns.extend(c for _, c in pivots)
-        for f, x in _kernel_of_component(cols, pivots, frozen, m.cols):
-            dense = [x.get(j, Fraction(0)) for j in range(m.cols)]
-            kernel.append((f, _primitive(dense)))
-    for j in range(m.cols):
-        if j not in seen_cols:
-            unit = [Fraction(0)] * m.cols
-            unit[j] = Fraction(1)
-            kernel.append((j, tuple(unit)))
-    kernel.sort(key=lambda fv: fv[0])
+    for vec in vectors:
+        dense = [zero] * m.cols
+        for j, v in vec.items():
+            dense[j] = v
+        kernel.append(tuple(dense))
     return RankResult(
         rank=len(pivot_columns),
-        kernel_basis=tuple(v for _, v in kernel),
-        pivot_columns=tuple(sorted(pivot_columns)),
+        kernel_basis=tuple(kernel),
+        pivot_columns=tuple(pivot_columns),
     )
 
 
@@ -401,6 +418,36 @@ def _sparse(vec: Sequence) -> dict:
     return {j: Fraction(v) for j, v in enumerate(vec) if v}
 
 
+def _quotient(cocycles: Sequence[dict], boundaries: Iterable[dict]) -> list:
+    """Indices of the sparse cocycles whose classes complete the boundaries.
+
+    Vectors are dicts from coordinate to Fraction in one fixed basis. The
+    chosen indices are increasing, and their classes extend the boundary
+    span to the cocycle span. Raises ConsistencyError when some boundary is
+    not in the cocycle span, which can only happen if an upstream
+    differential is broken.
+    """
+    cocycle_echelon: dict = {}
+    for vec in cocycles:
+        residue = _reduce_against(cocycle_echelon, vec)
+        if residue:
+            cocycle_echelon[min(residue)] = residue
+    echelon: dict = {}
+    for vec in boundaries:
+        if _reduce_against(cocycle_echelon, vec):
+            raise ConsistencyError("boundary vector outside the cocycle span")
+        residue = _reduce_against(echelon, vec)
+        if residue:
+            echelon[min(residue)] = residue
+    chosen = []
+    for i, vec in enumerate(cocycles):
+        residue = _reduce_against(echelon, vec)
+        if residue:
+            echelon[min(residue)] = residue
+            chosen.append(i)
+    return chosen
+
+
 def quotient_representatives(cocycles: Iterable, boundaries: Iterable) -> list:
     """Vectors completing the boundary span to the cocycle span.
 
@@ -411,28 +458,8 @@ def quotient_representatives(cocycles: Iterable, boundaries: Iterable) -> list:
     an upstream differential is broken.
     """
     cocycles = [tuple(Fraction(v) for v in vec) for vec in cocycles]
-    boundaries = [tuple(Fraction(v) for v in vec) for vec in boundaries]
-
-    cocycle_echelon: dict = {}
-    for vec in cocycles:
-        residue = _reduce_against(cocycle_echelon, _sparse(vec))
-        if residue:
-            cocycle_echelon[min(residue)] = residue
-    echelon: dict = {}
-    for vec in boundaries:
-        sp = _sparse(vec)
-        if _reduce_against(cocycle_echelon, dict(sp)):
-            raise ConsistencyError("boundary vector outside the cocycle span")
-        residue = _reduce_against(echelon, sp)
-        if residue:
-            echelon[min(residue)] = residue
-    representatives = []
-    for vec in cocycles:
-        residue = _reduce_against(echelon, _sparse(vec))
-        if residue:
-            echelon[min(residue)] = residue
-            representatives.append(vec)
-    return representatives
+    chosen = _quotient([_sparse(v) for v in cocycles], [_sparse(v) for v in boundaries])
+    return [cocycles[i] for i in chosen]
 
 
 # ---------------------------------------------------------------------------

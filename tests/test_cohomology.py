@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from pathlib import Path
@@ -10,6 +11,7 @@ from nilcohom import (
     Element,
     basis_of_degree,
     betti,
+    rank_only,
     representatives,
     split_at_k,
     tensor_product,
@@ -18,6 +20,7 @@ from nilcohom import (
     verify_classes,
     xr_model,
 )
+from nilcohom.cli import main
 from nilcohom.dsl import parse_element, render_element
 from conftest import random_two_step_cdga
 from dense_oracle import dense_betti
@@ -129,6 +132,47 @@ class TestRepresentatives:
         for n in range(8):
             for rep in representatives(x5, n):
                 assert x5.apply_d(rep).is_zero()
+
+
+def mahonian_row(n: int) -> list:
+    """Number of permutations of n letters with k inversions, for each k."""
+    row = [0] * (n * (n - 1) // 2 + 1)
+    for perm in itertools.permutations(range(n)):
+        row[sum(a > b for a, b in itertools.combinations(perm, 2))] += 1
+    return row
+
+
+class TestRepresentativesOfUn:
+    """For u_n, dim H^k is the Mahonian number (Kostant): one oracle that
+    does not touch the kernel, quotient or rank code."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_class_counts_are_mahonian(self, n):
+        model = upper_tri_model(n)
+        counts = [len(representatives(model, k)) for k in range(model.top_degree() + 1)]
+        assert counts == mahonian_row(n)
+
+    def test_representatives_seed_the_rank_cache(self):
+        model = upper_tri_model(4)
+        degrees = range(model.top_degree() + 1)
+        for k in degrees:
+            representatives(model, k)
+        assert model._rank_cache == {
+            k: rank_only(model.differential_matrix(k)) for k in degrees
+        }
+        assert betti(model) == betti(upper_tri_model(4))
+
+    @pytest.mark.slow
+    def test_cli_u6_representatives_span(self, capsys):
+        assert main(["cohomology", "--builtin", "upper-tri:6", "--representatives"]) == 0
+        reps = json.loads(capsys.readouterr().out)["outputs"]["representatives"]
+        row = mahonian_row(6)
+        assert sum(row) == 720
+        assert [len(reps.get(str(k), [])) for k in range(len(row))] == row
+        model = upper_tri_model(6)
+        elems = [parse_element(model.signature, t) for k in sorted(reps, key=int) for t in reps[k]]
+        assert len(elems) == 720
+        assert verify_classes(model, elems).ok
 
 
 GOLDEN_REPRESENTATIVES = Path(__file__).parent / "data" / "representatives_golden.json"

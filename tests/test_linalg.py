@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from nilcohom import (
     rank_only,
     upper_tri_model,
 )
+from nilcohom.linalg import _kernel, _quotient
 from dense_oracle import dense_rank_mod_p
 
 
@@ -26,6 +28,42 @@ def random_sparse(rng, rows, cols, density=0.3):
                     rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3])
                 )
     return SparseExactMatrix(rows, cols, entries)
+
+
+NONZERO_RATIONALS = st.builds(
+    Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4)
+)
+
+
+@st.composite
+def sparse_rational_matrices(draw, max_dim=8):
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
+    entries = {}
+    if rows and cols:
+        entries = draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                NONZERO_RATIONALS,
+                max_size=rows * cols,
+            )
+        )
+    return SparseExactMatrix(rows, cols, entries)
+
+
+def spread(vec: dict, length: int) -> tuple:
+    dense = [Fraction(0)] * length
+    for j, v in vec.items():
+        dense[j] = v
+    return tuple(dense)
+
+
+def combine(coeffs, vectors) -> dict:
+    out: dict = {}
+    for c, vec in zip(coeffs, vectors):
+        for j, v in vec.items():
+            out[j] = out.get(j, 0) + c * v
+    return {j: v for j, v in sorted(out.items()) if v}
 
 
 class TestRankExact:
@@ -84,6 +122,60 @@ class TestRankExact:
         first = rank_exact(m)
         second = rank_exact(m)
         assert first == second
+
+
+class TestSparseKernel:
+    @given(sparse_rational_matrices())
+    def test_rank_exact_is_the_dense_spread(self, m):
+        pivot_columns, vectors = _kernel(m)
+        result = rank_exact(m)
+        assert result.rank == len(pivot_columns)
+        assert result.pivot_columns == tuple(pivot_columns)
+        assert result.kernel_basis == tuple(spread(v, m.cols) for v in vectors)
+
+    @given(sparse_rational_matrices())
+    def test_vectors_primitive_integral_positive_at_free_column(self, m):
+        pivot_columns, vectors = _kernel(m)
+        pivots = set(pivot_columns)
+        assert pivot_columns == sorted(pivots)
+        free = [j for j in range(m.cols) if j not in pivots]
+        assert len(vectors) == len(free)
+        for f, vec in zip(free, vectors):
+            assert list(vec) == sorted(vec)
+            assert all(isinstance(v, Fraction) and v and v.denominator == 1 for v in vec.values())
+            assert gcd(*(v.numerator for v in vec.values())) == 1
+            assert vec[f] > 0
+            assert all(j == f or j in pivots for j in vec)
+            assert not any(m.apply(spread(vec, m.cols)))
+
+
+class TestSparseQuotient:
+    @given(sparse_rational_matrices(), st.data())
+    def test_dense_wrapper_picks_the_sparse_choice(self, m, data):
+        pivot_columns, kernel = _kernel(m)
+        # Dependent cocycles: integer combinations of the kernel basis.
+        combos = st.lists(st.integers(-2, 2), min_size=len(kernel), max_size=len(kernel))
+        cocycles = kernel + [
+            combine(coeffs, kernel) for coeffs in data.draw(st.lists(combos, max_size=3))
+        ]
+        picks = st.lists(st.sampled_from(cocycles), max_size=4) if cocycles else st.just([])
+        boundaries = data.draw(picks)
+        dense_cocycles = [spread(v, m.cols) for v in cocycles]
+        dense_boundaries = [spread(v, m.cols) for v in boundaries]
+        chosen = _quotient(cocycles, boundaries)
+        assert chosen == sorted(set(chosen))
+        assert quotient_representatives(dense_cocycles, dense_boundaries) == [
+            dense_cocycles[i] for i in chosen
+        ]
+        if pivot_columns:
+            # A pivot column is a nonzero column, so its unit vector is no cocycle.
+            bad = {pivot_columns[0]: Fraction(1)}
+            with pytest.raises(ConsistencyError):
+                _quotient(cocycles, boundaries + [bad])
+            with pytest.raises(ConsistencyError):
+                quotient_representatives(
+                    dense_cocycles, dense_boundaries + [spread(bad, m.cols)]
+                )
 
 
 class TestQuotientRepresentatives:
