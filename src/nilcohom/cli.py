@@ -180,6 +180,8 @@ def _guard(cdga: CDGA, args) -> None:
 def _cmd_cohomology(args):
     model = _resolve_cdga(args)
     if args.truncate is not None:
+        if args.truncate < 1:
+            raise UsageError("truncation must be >= 1")
         model = CDGA(
             model.signature, model.differentials, truncation=args.truncate, name=model.name
         )

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 from .algebra import Element, Signature, basis_index, basis_of_degree, transport
 from .cdga import CDGA
-from .linalg import _kernel, _quotient, _reduce_against, rank_only
+from .linalg import ConsistencyError, _extend_echelon, _kernel, rank_only
 
 
 def _rank_of_degree(cdga: CDGA, n: int) -> int:
@@ -91,22 +91,31 @@ def _boundary_vectors(cdga: CDGA, n: int) -> list:
 def representatives(cdga: CDGA, n: int) -> list:
     """Closed elements whose classes form a basis of H^n; deterministic.
 
-    The kernel of d_n and its quotient by the image of d_(n-1) are computed
-    on sparse vectors; the classes are primitive integer kernel vectors,
-    picked in free-column order. The rank of d_n found on the way is stored
-    in the CDGA's rank cache for a later ``betti``.
+    The classes are primitive integer kernel vectors of d_n, picked in
+    free-column order. Each is nonzero at its own free column only, so the
+    quotient by the image of d_(n-1) runs on boundaries projected onto the
+    free columns, which is faithful once d_n o d_(n-1) = 0 is checked. The
+    rank of d_n is stored in the CDGA's rank cache for a later ``betti``.
     """
     if n not in _degree_range(cdga):
         if cdga.top_degree() is not None and n > cdga.top_degree():
             return []
         raise ValueError(f"degree {n} outside the computable window")
-    pivot_columns, cocycles = _kernel(cdga.differential_matrix(n))
+    d_n = cdga.differential_matrix(n)
+    if n and not (d_n @ cdga.differential_matrix(n - 1)).is_zero():
+        raise ConsistencyError(f"d_{n} o d_{n - 1} is not zero")
+    pivot_columns, cocycles = _kernel(d_n)
     cdga._rank_cache.setdefault(n, len(pivot_columns))
-    chosen = _quotient(cocycles, _boundary_vectors(cdga, n))
+    pivots = set(pivot_columns)
+    boundaries = _boundary_vectors(cdga, n)
+    echelon: dict = {}
+    _extend_echelon(echelon, ({j: v for j, v in b.items() if j not in pivots} for b in boundaries))
+    units = ({f: Fraction(1)} for f in range(d_n.cols) if f not in pivots)
     basis = basis_of_degree(cdga.signature, n)
     return [
-        Element(cdga.signature, {basis[j]: v for j, v in cocycles[i].items()})
-        for i in chosen
+        Element(cdga.signature, {basis[j]: v for j, v in z.items()})
+        for z, residue in zip(cocycles, _extend_echelon(echelon, units))
+        if residue
     ]
 
 
@@ -163,9 +172,11 @@ def verify_classes(cdga: CDGA, elems: Sequence[Element]) -> VerifyReport:
     )
 
     # Independence mod boundaries, degree by degree. Element i carries a tag
-    # coordinate dim + i set to 1, and one echelon holds the boundaries and
-    # the classes accepted so far; a residue left with only tag entries is
-    # an explicit vanishing combination of classes.
+    # coordinate dim + i set to 1; a residue left with only tag entries is
+    # an explicit vanishing combination of classes. It still joins the
+    # echelon, under a tag index, so it can only reduce tag entries of later
+    # residues: later independence counts and the first dependency, the one
+    # reported, do not depend on it.
     dependency = None
     independent_count: dict = {}
     by_degree: dict = {}
@@ -175,17 +186,13 @@ def verify_classes(cdga: CDGA, elems: Sequence[Element]) -> VerifyReport:
         index = basis_index(cdga.signature, d)
         dim = len(index)
         echelon: dict = {}
-        for b in _boundary_vectors(cdga, d):
-            residue = _reduce_against(echelon, b)
-            if residue:
-                echelon[min(residue)] = residue
-        for i in by_degree[d]:
-            vec = {index[mono]: c for mono, c in elems[i].terms.items()}
-            vec[dim + i] = Fraction(1)
-            residue = _reduce_against(echelon, vec)
-            lead = min(residue)
-            if lead < dim:
-                echelon[lead] = residue
+        _extend_echelon(echelon, _boundary_vectors(cdga, d))
+        tagged = (
+            {**{index[mono]: c for mono, c in elems[i].terms.items()}, dim + i: Fraction(1)}
+            for i in by_degree[d]
+        )
+        for i, residue in zip(by_degree[d], _extend_echelon(echelon, tagged)):
+            if min(residue) < dim:
                 independent_count[d] = independent_count.get(d, 0) + 1
             elif dependency is None:
                 dependency = tuple(sorted((j - dim, v) for j, v in residue.items()))

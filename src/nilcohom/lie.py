@@ -111,13 +111,12 @@ class LiePresentation:
 
     def _span_basis(self, vectors: Sequence[dict]) -> list:
         """Echelon basis of the span of sparse coordinate vectors."""
-        from .linalg import _reduce_against
+        from .linalg import _extend_echelon
 
         echelon: dict = {}
-        for vec in vectors:
-            residue = _reduce_against(echelon, {k: Fraction(v) for k, v in vec.items() if v})
-            if residue:
-                echelon[min(residue)] = residue
+        _extend_echelon(
+            echelon, ({k: Fraction(v) for k, v in vec.items() if v} for vec in vectors)
+        )
         return [echelon[k] for k in sorted(echelon)]
 
     def _lower_central_series(self) -> tuple:

@@ -8,10 +8,13 @@ multimodular rank bounds. Pivoting is Markowitz-style and depends only on
 matrix content: minimize (row_nnz-1)*(col_nnz-1), break ties by lowest column
 index, then lowest row index. Results are therefore deterministic.
 
-Kernel and quotient work on sparse vectors, dicts from index to Fraction:
-``_kernel`` back-substitutes one primitive integer vector per free column
-and ``_quotient`` picks cocycles modulo boundaries by index. The public
-``rank_exact`` and ``quotient_representatives`` wrap them with dense tuples.
+Kernel and quotient work on sparse vectors, dicts from index to Fraction.
+``_kernel`` back-substitutes one primitive integer vector per free column.
+``_extend_echelon`` is the one reduce-and-insert routine: ``_quotient``,
+which picks cocycles modulo boundaries by index, the representatives and
+class checks in ``cohomology`` and the Lie spans all reduce through it. The
+public ``rank_exact`` and ``quotient_representatives`` wrap ``_kernel`` and
+``_quotient`` with dense tuples.
 """
 
 from __future__ import annotations
@@ -84,13 +87,6 @@ class SparseExactMatrix:
             self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
         )
 
-    def column_vector(self, j: int) -> Vector:
-        col = [Fraction(0)] * self.rows
-        for (r, c), v in self.entries.items():
-            if c == j:
-                col[r] = v
-        return tuple(col)
-
     def apply(self, vec: Sequence) -> Vector:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
@@ -103,22 +99,20 @@ class SparseExactMatrix:
     def __matmul__(self, other: "SparseExactMatrix") -> "SparseExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
+        # Integral entries multiply as ints, far cheaper than Fraction.
         by_row: dict = {}
-        for (r, k), v in self.entries.items():
-            by_row.setdefault(r, {})[k] = v
-        by_col: dict = {}
-        for (k, c), v in other.entries.items():
-            by_col.setdefault(k, []).append((c, v))
+        for (k, c), w in other.entries.items():
+            by_row.setdefault(k, []).append((c, w.numerator if w.denominator == 1 else w))
         acc: dict = {}
-        for r, row in by_row.items():
-            for k, v in row.items():
-                for c, w in by_col.get(k, ()):
-                    key = (r, c)
-                    s = acc.get(key, 0) + v * w
-                    if s:
-                        acc[key] = s
-                    else:
-                        acc.pop(key, None)
+        for (r, k), v in self.entries.items():
+            v = v.numerator if v.denominator == 1 else v
+            for c, w in by_row.get(k, ()):
+                key = (r, c)
+                s = acc.get(key, 0) + v * w
+                if s:
+                    acc[key] = s
+                else:
+                    acc.pop(key, None)
         return SparseExactMatrix(self.rows, other.cols, acc)
 
     def __eq__(self, other) -> bool:
@@ -396,29 +390,38 @@ def rank_only(m: SparseExactMatrix) -> int:
 # quotient representatives
 
 
-def _reduce_against(echelon: dict, vec: dict) -> dict:
-    """Reduce a sparse vector against echelon rows keyed by pivot index."""
-    vec = dict(vec)
-    while vec:
-        lead = min(vec)
-        row = echelon.get(lead)
-        if row is None:
-            return vec
-        factor = vec[lead] / row[lead]
-        for j, v in row.items():
-            s = vec.get(j, Fraction(0)) - factor * v
-            if s:
-                vec[j] = s
-            else:
-                vec.pop(j, None)
-    return vec
+def _extend_echelon(echelon: dict, vectors: Iterable[dict]) -> list:
+    """Reduce sparse vectors in turn against echelon rows keyed by pivot index.
+
+    Each nonzero residue joins ``echelon`` under its least index before the
+    next vector is reduced. Returns the residues in input order, an empty
+    dict for a vector already in the span; the inputs are not modified.
+    """
+    residues = []
+    for vec in vectors:
+        vec = dict(vec)
+        while vec:
+            lead = min(vec)
+            row = echelon.get(lead)
+            if row is None:
+                echelon[lead] = vec
+                break
+            factor = vec[lead] / row[lead]
+            for j, v in row.items():
+                s = vec.get(j, 0) - factor * v
+                if s:
+                    vec[j] = s
+                else:
+                    vec.pop(j, None)
+        residues.append(vec)
+    return residues
 
 
 def _sparse(vec: Sequence) -> dict:
     return {j: Fraction(v) for j, v in enumerate(vec) if v}
 
 
-def _quotient(cocycles: Sequence[dict], boundaries: Iterable[dict]) -> list:
+def _quotient(cocycles: Sequence[dict], boundaries: Sequence[dict]) -> list:
     """Indices of the sparse cocycles whose classes complete the boundaries.
 
     Vectors are dicts from coordinate to Fraction in one fixed basis. The
@@ -428,24 +431,12 @@ def _quotient(cocycles: Sequence[dict], boundaries: Iterable[dict]) -> list:
     differential is broken.
     """
     cocycle_echelon: dict = {}
-    for vec in cocycles:
-        residue = _reduce_against(cocycle_echelon, vec)
-        if residue:
-            cocycle_echelon[min(residue)] = residue
+    _extend_echelon(cocycle_echelon, cocycles)
+    if any(_extend_echelon(cocycle_echelon, boundaries)):
+        raise ConsistencyError("boundary vector outside the cocycle span")
     echelon: dict = {}
-    for vec in boundaries:
-        if _reduce_against(cocycle_echelon, vec):
-            raise ConsistencyError("boundary vector outside the cocycle span")
-        residue = _reduce_against(echelon, vec)
-        if residue:
-            echelon[min(residue)] = residue
-    chosen = []
-    for i, vec in enumerate(cocycles):
-        residue = _reduce_against(echelon, vec)
-        if residue:
-            echelon[min(residue)] = residue
-            chosen.append(i)
-    return chosen
+    _extend_echelon(echelon, boundaries)
+    return [i for i, residue in enumerate(_extend_echelon(echelon, cocycles)) if residue]
 
 
 def quotient_representatives(cocycles: Iterable, boundaries: Iterable) -> list:

@@ -5,6 +5,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from nilcohom.cli import main
 
@@ -93,6 +94,15 @@ class TestCohomologyCommand:
         table = report["outputs"]["betti"]
         assert table["per_degree"] == [1, 2, 4, 6]
         assert table["truncated_at"] == 4
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_truncate_below_one_exits_2(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "cohomology", "--builtin", "xr:3", "--truncate", value
+        )
+        assert code == 2
+        assert out == ""
+        assert "truncation must be >= 1" in err
 
     def test_md_format(self, capsys):
         code, out, err = run_cli(

@@ -8,9 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcohom import (
+    CDGA,
+    ConsistencyError,
     Element,
+    SparseExactMatrix,
     basis_of_degree,
     betti,
+    borel_twist,
+    degree_shift,
     rank_only,
     representatives,
     split_at_k,
@@ -20,8 +25,11 @@ from nilcohom import (
     verify_classes,
     xr_model,
 )
+from nilcohom.algebra import basis_index
 from nilcohom.cli import main
+from nilcohom.cohomology import _boundary_vectors, _degree_range
 from nilcohom.dsl import parse_element, render_element
+from nilcohom.linalg import _kernel, _quotient
 from conftest import random_two_step_cdga
 from dense_oracle import dense_betti
 
@@ -173,6 +181,73 @@ class TestRepresentativesOfUn:
         elems = [parse_element(model.signature, t) for k in sorted(reps, key=int) for t in reps[k]]
         assert len(elems) == 720
         assert verify_classes(model, elems).ok
+
+
+def quotient_reference(model, n):
+    """Representatives from the generic ``_quotient`` on full-length kernel vectors."""
+    _, cocycles = _kernel(model.differential_matrix(n))
+    basis = basis_of_degree(model.signature, n)
+    return [
+        Element(model.signature, {basis[j]: v for j, v in cocycles[i].items()})
+        for i in _quotient(cocycles, _boundary_vectors(model, n))
+    ]
+
+
+class TestRepresentativesAgainstQuotient:
+    """``representatives`` quotients on free-column coordinates; it must pick
+    the cocycles that the full-length reference picks, in every degree."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [upper_tri_model(n) for n in range(2, 6)]
+        + [xr_model(r) for r in range(8)]
+        + [borel_twist(xr_model(r), f"x{r}") for r in range(1, 5)]
+        + [degree_shift(upper_tri_model(3), 1)],
+        ids=lambda m: m.name,
+    )
+    def test_same_choice_as_reference(self, model):
+        for n in _degree_range(model):
+            assert representatives(model, n) == quotient_reference(model, n), n
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_choice_on_rational_models(self, seed):
+        rng = random.Random(seed)
+        model = random_two_step_cdga(rng, closed=rng.randint(2, 5), upper=rng.randint(1, 4))
+        for n in _degree_range(model):
+            assert representatives(model, n) == quotient_reference(model, n), n
+
+
+class TestBrokenDifferential:
+    """A differential matrix with d_n o d_(n-1) != 0 must reach the user as a
+    ConsistencyError (exit code 3), not as wrong classes."""
+
+    @pytest.fixture
+    def broken_u4(self, monkeypatch):
+        original = CDGA.differential_matrix
+        sig = upper_tri_model(4).signature
+        # d x_4_1 = x_4_3*x_3_1 - x_2_1*x_4_2; negating one term breaks d^2.
+        column = basis_index(sig, 1)[sig.monomial_of("x_4_1")]
+
+        def broken(self, n):
+            m = original(self, n)
+            if n != 1:
+                return m
+            key = min(k for k in m.entries if k[1] == column)
+            return SparseExactMatrix(m.rows, m.cols, {**m.entries, key: -m.entries[key]})
+
+        monkeypatch.setattr(CDGA, "differential_matrix", broken)
+        model = upper_tri_model(4)
+        assert not (model.differential_matrix(2) @ model.differential_matrix(1)).is_zero()
+        return model
+
+    def test_representatives_raise(self, broken_u4):
+        assert representatives(broken_u4, 1)
+        with pytest.raises(ConsistencyError):
+            representatives(broken_u4, 2)
+
+    def test_cli_exits_3(self, broken_u4, capsys):
+        assert main(["cohomology", "--builtin", "upper-tri:4", "--representatives"]) == 3
+        assert "internal consistency error" in capsys.readouterr().err
 
 
 GOLDEN_REPRESENTATIVES = Path(__file__).parent / "data" / "representatives_golden.json"

@@ -66,6 +66,22 @@ def combine(coeffs, vectors) -> dict:
     return {j: v for j, v in sorted(out.items()) if v}
 
 
+class TestMatmul:
+    @given(sparse_rational_matrices())
+    def test_matches_dense_product(self, m):
+        # Integral entries take the int path; the product must stay exact.
+        t = m.transpose()
+        for a, b in ((m, t), (t, m)):
+            expected = {}
+            for r in range(a.rows):
+                for c in range(b.cols):
+                    expected[(r, c)] = sum(
+                        (a.entries.get((r, k), 0) * b.entries.get((k, c), 0))
+                        for k in range(a.cols)
+                    )
+            assert a @ b == SparseExactMatrix(a.rows, b.cols, expected)
+
+
 class TestRankExact:
     def test_identity(self):
         result = rank_exact(SparseExactMatrix.identity(3))
