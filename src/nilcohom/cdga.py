@@ -10,9 +10,12 @@ of a bare boolean, because the obstruction solver needs the failure data.
 Construction also turns each generator's differential into a term list of
 integer keys (odd bitmask, even exponent tuple) with int coefficients where
 they are integral. d acts on keys alone: one Leibniz expansion with popcount
-prefix and Koszul signs serves both ``differential_matrix``, which looks its
-target rows up by key, and ``apply_d``, which wraps the keys back into
-monomials. No Monomial or Fraction is built per term.
+prefix and Koszul signs serves both ``apply_d``, which wraps the keys back
+into monomials, and ``_d_entries``, which looks the target rows up by key.
+``_d_entries`` is the one assembly loop. ``differential_matrix`` wraps its
+entries in Fractions and caches the matrix; ``_integer_rows`` groups them
+into uncached {row: {col: int}} rows for ``cohomology.betti``, clearing
+denominators only when some coefficient is not integral.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .algebra import (
     SignatureMismatchError,
     basis_of_degree,
 )
-from .linalg import SparseExactMatrix
+from .linalg import SparseExactMatrix, _clear_denominators
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,7 @@ class CDGA:
         "_diff",
         "_odd_terms",
         "_even_terms",
+        "_integral",
         "_matrix_cache",
         "_rank_cache",
     )
@@ -104,6 +108,8 @@ class CDGA:
         truncation: Optional[int] = None,
         name: str = "algebra",
     ):
+        if truncation is not None and truncation < 1:
+            raise ValueError("truncation must be >= 1")
         self.signature = signature
         self.name = name
         diffs = []
@@ -124,6 +130,7 @@ class CDGA:
         terms = [_term_list(value) for value in diffs]
         self._odd_terms = tuple(terms[i] for i in signature.odd_indices)
         self._even_terms = tuple(terms[i] for i in signature.even_indices)
+        self._integral = all(type(c) is int for t in terms for _, _, c in t)
         if truncation is None and not signature.is_purely_odd:
             truncation = default_truncation(signature)
         self.truncation = truncation
@@ -228,13 +235,13 @@ class CDGA:
         sig = self.signature
         return Element(sig, {Monomial(sig, *key): c for key, c in acc.items()})
 
-    def differential_matrix(self, n: int) -> SparseExactMatrix:
-        """Matrix of d from the degree-n basis to the degree-(n+1) basis.
+    def _d_entries(self, n: int):
+        """(row, col, coefficient) of d from degree n to degree n + 1.
 
-        Column j holds the expansion of d applied to the j-th basis monomial;
-        deterministic given the canonical basis order. Each column comes from
-        the integer expansion on the monomial's key (odd_mask, even_exps),
-        and target rows are looked up by the same key.
+        Column by column in basis order, each column in the order of its
+        integer expansion on the monomial's key (odd_mask, even_exps); target
+        rows are looked up by the same key. Coefficients are ints where
+        integral. The degree is checked on the first iteration.
         """
         if n < 0:
             raise ValueError("degree must be >= 0")
@@ -242,20 +249,41 @@ class CDGA:
             raise TruncationError(
                 f"degree {n + 1} exceeds truncation {self.truncation}"
             )
-        cached = self._matrix_cache.get(n)
-        if cached is not None:
-            return cached
         source = basis_of_degree(self.signature, n)
         target = basis_of_degree(self.signature, n + 1)
         row_of = {(m.odd_mask, m.even_exps): i for i, m in enumerate(target)}
         d_key = self._d_key
-        entries = {}
         for col, mono in enumerate(source):
             for key, val in d_key(mono.odd_mask, mono.even_exps).items():
-                entries[(row_of[key], col)] = Fraction(val)
-        matrix = SparseExactMatrix._trusted(len(target), len(source), entries)
-        self._matrix_cache[n] = matrix
-        return matrix
+                yield row_of[key], col, val
+
+    def differential_matrix(self, n: int) -> SparseExactMatrix:
+        """Matrix of d from the degree-n basis to the degree-(n+1) basis.
+
+        Column j holds the expansion of d applied to the j-th basis monomial;
+        deterministic given the canonical basis order. Entries are Fractions;
+        the matrix is cached on the CDGA.
+        """
+        cached = self._matrix_cache.get(n)
+        if cached is None:
+            entries = {(r, c): Fraction(v) for r, c, v in self._d_entries(n)}
+            sig = self.signature
+            cached = self._matrix_cache[n] = SparseExactMatrix._trusted(
+                len(basis_of_degree(sig, n + 1)), len(basis_of_degree(sig, n)), entries
+            )
+        return cached
+
+    def _integer_rows(self, n: int) -> dict:
+        """d_n as rows {row: {col: int}}, without building or caching a matrix.
+
+        Equal, dict order included, to ``linalg._integer_rows`` of
+        ``differential_matrix(n)``: rows scaled by the lcm of their
+        denominators when some coefficient of d is not integral.
+        """
+        rows: dict = {}
+        for r, c, v in self._d_entries(n):
+            rows.setdefault(r, {})[c] = v
+        return rows if self._integral else _clear_denominators(rows)
 
 
 def check_d_squared(

@@ -8,15 +8,34 @@ from typing import Optional, Sequence
 
 from .algebra import Element, Signature, basis_index, basis_of_degree, transport
 from .cdga import CDGA
-from .linalg import ConsistencyError, _extend_echelon, _kernel, rank_only
+from .linalg import ConsistencyError, _extend_echelon, _kernel, _rank_of_rows
 
 
 def _rank_of_degree(cdga: CDGA, n: int) -> int:
     """rank of d_n, cached on the CDGA; adjacent degrees share the result."""
     cached = cdga._rank_cache.get(n)
     if cached is None:
-        cached = cdga._rank_cache[n] = rank_only(cdga.differential_matrix(n))
+        cached = cdga._rank_cache[n] = _rank_of_rows(cdga._integer_rows(n))
     return cached
+
+
+def _mirror_top(cdga: CDGA) -> Optional[int]:
+    """The top degree when ranks mirror about it, else None.
+
+    In a purely odd model the product into the top degree pairs degrees n
+    and top - n perfectly. If moreover d_(top-1) = 0, then for x of degree n
+    and y of degree top-1-n, d(xy) = 0 makes d_(top-1-n) plus or minus the
+    transpose of d_n, so the two ranks agree (Lambrechts-Stanley 2008).
+    """
+    top = cdga.top_degree()
+    if (
+        not cdga.signature.is_purely_odd
+        or top < 1
+        or (cdga.truncation is not None and cdga.truncation <= top)
+        or cdga._integer_rows(top - 1)
+    ):
+        return None
+    return top
 
 
 def _degree_range(cdga: CDGA) -> range:
@@ -57,10 +76,21 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
 
     For purely odd signatures the whole table is produced; otherwise degrees
     0 .. truncation-1 are reported and ``truncated_at`` records the window.
-    Degrees are ranked in order in this thread; ``jobs`` is accepted for API
-    stability and does not change the computation.
+    When the window reaches the top degree of a purely odd model with
+    d_(top-1) = 0, only the degrees n <= (top-1)/2 are ranked: rank d_(top-1-n)
+    equals rank d_n by Poincare duality and rank d_top is 0, and these
+    mirrored ranks join the rank cache too. Otherwise every degree of the
+    window is ranked. Ranks come from integer rows assembled directly from d,
+    so no differential matrix is built or cached. Degrees are ranked in
+    order in this thread; ``jobs`` is accepted for API stability and does
+    not change the computation.
     """
     degrees = _degree_range(cdga)
+    mirror = _mirror_top(cdga)
+    if mirror is not None:
+        for n in range((mirror - 1) // 2 + 1):
+            cdga._rank_cache.setdefault(mirror - 1 - n, _rank_of_degree(cdga, n))
+        cdga._rank_cache.setdefault(mirror, 0)
     ranks = [_rank_of_degree(cdga, n) for n in degrees]
     dims = [len(basis_of_degree(cdga.signature, n)) for n in degrees]
     per_degree = []

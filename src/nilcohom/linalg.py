@@ -1,12 +1,15 @@
 """Exact rank, kernel, and quotient computations for sparse rational matrices.
 
-The eliminator clears denominators row-wise (which changes neither rank nor
-kernel), splits the matrix into connected components of its nonzero pattern,
-and runs one cross-multiplication elimination core per component: exact over
-the integers with row GCD normalization, or modulo a prime for the
-multimodular rank bounds. Pivoting is Markowitz-style and depends only on
-matrix content: minimize (row_nnz-1)*(col_nnz-1), break ties by lowest column
-index, then lowest row index. Results are therefore deterministic.
+The eliminator clears denominators row-wise with ``_clear_denominators``
+(which changes neither rank nor kernel), splits the matrix into connected
+components of its nonzero pattern, and runs one cross-multiplication
+elimination core per component: exact over the integers with row GCD
+normalization, or modulo a prime for the multimodular rank bounds. Pivoting
+is Markowitz-style and depends only on matrix content: minimize
+(row_nnz-1)*(col_nnz-1), break ties by lowest column index, then lowest row
+index. Results are therefore deterministic. ``_rank_of_rows`` ranks integer
+rows: ``rank_only`` feeds it the rows of a matrix, ``cohomology.betti`` the
+rows that ``CDGA._integer_rows`` assembles without building a matrix.
 
 Kernel and quotient work on sparse vectors, dicts from index to Fraction.
 ``_kernel`` back-substitutes one primitive integer vector per free column.
@@ -158,11 +161,11 @@ class MultimodularCertificate:
 # elimination core
 
 
-def _integer_rows(m: SparseExactMatrix) -> dict:
-    """Rows as integer dicts after clearing denominators row-wise."""
-    rows: dict = {}
-    for (r, c), v in m.entries.items():
-        rows.setdefault(r, {})[c] = v
+def _clear_denominators(rows: dict) -> dict:
+    """Rows {row: {col: rational}} scaled by their denominators' lcm, as ints.
+
+    Accepts int and Fraction entries alike; row and column order are kept.
+    """
     out = {}
     for r, row in rows.items():
         den = 1
@@ -171,6 +174,14 @@ def _integer_rows(m: SparseExactMatrix) -> dict:
             den = den // gcd(den, d) * d
         out[r] = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
     return out
+
+
+def _integer_rows(m: SparseExactMatrix) -> dict:
+    """Rows as integer dicts after clearing denominators row-wise."""
+    rows: dict = {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, {})[c] = v
+    return _clear_denominators(rows)
 
 
 def _components(rows: dict) -> list:
@@ -375,15 +386,22 @@ def rank_exact(m: SparseExactMatrix) -> RankResult:
     )
 
 
-def rank_only(m: SparseExactMatrix) -> int:
-    """Exact rank without kernel bookkeeping; same pivoting as rank_exact."""
-    rows = _integer_rows(m)
+def _rank_of_rows(rows: dict) -> int:
+    """Exact rank of integer rows {row: {col: int}}, component by component.
+
+    The rows are eliminated in place.
+    """
     total = 0
     for _, row_ids in _components(rows):
         sub = {r: rows[r] for r in row_ids}
         pivots, _ = _eliminate(sub, keep_pivot_rows=False)
         total += len(pivots)
     return total
+
+
+def rank_only(m: SparseExactMatrix) -> int:
+    """Exact rank without kernel bookkeeping; same pivoting as rank_exact."""
+    return _rank_of_rows(_integer_rows(m))
 
 
 # ---------------------------------------------------------------------------

@@ -31,3 +31,12 @@ def random_two_step_cdga(rng: random.Random, closed: int, upper: int) -> CDGA:
                 terms[sig.monomial_of(names[i], names[j])] = coeff
         diffs[f"w{w}"] = Element(sig, terms)
     return CDGA(sig, diffs, name=f"rand{closed}_{upper}")
+
+
+def seeded_two_step_cdgas() -> list:
+    """Twelve seeded ``random_two_step_cdga`` models; some have coefficient 1/2."""
+    models = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        models.append(random_two_step_cdga(rng, closed=rng.randint(2, 5), upper=rng.randint(1, 4)))
+    return models

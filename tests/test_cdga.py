@@ -21,7 +21,8 @@ from nilcohom import (
     torus_model,
     xr_model,
 )
-from conftest import random_two_step_cdga
+from nilcohom.linalg import _integer_rows
+from conftest import random_two_step_cdga, seeded_two_step_cdgas
 from dense_oracle import dense_differential
 
 
@@ -273,3 +274,58 @@ class TestDifferentialMatrixAgainstOracles:
                 }
                 actual = {r: v for (r, c), v in matrix.entries.items() if c == col}
                 assert actual == column
+
+
+def _structure(rows):
+    """Rows as nested item lists, so that comparisons also check dict order."""
+    return [(r, list(row.items())) for r, row in rows.items()]
+
+
+class TestIntegerRows:
+    """``CDGA._integer_rows`` assembles d_n as integer rows without a matrix;
+    they must be exactly what ``linalg._integer_rows`` makes of
+    ``differential_matrix(n)``, dict order and int entries included."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [upper_tri_model(n) for n in range(2, 6)]
+        + [xr_model(5)]
+        + [borel_twist(xr_model(r), f"x{r}") for r in range(1, 5)]
+        + [_polynomial_model()]
+        + seeded_two_step_cdgas(),
+        ids=lambda m: m.name,
+    )
+    def test_rows_match_the_matrix_path(self, model):
+        degrees = range(model.truncation) if model.truncation else range(model.top_degree() + 1)
+        for n in degrees:
+            rows = model._integer_rows(n)
+            assert _structure(rows) == _structure(_integer_rows(model.differential_matrix(n))), n
+            assert all(type(v) is int for row in rows.values() for v in row.values()), n
+
+    def test_rational_models_clear_denominators(self):
+        models = seeded_two_step_cdgas()
+        assert any(not m._integral for m in models)
+        assert any(m._integral for m in models)
+
+    def test_rows_are_not_cached(self):
+        model = upper_tri_model(4)
+        model._integer_rows(3)
+        assert model._matrix_cache == {}
+
+    def test_truncation_enforced(self):
+        with pytest.raises(TruncationError):
+            _polynomial_model()._integer_rows(12)
+        with pytest.raises(ValueError):
+            upper_tri_model(3)._integer_rows(-1)
+
+
+class TestTruncationArgument:
+    @pytest.mark.parametrize("truncation", [0, -5])
+    def test_below_one_rejected(self, truncation):
+        model = xr_model(3)
+        with pytest.raises(ValueError, match="truncation must be >= 1"):
+            CDGA(model.signature, model.differentials, truncation=truncation)
+
+    def test_one_accepted(self):
+        model = xr_model(3)
+        assert CDGA(model.signature, model.differentials, truncation=1).truncation == 1

@@ -11,26 +11,29 @@ from nilcohom import (
     CDGA,
     ConsistencyError,
     Element,
+    Signature,
     SparseExactMatrix,
     basis_of_degree,
     betti,
     borel_twist,
+    chevalley_eilenberg,
     degree_shift,
     rank_only,
     representatives,
     split_at_k,
     tensor_product,
     torus_model,
+    u_n_presentation,
     upper_tri_model,
     verify_classes,
     xr_model,
 )
 from nilcohom.algebra import basis_index
 from nilcohom.cli import main
-from nilcohom.cohomology import _boundary_vectors, _degree_range
+from nilcohom.cohomology import _boundary_vectors, _degree_range, _mirror_top
 from nilcohom.dsl import parse_element, render_element
 from nilcohom.linalg import _kernel, _quotient
-from conftest import random_two_step_cdga
+from conftest import random_two_step_cdga, seeded_two_step_cdgas
 from dense_oracle import dense_betti
 
 X5_CLASSES = [
@@ -409,3 +412,84 @@ class TestStructuralProperties:
         sparse = betti(model).per_degree
         dense = dense_betti(model)
         assert sparse == dense
+
+
+def full_path_table(model):
+    """The unshortcut Betti row: every degree ranked from ``differential_matrix``."""
+    degrees = _degree_range(model)
+    ranks = [rank_only(model.differential_matrix(n)) for n in degrees]
+    dims = [len(basis_of_degree(model.signature, n)) for n in degrees]
+    return tuple(dims[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in degrees)
+
+
+class TestPoincareMirroredRanks:
+    """``betti`` ranks only the lower half of a purely odd model with
+    d_(top-1) = 0 and mirrors the rest. These tests compare it with the full
+    path, which ranks every degree; the duality tests above are tautological
+    for such models."""
+
+    MIRRORED = (
+        [upper_tri_model(n) for n in range(2, 7)]
+        + [xr_model(r) for r in range(10)]
+        + [
+            chevalley_eilenberg(u_n_presentation(4)),
+            degree_shift(upper_tri_model(3), 1),
+            degree_shift(upper_tri_model(4), 2),
+            split_at_k(5, 4).base,
+            split_at_k(5, 4).fiber,
+            split_at_k(6, 4).fiber,
+            tensor_product(xr_model(2), xr_model(3)),
+            tensor_product(xr_model(1), tensor_product(xr_model(1), xr_model(2))),
+        ]
+        + seeded_two_step_cdgas()
+    )
+
+    @pytest.mark.parametrize("model", MIRRORED, ids=lambda m: m.name)
+    def test_matches_full_path(self, model):
+        assert _mirror_top(model) == model.top_degree()
+        table = betti(model)
+        assert table.per_degree == full_path_table(model)
+        assert table.total == sum(table.per_degree)
+        assert model._rank_cache == {
+            n: rank_only(model.differential_matrix(n)) for n in range(model.top_degree() + 1)
+        }
+
+    def test_betti_builds_no_matrix(self):
+        model = upper_tri_model(5)
+        betti(model)
+        assert model._matrix_cache == {}
+        assert set(model._rank_cache) == set(range(model.top_degree() + 1))
+
+    def test_non_unimodular_takes_the_full_path(self):
+        sig = Signature([("x", 1), ("y", 1)])
+        model = CDGA(
+            sig,
+            {"x": Element.zero(sig), "y": Element.from_monomial(sig.monomial_of("x", "y"))},
+        )
+        assert _mirror_top(model) is None
+        assert betti(model).per_degree == (1, 1, 0) == full_path_table(model)
+
+    def test_non_unimodular_file_through_cli(self, capsys):
+        path = Path(__file__).parent / "data" / "axb.cdga"
+        assert main(["cohomology", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["outputs"]["betti"]["per_degree"] == [1, 1, 0]
+
+    @pytest.mark.parametrize("truncation", [1, 4, 6])
+    def test_truncation_at_or_below_top_takes_the_full_path(self, truncation):
+        base = upper_tri_model(4)
+        model = CDGA(base.signature, base.differentials, truncation=truncation)
+        assert _mirror_top(model) is None
+        table = betti(model)
+        assert table.per_degree == full_path_table(model) == betti(base).per_degree[:truncation]
+        assert table.truncated_at == truncation
+
+    def test_truncation_above_top_mirrors(self):
+        base = upper_tri_model(4)
+        model = CDGA(base.signature, base.differentials, truncation=base.top_degree() + 1)
+        assert _mirror_top(model) == base.top_degree()
+        assert betti(model) == betti(base)
+
+    def test_mixed_parity_takes_the_full_path(self):
+        model = borel_twist(xr_model(3), "x3")
+        assert _mirror_top(model) is None
+        assert betti(model).per_degree == full_path_table(model)
