@@ -81,9 +81,11 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
     equals rank d_n by Poincare duality and rank d_top is 0, and these
     mirrored ranks join the rank cache too. Otherwise every degree of the
     window is ranked. Ranks come from integer rows assembled directly from d,
-    so no differential matrix is built or cached. Degrees are ranked in
-    order in this thread; ``jobs`` is accepted for API stability and does
-    not change the computation.
+    so no differential matrix is built or cached, and are eliminated with the
+    rank-only pivot rule. For purely odd signatures dim_n is read off the
+    basis of degree min(n, top - n). Degrees are ranked in order in this
+    thread; ``jobs`` is accepted for API stability and does not change the
+    computation.
     """
     degrees = _degree_range(cdga)
     mirror = _mirror_top(cdga)
@@ -92,12 +94,17 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
             cdga._rank_cache.setdefault(mirror - 1 - n, _rank_of_degree(cdga, n))
         cdga._rank_cache.setdefault(mirror, 0)
     ranks = [_rank_of_degree(cdga, n) for n in degrees]
-    dims = [len(basis_of_degree(cdga.signature, n)) for n in degrees]
+    # A purely odd signature spans an exterior algebra, where complementing
+    # monomials gives dim_n = dim_(top-n): only the lower half is enumerated.
+    top = cdga.top_degree()
+    dims = [
+        len(basis_of_degree(cdga.signature, n if top is None else min(n, top - n)))
+        for n in degrees
+    ]
     per_degree = []
     for n in degrees:
         below = ranks[n - 1] if n > 0 else 0
         per_degree.append(dims[n] - ranks[n] - below)
-    top = cdga.top_degree()
     truncated = top is None or (cdga.truncation is not None and cdga.truncation <= top)
     return BettiTable(
         tuple(per_degree), sum(per_degree), cdga.truncation if truncated else None

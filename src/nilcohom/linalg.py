@@ -4,12 +4,24 @@ The eliminator clears denominators row-wise with ``_clear_denominators``
 (which changes neither rank nor kernel), splits the matrix into connected
 components of its nonzero pattern, and runs one cross-multiplication
 elimination core per component: exact over the integers with row GCD
-normalization, or modulo a prime for the multimodular rank bounds. Pivoting
-is Markowitz-style and depends only on matrix content: minimize
-(row_nnz-1)*(col_nnz-1), break ties by lowest column index, then lowest row
-index. Results are therefore deterministic. ``_rank_of_rows`` ranks integer
-rows: ``rank_only`` feeds it the rows of a matrix, ``cohomology.betti`` the
-rows that ``CDGA._integer_rows`` assembles without building a matrix.
+normalization, or modulo a prime for the multimodular rank bounds. The
+caller passes the pivot rule, and both rules depend only on matrix content,
+so results are deterministic:
+
+- ``_pick_markowitz``, for ``_kernel`` and so ``rank_exact`` and
+  ``cohomology.representatives``, whose pivot columns and kernel vectors are
+  visible: minimize (row_nnz-1)*(col_nnz-1) over every nonzero, break ties by
+  lowest column index, then lowest row index.
+- ``_pick_count``, for the rank-only paths ``_rank_of_rows`` and
+  ``_rank_mod_p``: the column with the fewest live rows, lowest column on
+  ties, then in it the row with the fewest entries, lowest row on ties
+  (Markowitz 1957; Dumas-Villard 2002). It scans columns instead of every
+  nonzero, and any pivot sequence gives the same rank.
+
+``_rank_of_rows`` ranks integer rows: ``rank_only`` feeds it the rows of a
+matrix, ``cohomology.betti`` the rows that ``CDGA._integer_rows`` assembles
+without building a matrix; ``rank_multimodular`` ranks mod p through
+``_rank_mod_p``.
 
 Kernel and quotient work on sparse vectors, dicts from index to Fraction.
 ``_kernel`` back-substitutes one primitive integer vector per free column.
@@ -246,14 +258,45 @@ def _discard(col_rows: dict, c: int, r: int) -> None:
         del col_rows[c]
 
 
-def _eliminate(rows: dict, keep_pivot_rows: bool, modulus: Optional[int] = None):
+def _pick_markowitz(rows: dict, col_rows: dict) -> tuple:
+    """(col, row) minimizing (cost, col, row) over every nonzero entry.
+
+    cost = (row_nnz - 1) * (col_nnz - 1); one scan of every live entry.
+    """
+    _, c, r = min(
+        ((len(rows[r]) - 1) * (len(rs) - 1), c, r)
+        for c, rs in col_rows.items()
+        for r in rs
+    )
+    return c, r
+
+
+def _pick_count(rows: dict, col_rows: dict) -> tuple:
+    """(col, row) for the column with the fewest live rows, then its shortest row.
+
+    Ties go to the lowest column, then the lowest row id. One scan of the
+    live columns and one of the chosen column's rows.
+    """
+    _, c = min((len(rs), c) for c, rs in col_rows.items())
+    _, r = min((len(rows[r]), r) for r in col_rows[c])
+    return c, r
+
+
+def _eliminate(
+    rows: dict,
+    keep_pivot_rows: bool,
+    modulus: Optional[int] = None,
+    pick=_pick_markowitz,
+):
     """Cross-multiplication elimination; returns (pivots, frozen_rows).
 
     Exact over Z with row GCD normalization when ``modulus`` is None;
     otherwise over Z/p for the prime ``modulus``, on entries already reduced
-    mod p and without normalization. Each pivot is the minimum of the total
-    order (cost, col, row) over all nonzero entries, so the choice does not
-    depend on dict or set iteration order; emptied column sets are dropped.
+    mod p and without normalization. ``pick(rows, col_rows)`` returns the
+    next pivot as (col, row) from matrix content alone, never from dict or
+    set iteration order: ``_pick_markowitz`` (the default, whose pivots
+    ``_kernel`` exposes) or ``_pick_count`` (rank-only callers). Emptied
+    column sets are dropped.
     ``pivots`` is the list of (row, col) in elimination order;
     ``frozen_rows`` maps pivot row id to its content at freeze time (support
     only on its own and later pivot columns plus free columns), empty unless
@@ -266,11 +309,7 @@ def _eliminate(rows: dict, keep_pivot_rows: bool, modulus: Optional[int] = None)
     pivots = []
     frozen = {}
     while col_rows:
-        _, c, r = min(
-            ((len(rows[r]) - 1) * (len(rs) - 1), c, r)
-            for c, rs in col_rows.items()
-            for r in rs
-        )
+        c, r = pick(rows, col_rows)
         pivot_row = rows[r]
         p = pivot_row[c]
         for i in list(col_rows[c]):
@@ -389,18 +428,22 @@ def rank_exact(m: SparseExactMatrix) -> RankResult:
 def _rank_of_rows(rows: dict) -> int:
     """Exact rank of integer rows {row: {col: int}}, component by component.
 
-    The rows are eliminated in place.
+    The rows are eliminated in place, with the count pivot rule.
     """
     total = 0
     for _, row_ids in _components(rows):
         sub = {r: rows[r] for r in row_ids}
-        pivots, _ = _eliminate(sub, keep_pivot_rows=False)
+        pivots, _ = _eliminate(sub, keep_pivot_rows=False, pick=_pick_count)
         total += len(pivots)
     return total
 
 
 def rank_only(m: SparseExactMatrix) -> int:
-    """Exact rank without kernel bookkeeping; same pivoting as rank_exact."""
+    """Exact rank without kernel bookkeeping.
+
+    Pivots by ``_pick_count``, not the Markowitz order of ``rank_exact``;
+    the two agree on the rank, which is all this returns.
+    """
     return _rank_of_rows(_integer_rows(m))
 
 
@@ -504,7 +547,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _rank_mod_p(rows: dict, p: int):
-    """Rank mod p with the same core and pivot rule; returns pivots."""
+    """Rank mod p with the same core and the count pivot rule; returns pivots."""
     mod_rows = {}
     for r, row in rows.items():
         mr = {c: v % p for c, v in row.items() if v % p}
@@ -513,7 +556,7 @@ def _rank_mod_p(rows: dict, p: int):
     pivots = []
     for _, row_ids in _components(mod_rows):
         sub = {r: mod_rows[r] for r in row_ids}
-        pivots.extend(_eliminate(sub, keep_pivot_rows=False, modulus=p)[0])
+        pivots.extend(_eliminate(sub, keep_pivot_rows=False, modulus=p, pick=_pick_count)[0])
     return pivots
 
 

@@ -58,7 +58,7 @@ def _d_word(word, degrees, diffs):
     return out
 
 
-def _dense_rank(matrix):
+def dense_rank(matrix):
     """Textbook Gaussian elimination over Fractions."""
     if not matrix or not matrix[0]:
         return 0
@@ -155,7 +155,7 @@ def dense_betti(cdga):
         for col, word in enumerate(source):
             for image, coeff in _d_word(word, degrees, diffs).items():
                 dense[index[n + 1][image]][col] = coeff
-        ranks[n] = _dense_rank(dense)
+        ranks[n] = dense_rank(dense)
     out = []
     for n in range(top + 1):
         below = ranks[n - 1] if n > 0 else 0

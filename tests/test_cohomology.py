@@ -102,6 +102,13 @@ class TestBetti:
         assert table.truncated_at == 5
         assert len(table.per_degree) == 5
 
+    def test_purely_odd_dims_enumerate_only_the_lower_half(self):
+        model = upper_tri_model(6)
+        betti(model)
+        # Ranks of d_0..d_7 need the bases of degrees 0..8 and the d_14 = 0
+        # gate those of 14 and 15; dim_n for n > 7 is read off degree 15 - n.
+        assert sorted(model.signature._basis_cache) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 14, 15]
+
     def test_json_shape(self, x5):
         d = betti(x5).to_json_dict()
         assert d == {
@@ -162,6 +169,14 @@ class TestRepresentativesOfUn:
         model = upper_tri_model(n)
         counts = [len(representatives(model, k)) for k in range(model.top_degree() + 1)]
         assert counts == mahonian_row(n)
+
+    def test_u7_low_degrees_are_mahonian(self):
+        # Truncated at 6, u_7 ranks d_0..d_5 on components far larger than u_6's.
+        u7 = upper_tri_model(7)
+        model = CDGA(u7.signature, u7.differentials, truncation=6)
+        row = mahonian_row(7)
+        assert sum(row) == 5040
+        assert betti(model).per_degree == tuple(row[:6]) == (1, 6, 20, 49, 98, 169)
 
     def test_representatives_seed_the_rank_cache(self):
         model = upper_tri_model(4)

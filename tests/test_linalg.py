@@ -15,8 +15,8 @@ from nilcohom import (
     rank_only,
     upper_tri_model,
 )
-from nilcohom.linalg import _kernel, _quotient
-from dense_oracle import dense_rank_mod_p
+from nilcohom.linalg import _eliminate, _kernel, _pick_count, _pick_markowitz, _quotient
+from dense_oracle import dense_rank, dense_rank_mod_p
 
 
 def random_sparse(rng, rows, cols, density=0.3):
@@ -337,3 +337,94 @@ class TestRankMultimodular:
     def test_distinct_primes_required(self):
         with pytest.raises(ValueError):
             rank_multimodular(SparseExactMatrix.identity(2), [5, 5])
+
+
+@st.composite
+def block_structured_matrices(draw):
+    """One to three random rational blocks, at most 5 x 5 each, on disjoint
+    rows and columns that are then shuffled, so the pattern interleaves."""
+    shapes = draw(
+        st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=3)
+    )
+    rows = sum(h for h, _ in shapes)
+    cols = sum(w for _, w in shapes)
+    row_of = draw(st.permutations(range(rows)))
+    col_of = draw(st.permutations(range(cols)))
+    entries = {}
+    r0 = c0 = 0
+    for h, w in shapes:
+        block = draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, h - 1), st.integers(0, w - 1)),
+                NONZERO_RATIONALS,
+                min_size=1,
+                max_size=h * w,
+            )
+        )
+        for (r, c), v in block.items():
+            entries[(row_of[r0 + r], col_of[c0 + c])] = v
+        r0 += h
+        c0 += w
+    return SparseExactMatrix(rows, cols, entries)
+
+
+def column_sets(rows: dict) -> dict:
+    col_rows: dict = {}
+    for r, row in rows.items():
+        for c in row:
+            col_rows.setdefault(c, set()).add(r)
+    return col_rows
+
+
+class TestPivotRules:
+    """``rank_only`` and ``rank_multimodular`` pivot by column count,
+    ``rank_exact`` by the Markowitz order; the ranks must agree."""
+
+    # Column 0 has the fewest rows, and row 1 is the shorter of its two;
+    # the cheapest Markowitz entry is the singleton row 2 in column 1.
+    ROWS = {0: {0: 1, 1: 1, 2: 1}, 1: {0: 1, 2: 1}, 2: {1: 1}, 3: {1: 2, 2: 1}}
+
+    @given(block_structured_matrices(), st.sampled_from([2, 3, 5, 1000003]))
+    def test_ranks_match_the_dense_oracle(self, m, p):
+        dense = [[m.entries.get((r, c), Fraction(0)) for c in range(m.cols)] for r in range(m.rows)]
+        expected = dense_rank(dense)
+        assert rank_only(m) == rank_exact(m).rank == expected
+        scaled = []
+        for row in dense:
+            den = 1
+            for v in row:
+                den = den * v.denominator // gcd(den, v.denominator)
+            scaled.append([int(v * den) for v in row])
+        cert = rank_multimodular(m, [p])
+        assert cert.per_prime == ((p, dense_rank_mod_p(scaled, p)),)
+        assert cert.exact_rank == expected
+
+    def test_count_rule_takes_the_sparsest_column_then_its_shortest_row(self):
+        assert _pick_count(self.ROWS, column_sets(self.ROWS)) == (0, 1)
+
+    def test_markowitz_rule_takes_the_cheapest_entry(self):
+        assert _pick_markowitz(self.ROWS, column_sets(self.ROWS)) == (1, 2)
+
+    def test_count_rule_breaks_ties_by_lowest_column_then_row(self):
+        # Columns 7, 5 and 2 have two rows each; rows 2 and 0 of column 2
+        # have two entries each. Dict order is the reverse of the answer.
+        rows = {3: {7: 1}, 2: {7: 1, 2: 1}, 1: {5: 1}, 0: {5: 1, 2: 1}}
+        assert _pick_count(rows, column_sets(rows)) == (2, 0)
+
+    def test_count_rule_pivot_sequence(self):
+        rows = {r: dict(row) for r, row in self.ROWS.items()}
+        pivots, frozen = _eliminate(rows, keep_pivot_rows=False, pick=_pick_count)
+        assert pivots == [(1, 0), (3, 2), (0, 1)]
+        assert frozen == {} and rows == {2: {}}
+
+    def test_rank_exact_keeps_the_markowitz_pivots(self):
+        # The count rule would pivot on column 3 here, leaving column 2 free
+        # and the kernel vector (5, -1, 1, -3): the rules differ where
+        # rank_exact shows its pivots, so it must keep the Markowitz order.
+        m = SparseExactMatrix.from_dense([[1, 0, 1, 2], [0, 1, 1, 0], [0, 0, 0, 0], [1, 2, 0, 1]])
+        rows = {0: {0: 1, 2: 1, 3: 2}, 1: {1: 1, 2: 1}, 3: {0: 1, 1: 2, 3: 1}}
+        pivots, _ = _eliminate(rows, keep_pivot_rows=False, pick=_pick_count)
+        assert sorted(c for _, c in pivots) == [0, 1, 3]
+        result = rank_exact(m)
+        assert result.pivot_columns == (0, 1, 2)
+        assert result.kernel_basis == ((-5, 1, -1, 3),)
