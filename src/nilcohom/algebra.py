@@ -438,6 +438,23 @@ def basis_of_degree(sig: Signature, n: int) -> tuple:
     return result
 
 
+def basis_dimensions(sig: Signature, upto: int) -> list:
+    """``len(basis_of_degree(sig, n))`` for n = 0 .. upto, without enumerating.
+
+    The coefficients of prod_odd (1 + t^d) * prod_even 1 / (1 - t^d) over
+    the generator degrees d: an exterior generator is used at most once, a
+    polynomial one any number of times.
+    """
+    dims = [1] + [0] * upto
+    for d in sig._odd_degrees:
+        for n in range(upto, d - 1, -1):
+            dims[n] += dims[n - d]
+    for d in sig._even_degrees:
+        for n in range(d, upto + 1):
+            dims[n] += dims[n - d]
+    return dims
+
+
 def basis_index(sig: Signature, n: int) -> dict:
     """Map from degree-n basis monomials to their positions."""
     cached = sig._basis_index_cache.get(n)

@@ -443,7 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=os.cpu_count(),
-        help="accepted for compatibility; does not change the computation",
+        help="most child processes that rank Betti degrees at once (default: "
+        "the CPU count); 1, and models under the size gate, rank in this "
+        "process; results never depend on it",
     )
     common.add_argument(
         "--unsafe-large",
@@ -511,6 +513,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
+        if args.jobs is not None and args.jobs < 1:
+            raise UsageError("--jobs must be >= 1")
         inputs, outputs, tabular, failed = args.handler(args)
     except DslValidationError as err:
         for diag in err.diagnostics:

@@ -2,21 +2,22 @@
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import Element, Signature, basis_index, basis_of_degree, transport
+from .algebra import (
+    Element,
+    Signature,
+    basis_dimensions,
+    basis_index,
+    basis_of_degree,
+    transport,
+)
 from .cdga import CDGA
 from .linalg import ConsistencyError, _extend_echelon, _kernel, _rank_of_rows
-
-
-def _rank_of_degree(cdga: CDGA, n: int) -> int:
-    """rank of d_n, cached on the CDGA; adjacent degrees share the result."""
-    cached = cdga._rank_cache.get(n)
-    if cached is None:
-        cached = cdga._rank_cache[n] = _rank_of_rows(cdga._integer_rows(n))
-    return cached
 
 
 def _mirror_top(cdga: CDGA) -> Optional[int]:
@@ -50,6 +51,106 @@ def _degree_range(cdga: CDGA) -> range:
     return range(cdga.truncation)
 
 
+# ``betti`` forks only when the degrees left to rank hold this many basis
+# monomials. Measured on a 2-core VM: at 386..1562 monomials (u_5, X_9,
+# u_7 truncated at 4) forking saved at most 2 ms and lost up to 4 ms where
+# one degree dominates; at 1941..7547 (u_6 truncated at 5 and 6, u_7 at 5)
+# it saved 12..24%.
+FORK_MIN_MONOMIALS = 2000
+
+
+def _fork_workers(jobs: Optional[int], degrees: int, monomials: int) -> int:
+    """How many child processes should rank ``degrees`` degrees; 0 or 1 means none."""
+    threading = sys.modules.get("threading")
+    if (
+        jobs is None
+        or jobs < 2
+        or not hasattr(os, "fork")
+        or (threading is not None and threading.active_count() > 1)
+        or monomials < FORK_MIN_MONOMIALS
+    ):
+        return 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(jobs, cpus or 1, degrees)
+
+
+def _shares(cost: dict, workers: int) -> list:
+    """Split the degrees, keys of ``cost``, into ``workers`` nonempty shares.
+
+    Longest first: each degree, costliest first (lowest degree on ties),
+    joins the share with the least total cost so far (lowest share on ties).
+    """
+    loads = [[0, k, []] for k in range(workers)]
+    for n in sorted(cost, key=lambda n: (-cost[n], n)):
+        least = min(loads, key=lambda load: load[:2])
+        least[0] += cost[n]
+        least[2].append(n)
+    return [share for _, _, share in loads]
+
+
+def _rank_share(cdga: CDGA, share: list, fd: int) -> None:
+    """In a forked child: write "degree:rank" pairs for ``share`` to ``fd``, then exit.
+
+    Leaves through ``os._exit``, with status 0 only once every rank is
+    written, so no parent cleanup (atexit, buffered output) runs twice.
+    """
+    status = 1
+    try:
+        text = " ".join(f"{n}:{_rank_of_rows(cdga._integer_rows(n))}" for n in share)
+        with open(fd, "wb") as pipe:
+            pipe.write(text.encode())
+        status = 0
+    except Exception:
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _ranks_in_children(cdga: CDGA, shares: list) -> dict:
+    """{degree: rank of d_degree} in degree order, one forked child per share.
+
+    Every child is reaped before this returns or raises; children still
+    running when something fails are killed first. Raises RuntimeError when
+    a child exits nonzero or leaves out a degree of its share.
+    """
+    children = []
+    pipes = []
+    ranks = {}
+    try:
+        for share in shares:
+            read_fd, write_fd = os.pipe()
+            pipes.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _rank_share(cdga, share, write_fd)
+            finally:
+                os.close(write_fd)
+            children.append((pid, share, read_fd))
+        while children:
+            pid, share, read_fd = children[0]
+            chunks = []
+            while chunk := os.read(read_fd, 1 << 16):
+                chunks.append(chunk)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            pairs = [pair.split(b":") for pair in b"".join(chunks).split()]
+            if code or sorted(int(n) for n, _ in pairs) != sorted(share):
+                raise RuntimeError(f"rank worker for degrees {share} failed (exit status {code})")
+            ranks.update((int(n), int(rank)) for n, rank in pairs)
+    finally:
+        for fd in pipes:
+            os.close(fd)
+        if children:
+            import signal  # only on failure: ``import nilcohom`` stays as lean as before
+
+            for pid, _, _ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return dict(sorted(ranks.items()))
+
+
 @dataclass(frozen=True)
 class BettiTable:
     """Per-degree cohomology dimensions; total is their sum."""
@@ -79,32 +180,38 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
     When the window reaches the top degree of a purely odd model with
     d_(top-1) = 0, only the degrees n <= (top-1)/2 are ranked: rank d_(top-1-n)
     equals rank d_n by Poincare duality and rank d_top is 0, and these
-    mirrored ranks join the rank cache too. Otherwise every degree of the
-    window is ranked. Ranks come from integer rows assembled directly from d,
-    so no differential matrix is built or cached, and are eliminated with the
-    rank-only pivot rule. For purely odd signatures dim_n is read off the
-    basis of degree min(n, top - n). Degrees are ranked in order in this
-    thread; ``jobs`` is accepted for API stability and does not change the
-    computation.
+    mirrored ranks join the rank cache after the ranked ones. Otherwise every
+    degree of the window is ranked. Ranks come from integer rows assembled
+    directly from d, so no differential matrix is built or cached, and are
+    eliminated with the rank-only pivot rule. dim_n is counted from the
+    generator degrees, not enumerated.
+
+    With ``jobs`` >= 2, ``os.fork`` available, a single running thread and
+    at least ``FORK_MIN_MONOMIALS`` basis monomials in the degrees left to
+    rank, the degrees are ranked in up to min(jobs, usable CPUs, degrees)
+    forked child processes, each sending back only its ranks. Otherwise,
+    and always with the default ``jobs=None``, they are ranked in order in
+    this process. Both give the same table and the same rank cache.
     """
     degrees = _degree_range(cdga)
     mirror = _mirror_top(cdga)
+    ranked = degrees if mirror is None else range((mirror - 1) // 2 + 1)
+    todo = [n for n in ranked if n not in cdga._rank_cache]
+    dims = basis_dimensions(cdga.signature, degrees[-1] + 1)
+    workers = _fork_workers(jobs, len(todo), sum(dims[n] for n in todo))
+    if workers > 1:
+        cost = {n: dims[n] * dims[n + 1] for n in todo}
+        cdga._rank_cache.update(_ranks_in_children(cdga, _shares(cost, workers)))
+    else:
+        for n in todo:
+            cdga._rank_cache[n] = _rank_of_rows(cdga._integer_rows(n))
     if mirror is not None:
-        for n in range((mirror - 1) // 2 + 1):
-            cdga._rank_cache.setdefault(mirror - 1 - n, _rank_of_degree(cdga, n))
+        for n in ranked:
+            cdga._rank_cache.setdefault(mirror - 1 - n, cdga._rank_cache[n])
         cdga._rank_cache.setdefault(mirror, 0)
-    ranks = [_rank_of_degree(cdga, n) for n in degrees]
-    # A purely odd signature spans an exterior algebra, where complementing
-    # monomials gives dim_n = dim_(top-n): only the lower half is enumerated.
+    ranks = cdga._rank_cache
+    per_degree = [dims[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in degrees]
     top = cdga.top_degree()
-    dims = [
-        len(basis_of_degree(cdga.signature, n if top is None else min(n, top - n)))
-        for n in degrees
-    ]
-    per_degree = []
-    for n in degrees:
-        below = ranks[n - 1] if n > 0 else 0
-        per_degree.append(dims[n] - ranks[n] - below)
     truncated = top is None or (cdga.truncation is not None and cdga.truncation <= top)
     return BettiTable(
         tuple(per_degree), sum(per_degree), cdga.truncation if truncated else None

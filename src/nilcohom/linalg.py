@@ -312,16 +312,22 @@ def _eliminate(
         c, r = pick(rows, col_rows)
         pivot_row = rows[r]
         p = pivot_row[c]
+        # Over Z, p*row - a*pivot_row for p = -1 is row + a*pivot_row negated;
+        # the sign changes neither support nor rank nor back-substitution.
+        fold = modulus is None and p == -1
         for i in list(col_rows[c]):
             if i == r:
                 continue
             row_i = rows[i]
             a = row_i.pop(c)
             col_rows[c].discard(i)
-            for j in row_i:  # p is nonzero, and a unit mod modulus: support kept
-                row_i[j] *= p
-                if modulus is not None:
-                    row_i[j] %= modulus
+            if fold:
+                a = -a
+            elif p != 1:
+                for j in row_i:  # p is nonzero, and a unit mod modulus: support kept
+                    row_i[j] *= p
+                    if modulus is not None:
+                        row_i[j] %= modulus
             for j, w in pivot_row.items():
                 if j == c:
                     continue

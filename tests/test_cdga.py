@@ -21,6 +21,7 @@ from nilcohom import (
     torus_model,
     xr_model,
 )
+from nilcohom.algebra import basis_dimensions
 from nilcohom.linalg import _integer_rows
 from conftest import random_two_step_cdga, seeded_two_step_cdgas
 from dense_oracle import dense_differential
@@ -317,6 +318,33 @@ class TestIntegerRows:
             _polynomial_model()._integer_rows(12)
         with pytest.raises(ValueError):
             upper_tri_model(3)._integer_rows(-1)
+
+
+class TestBasisDimensions:
+    """``basis_dimensions`` counts each degree from the generating function;
+    it must agree with the enumerated basis in every degree of the window
+    and, for purely odd models, be 0 just past the top."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [upper_tri_model(n) for n in range(2, 7)]
+        + [xr_model(r) for r in range(10)]
+        + [borel_twist(xr_model(r), f"x{r}") for r in range(1, 5)]
+        + [_polynomial_model()]
+        + seeded_two_step_cdgas(),
+        ids=lambda m: m.name,
+    )
+    def test_counts_match_the_enumerated_basis(self, model):
+        sig = model.signature
+        upto = model.truncation if model.truncation else model.top_degree() + 1
+        dims = basis_dimensions(sig, upto)
+        assert dims == [len(basis_of_degree(sig, n)) for n in range(upto + 1)]
+        if model.truncation is None:
+            assert dims[-1] == 0
+
+    def test_polynomial_generators_repeat(self):
+        sig = Signature([("u", 2), ("v", 4)])
+        assert basis_dimensions(sig, 8) == [1, 0, 1, 0, 2, 0, 2, 0, 3]
 
 
 class TestTruncationArgument:

@@ -287,6 +287,14 @@ class TestReportEnvelope:
         four = run_json(capsys, "cohomology", "--builtin", "xr:6", "--jobs", "4")
         assert one["outputs"] == four["outputs"]
 
+    @pytest.mark.parametrize("subcommand", [("cohomology", "--builtin", "xr:3"), ("table1",)])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, capsys, subcommand, value):
+        code, out, err = run_cli(capsys, *subcommand, "--jobs", value)
+        assert code == 2
+        assert out == ""
+        assert "--jobs must be >= 1" in err
+
 
 class TestEntryPoint:
     def test_console_script_runs(self):
@@ -297,6 +305,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["outputs"]["certificate"]["inequality_holds"] is False
+
+    def test_import_loads_no_pool_module(self):
+        # The --jobs workers are plain os.fork children; no pool module is loaded.
+        probe = (
+            "import sys, nilcohom.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_missing_subcommand_exits_2(self):
         proc = subprocess.run(

@@ -1,6 +1,8 @@
 import itertools
 import json
+import os
 import random
+import threading
 from pathlib import Path
 
 import pytest
@@ -28,9 +30,10 @@ from nilcohom import (
     verify_classes,
     xr_model,
 )
+from nilcohom import cohomology
 from nilcohom.algebra import basis_index
 from nilcohom.cli import main
-from nilcohom.cohomology import _boundary_vectors, _degree_range, _mirror_top
+from nilcohom.cohomology import _boundary_vectors, _degree_range, _mirror_top, _shares
 from nilcohom.dsl import parse_element, render_element
 from nilcohom.linalg import _kernel, _quotient
 from conftest import random_two_step_cdga, seeded_two_step_cdgas
@@ -508,3 +511,104 @@ class TestPoincareMirroredRanks:
         model = borel_twist(xr_model(3), "x3")
         assert _mirror_top(model) is None
         assert betti(model).per_degree == full_path_table(model)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedRanks:
+    """``betti`` with ``jobs`` >= 2 ranks degrees in forked children above
+    the size gate. The table and the rank cache, order included, must equal
+    the serial ones; no test here starts more than two children."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Two usable CPUs, and a list that grows by one per os.fork call."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        calls = []
+        real_fork = os.fork
+
+        def counting_fork():
+            calls.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return calls
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        def refuse():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", refuse)
+
+    def test_u6_matches_the_serial_path(self, forks):
+        serial = upper_tri_model(6)
+        forked = upper_tri_model(6)
+        assert betti(forked, jobs=2) == betti(serial)
+        assert len(forks) == 2
+        assert list(forked._rank_cache.items()) == list(serial._rank_cache.items())
+
+    def test_truncated_window_matches_the_serial_path(self, forks):
+        base = upper_tri_model(6)
+        serial = CDGA(base.signature, base.differentials, truncation=7)
+        forked = CDGA(base.signature, base.differentials, truncation=7)
+        assert _mirror_top(forked) is None
+        assert betti(forked, jobs=2) == betti(serial)
+        assert len(forks) == 2
+        assert list(forked._rank_cache.items()) == list(serial._rank_cache.items())
+
+    def test_x9_is_under_the_size_gate(self, monkeypatch, no_fork):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert betti(xr_model(9), jobs=4) == betti(xr_model(9))
+
+    def test_one_job_and_the_default_stay_in_process(self, no_fork):
+        table = betti(upper_tri_model(6))
+        assert betti(upper_tri_model(6), jobs=1) == table
+
+    def test_a_running_thread_keeps_ranking_in_process(self, no_fork):
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            table = betti(upper_tri_model(6), jobs=2)
+        finally:
+            release.set()
+            waiter.join()
+        assert table == betti(upper_tri_model(6))
+
+    def test_children_are_capped_by_the_usable_cpus(self, forks):
+        assert betti(upper_tri_model(6), jobs=1000) == betti(upper_tri_model(6))
+        assert len(forks) == 2
+
+    def test_cached_ranks_are_not_ranked_again(self, forks):
+        serial = upper_tri_model(6)
+        table = betti(serial)
+        model = upper_tri_model(6)
+        model._rank_cache.update((n, serial._rank_cache[n]) for n in range(7))
+        # Only degree 7 is left: one degree needs no second process.
+        assert betti(model, jobs=2) == table
+        assert len(forks) == 0
+
+    def test_failing_child_raises_and_leaves_no_zombie(self, forks, monkeypatch):
+        def broken(rows):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr(cohomology, "_rank_of_rows", broken)
+        model = upper_tri_model(6)
+        with pytest.raises(RuntimeError, match="exit status 1"):
+            betti(model, jobs=2)
+        assert len(forks) == 2
+        assert model._rank_cache == {}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_short_reply_raises(self, forks, monkeypatch):
+        monkeypatch.setattr(cohomology, "_rank_share", lambda cdga, share, fd: os._exit(0))
+        with pytest.raises(RuntimeError, match="exit status 0"):
+            betti(upper_tri_model(6), jobs=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_shares_are_longest_first(self):
+        cost = {0: 1, 1: 15, 2: 8, 3: 9, 4: 2}
+        assert _shares(cost, 2) == [[1, 4, 0], [3, 2]]
+        assert _shares(cost, 5) == [[1], [3], [2], [4], [0]]
