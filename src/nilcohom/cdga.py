@@ -9,13 +9,17 @@ of a bare boolean, because the obstruction solver needs the failure data.
 
 Construction also turns each generator's differential into a term list of
 integer keys (odd bitmask, even exponent tuple) with int coefficients where
-they are integral. d acts on keys alone: one Leibniz expansion with popcount
-prefix and Koszul signs serves both ``apply_d``, which wraps the keys back
-into monomials, and ``_d_entries``, which looks the target rows up by key.
-``_d_entries`` is the one assembly loop. ``differential_matrix`` wraps its
-entries in Fractions and caches the matrix; ``_integer_rows`` groups them
-into uncached {row: {col: int}} rows for ``cohomology.betti``, clearing
-denominators only when some coefficient is not integral.
+they are integral, and a Koszul sign mask per term. d acts on keys alone:
+``_d_key`` is the one Leibniz expansion, with one popcount per term for its
+sign, and serves ``apply_d`` (hence the d^2 check), which wraps the keys back
+into monomials, ``_d_entries``, which looks the target rows up by key for
+the cached Fraction ``differential_matrix``, and ``_weight_blocks``.
+
+d preserves a torus weight (Kostant 1961): the weight lattice, computed on
+first use and cached, is the integer kernel of w(g) = w(u) over the terms u
+of every d g. ``_weight_blocks`` groups the basis of a degree by weight and
+yields the uncached integer rows of d one weight block at a time, which is
+how ``cohomology.betti`` ranks it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .algebra import (
     SignatureMismatchError,
     basis_of_degree,
 )
-from .linalg import SparseExactMatrix, _clear_denominators
+from .linalg import SparseExactMatrix, _clear_denominators, _kernel
 
 
 @dataclass(frozen=True)
@@ -70,20 +74,79 @@ def default_truncation(sig: Signature) -> Optional[int]:
     return odd_sum + 2 * even_max
 
 
-def _term_list(value: Element) -> tuple:
-    """A differential as (odd_mask, even_exps or (), coeff) triples.
+def _term_list(value: Element, below: int = 0) -> tuple:
+    """A differential as (odd_mask, even_exps or (), coeff, sign_mask) tuples.
 
     ``even_exps`` is () when the term has no even factor; ``coeff`` is an
-    int when integral and a Fraction otherwise.
+    int when integral and a Fraction otherwise. ``sign_mask`` is ``below``
+    XOR (ul - 1) for every odd bit ul of the term, so that the sign of the
+    term in d of a monomial, with ``rest`` the monomial's other factors, is
+    the parity of ``(rest & sign_mask).bit_count()``: the Koszul sign of the
+    term's odd bits past the lower bits of ``rest``, and for an odd
+    generator with ``below`` = the mask of the bits under its own, the
+    sign of moving it to the front.
     """
-    return tuple(
-        (
-            u.odd_mask,
-            u.even_exps if any(u.even_exps) else (),
-            c.numerator if c.denominator == 1 else c,
+    out = []
+    for u, c in value.terms.items():
+        sign_mask = below
+        um = u.odd_mask
+        while um:
+            ul = um & -um
+            um ^= ul
+            sign_mask ^= ul - 1
+        out.append(
+            (
+                u.odd_mask,
+                u.even_exps if any(u.even_exps) else (),
+                c.numerator if c.denominator == 1 else c,
+                sign_mask,
+            )
         )
-        for u, c in value.terms.items()
-    )
+    return tuple(out)
+
+
+class _Weights:
+    """The torus-weight lattice of a CDGA, packed into one int per generator.
+
+    ``rank`` is the lattice rank, ``generators`` the packed weight of each
+    generator in signature order, so that adding packed weights adds weight
+    vectors. ``odd_tables[k][b]`` is the weight of the odd generators whose
+    bits are set in ``b`` among mask bits 8k .. 8k + 7, and ``even`` the
+    weight of each even generator in exponent order.
+    """
+
+    __slots__ = ("rank", "generators", "odd_tables", "even")
+
+    def __init__(self, rank: int, generators: tuple, signature: Signature):
+        self.rank = rank
+        self.generators = generators
+        odd = [generators[i] for i in signature.odd_indices]
+        tables = []
+        for start in range(0, len(odd), 8):
+            table = [0]
+            for w in odd[start : start + 8]:
+                table += [t + w for t in table]
+            tables.append(tuple(table))
+        self.odd_tables = tuple(tables)
+        self.even = tuple(generators[i] for i in signature.even_indices)
+
+    def of_key(self, mask: int, evens: tuple) -> int:
+        """The packed weight of the monomial key (mask, evens)."""
+        w = 0
+        for k, table in enumerate(self.odd_tables):
+            w += table[mask >> 8 * k & 255]
+        for e, we in zip(evens, self.even):
+            w += e * we
+        return w
+
+
+# ``_weight_blocks`` groups a degree by weight only from this many basis
+# monomials on; a smaller degree is one block, and a CDGA with no larger
+# degree never computes its lattice. Measured on a 2-core VM: grouping every
+# degree made ``betti`` of X_1..X_5 1.5 times slower, and on X_6..X_9,
+# u_3..u_5, twists and small products it saved nothing; on u_6 (degrees of
+# 455 monomials and more) and u_7 it cut the time by a quarter or more.
+_BLOCK_MIN_MONOMIALS = 256
 
 
 class CDGA:
@@ -99,6 +162,7 @@ class CDGA:
         "_integral",
         "_matrix_cache",
         "_rank_cache",
+        "_weights",
     )
 
     def __init__(
@@ -127,15 +191,19 @@ class CDGA:
                 )
             diffs.append(value)
         self._diff = tuple(diffs)
-        terms = [_term_list(value) for value in diffs]
-        self._odd_terms = tuple(terms[i] for i in signature.odd_indices)
-        self._even_terms = tuple(terms[i] for i in signature.even_indices)
-        self._integral = all(type(c) is int for t in terms for _, _, c in t)
+        self._odd_terms = tuple(
+            _term_list(diffs[i], (1 << p) - 1) for p, i in enumerate(signature.odd_indices)
+        )
+        self._even_terms = tuple(_term_list(diffs[i]) for i in signature.even_indices)
+        self._integral = all(
+            type(c) is int for terms in self._odd_terms + self._even_terms for _, _, c, _ in terms
+        )
         if truncation is None and not signature.is_purely_odd:
             truncation = default_truncation(signature)
         self.truncation = truncation
         self._matrix_cache: dict = {}
         self._rank_cache: dict = {}
+        self._weights: Optional[_Weights] = None
         violation = self._d_squared_violation()
         if violation is not None:
             raise DifferentialError(f"d^2 != 0: {violation}", violation)
@@ -180,11 +248,11 @@ class CDGA:
         """Graded Leibniz expansion of d on the monomial key (mask, evens).
 
         Returns {(odd_mask, even_exps): coefficient}. Removing the odd factor
-        with bit ``low`` costs the prefix sign (-1)^popcount(mask & (low - 1));
-        an even factor of exponent e scales by e and costs no sign. Each image
-        term u then multiplies the rest from the left: u has even degree, so
-        only the Koszul sign of u's odd bits past the lower bits of the rest
-        remains, the sum over u's bits ul of popcount(rest & (ul - 1)).
+        with bit ``low`` leaves ``rest`` = mask ^ low; lowering an even
+        factor of exponent e scales by e. Each term u of d of the factor
+        then multiplies ``rest``, and its whole sign, the prefix sign of an
+        odd factor included, is the parity of popcount(rest & sign_mask)
+        for u's sign mask (see ``_term_list``).
         """
         removals = []
         mm = mask
@@ -193,27 +261,24 @@ class CDGA:
             mm ^= low
             terms = self._odd_terms[low.bit_length() - 1]
             if terms:
-                removals.append((mask ^ low, evens, (mask & (low - 1)).bit_count(), 1, terms))
+                removals.append((mask ^ low, evens, 1, terms))
         for q, e in enumerate(evens):
             if e and self._even_terms[q]:
                 lowered = evens[:q] + (e - 1,) + evens[q + 1 :]
-                removals.append((mask, lowered, 0, e, self._even_terms[q]))
+                removals.append((mask, lowered, e, self._even_terms[q]))
         acc: dict = {}
-        for rest, rest_evens, prefix, scale, terms in removals:
-            for umask, uevens, coeff in terms:
+        for rest, rest_evens, scale, terms in removals:
+            for umask, uevens, coeff, signs in terms:
                 if umask & rest:
                     continue
-                count = prefix
-                um = umask
-                while um:
-                    ul = um & -um
-                    um ^= ul
-                    count += (rest & (ul - 1)).bit_count()
                 if uevens:
                     key = (rest | umask, tuple(a + b for a, b in zip(rest_evens, uevens)))
                 else:
                     key = (rest | umask, rest_evens)
-                val = acc.get(key, 0) + (-scale * coeff if count & 1 else scale * coeff)
+                if (rest & signs).bit_count() & 1:
+                    val = acc.get(key, 0) - scale * coeff
+                else:
+                    val = acc.get(key, 0) + scale * coeff
                 if val:
                     acc[key] = val
                 else:
@@ -235,6 +300,13 @@ class CDGA:
         sig = self.signature
         return Element(sig, {Monomial(sig, *key): c for key, c in acc.items()})
 
+    def _check_window(self, n: int) -> None:
+        """Raise unless d_n lies in the window: n >= 0 and n + 1 <= truncation."""
+        if n < 0:
+            raise ValueError("degree must be >= 0")
+        if self.truncation is not None and n + 1 > self.truncation:
+            raise TruncationError(f"degree {n + 1} exceeds truncation {self.truncation}")
+
     def _d_entries(self, n: int):
         """(row, col, coefficient) of d from degree n to degree n + 1.
 
@@ -243,12 +315,7 @@ class CDGA:
         rows are looked up by the same key. Coefficients are ints where
         integral. The degree is checked on the first iteration.
         """
-        if n < 0:
-            raise ValueError("degree must be >= 0")
-        if self.truncation is not None and n + 1 > self.truncation:
-            raise TruncationError(
-                f"degree {n + 1} exceeds truncation {self.truncation}"
-            )
+        self._check_window(n)
         source = basis_of_degree(self.signature, n)
         target = basis_of_degree(self.signature, n + 1)
         row_of = {(m.odd_mask, m.even_exps): i for i, m in enumerate(target)}
@@ -273,17 +340,81 @@ class CDGA:
             )
         return cached
 
-    def _integer_rows(self, n: int) -> dict:
-        """d_n as rows {row: {col: int}}, without building or caching a matrix.
+    def _weight_lattice(self) -> _Weights:
+        """The torus weights that d preserves, computed on first use and cached.
 
-        Equal, dict order included, to ``linalg._integer_rows`` of
-        ``differential_matrix(n)``: rows scaled by the lcm of their
-        denominators when some coefficient of d is not integral.
+        The lattice is the integer kernel of the constraints
+        w(g) = sum of w(f) over the factors f of u, with multiplicity, for
+        every term u of every d g. Kernel vector j is coordinate j of the
+        weight; each generator's coordinates are packed into one int in
+        base 2^bits, with bits wide enough that every monomial of the
+        window keeps its coordinates apart, signs included.
         """
-        rows: dict = {}
-        for r, c, v in self._d_entries(n):
-            rows.setdefault(r, {})[c] = v
-        return rows if self._integral else _clear_denominators(rows)
+        if self._weights is None:
+            sig = self.signature
+            entries = {}
+            row = 0
+            for g in sig.generators:
+                for u in self._diff[g.index].terms:
+                    entries[row, g.index] = 1
+                    for idx, e in enumerate(u.exponents()):
+                        if e:
+                            entries[row, idx] = entries.get((row, idx), 0) - e
+                    row += 1
+            _, vectors = _kernel(SparseExactMatrix(row, len(sig), entries))
+            # A generator occurs at most once in a monomial if odd, and at
+            # most truncation // degree times if even (evens come with one).
+            reach = [1 if g.is_odd else self.truncation // g.degree for g in sig.generators]
+            bound = max(
+                (sum(abs(c.numerator) * reach[i] for i, c in v.items()) for v in vectors),
+                default=0,
+            )
+            bits = bound.bit_length() + 2
+            packed = [0] * len(sig)
+            for j, v in enumerate(vectors):
+                for i, c in v.items():
+                    packed[i] += c.numerator << bits * j
+            self._weights = _Weights(len(vectors), tuple(packed), sig)
+        return self._weights
+
+    def _weight_blocks(self, n: int):
+        """d_n one torus-weight block at a time: (sources, targets, rows) triples.
+
+        ``sources`` lists the block's degree-n basis monomials in basis
+        order, and ``targets`` maps the key (odd_mask, even_exps) of each
+        degree-(n + 1) monomial that d reaches to its row id. ``rows`` is
+        {row: {col: int}}, where col is a position in ``sources``, scaled by
+        the lcm of its denominators when some coefficient of d is not
+        integral. d maps each block into the monomials of its own weight, so
+        the ranks of the blocks add up to the rank of d_n; a row lies in one
+        block. Blocks come in order of their first source. A degree of
+        fewer than ``_BLOCK_MIN_MONOMIALS`` monomials, or any degree when
+        the lattice has rank 0, is one block. Neither rows nor a matrix are
+        cached. The degree is checked on the first iteration.
+        """
+        self._check_window(n)
+        basis = basis_of_degree(self.signature, n)
+        if len(basis) < _BLOCK_MIN_MONOMIALS or not self._weight_lattice().rank:
+            blocks = [basis]
+        else:
+            of_key = self._weight_lattice().of_key
+            grouped: dict = {}
+            for mono in basis:
+                _, mask, evens = mono
+                grouped.setdefault(of_key(mask, evens), []).append(mono)
+            blocks = grouped.values()
+        d_key = self._d_key
+        for sources in blocks:
+            targets: dict = {}
+            rows: dict = {}
+            for col, (_, mask, evens) in enumerate(sources):
+                for key, val in d_key(mask, evens).items():
+                    r = targets.get(key)
+                    if r is None:
+                        r = targets[key] = len(targets)
+                        rows[r] = {}
+                    rows[r][col] = val
+            yield sources, targets, rows if self._integral else _clear_denominators(rows)
 
 
 def check_d_squared(

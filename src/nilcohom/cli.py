@@ -374,6 +374,8 @@ def _cmd_verify(args):
         stripped = line.split("#", 1)[0].strip()
         if stripped:
             elems.append(parse_element(model.signature, stripped))
+    # Rank the Betti table with the user's --jobs; verify_classes reuses it.
+    betti(model, jobs=args.jobs)
     report = verify_classes(model, elems)
     outputs = {
         "name": model.name,

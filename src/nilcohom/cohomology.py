@@ -33,7 +33,7 @@ def _mirror_top(cdga: CDGA) -> Optional[int]:
         not cdga.signature.is_purely_odd
         or top < 1
         or (cdga.truncation is not None and cdga.truncation <= top)
-        or cdga._integer_rows(top - 1)
+        or any(rows for _, _, rows in cdga._weight_blocks(top - 1))
     ):
         return None
     return top
@@ -49,6 +49,21 @@ def _degree_range(cdga: CDGA) -> range:
     if cdga.truncation is None:
         raise ValueError("infinite signature requires a truncation degree")
     return range(cdga.truncation)
+
+
+def _rank_of_degree(cdga: CDGA, n: int) -> int:
+    """rank d_n, the sum of the ranks of the blocks of ``CDGA._weight_blocks``.
+
+    Each block is assembled, ranked and dropped before the next. A weight
+    block is ranked whole: on u_n and X_r it is already one connected
+    component of the nonzero pattern. A block that is the whole degree (a
+    lattice of rank 0, or a degree too small to group) is split into
+    components first.
+    """
+    dim = len(basis_of_degree(cdga.signature, n))
+    return sum(
+        _rank_of_rows(rows, len(sources) == dim) for sources, _, rows in cdga._weight_blocks(n)
+    )
 
 
 # ``betti`` forks only when the degrees left to rank hold this many basis
@@ -96,7 +111,7 @@ def _rank_share(cdga: CDGA, share: list, fd: int) -> None:
     """
     status = 1
     try:
-        text = " ".join(f"{n}:{_rank_of_rows(cdga._integer_rows(n))}" for n in share)
+        text = " ".join(f"{n}:{_rank_of_degree(cdga, n)}" for n in share)
         with open(fd, "wb") as pipe:
             pipe.write(text.encode())
         status = 0
@@ -181,9 +196,11 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
     d_(top-1) = 0, only the degrees n <= (top-1)/2 are ranked: rank d_(top-1-n)
     equals rank d_n by Poincare duality and rank d_top is 0, and these
     mirrored ranks join the rank cache after the ranked ones. Otherwise every
-    degree of the window is ranked. Ranks come from integer rows assembled
-    directly from d, so no differential matrix is built or cached, and are
-    eliminated with the rank-only pivot rule. dim_n is counted from the
+    degree of the window is ranked, one torus-weight block at a time
+    (``CDGA._weight_blocks``): a block's integer rows are assembled directly
+    from d, eliminated with the rank-only pivot rule and dropped before the
+    next block, so no differential matrix is built or cached and no more
+    than one block's rows are alive at once. dim_n is counted from the
     generator degrees, not enumerated.
 
     With ``jobs`` >= 2, ``os.fork`` available, a single running thread and
@@ -204,7 +221,7 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
         cdga._rank_cache.update(_ranks_in_children(cdga, _shares(cost, workers)))
     else:
         for n in todo:
-            cdga._rank_cache[n] = _rank_of_rows(cdga._integer_rows(n))
+            cdga._rank_cache[n] = _rank_of_degree(cdga, n)
     if mirror is not None:
         for n in ranked:
             cdga._rank_cache.setdefault(mirror - 1 - n, cdga._rank_cache[n])
@@ -239,7 +256,9 @@ def representatives(cdga: CDGA, n: int) -> list:
     free-column order. Each is nonzero at its own free column only, so the
     quotient by the image of d_(n-1) runs on boundaries projected onto the
     free columns, which is faithful once d_n o d_(n-1) = 0 is checked. The
-    rank of d_n is stored in the CDGA's rank cache for a later ``betti``.
+    ranks of d_n (its pivot count) and of d_(n-1) (the size of the projected
+    boundary echelon) are stored in the CDGA's rank cache for a later
+    ``betti``.
     """
     if n not in _degree_range(cdga):
         if cdga.top_degree() is not None and n > cdga.top_degree():
@@ -254,6 +273,8 @@ def representatives(cdga: CDGA, n: int) -> list:
     boundaries = _boundary_vectors(cdga, n)
     echelon: dict = {}
     _extend_echelon(echelon, ({j: v for j, v in b.items() if j not in pivots} for b in boundaries))
+    if n:
+        cdga._rank_cache.setdefault(n - 1, len(echelon))
     units = ({f: Fraction(1)} for f in range(d_n.cols) if f not in pivots)
     basis = basis_of_degree(cdga.signature, n)
     return [
@@ -301,6 +322,8 @@ def verify_classes(cdga: CDGA, elems: Sequence[Element]) -> VerifyReport:
     ``dependency`` witnesses a vanishing combination of classes as
     ((index, coefficient), ...); an element whose class is zero appears as a
     single-term dependency. ``missing_degrees`` lists (degree, have, need).
+    The rank of d_(d-1), read off the boundary echelon of each degree d
+    checked, joins the CDGA's rank cache before the Betti table is ranked.
     """
     degrees = []
     for i, e in enumerate(elems):
@@ -331,6 +354,8 @@ def verify_classes(cdga: CDGA, elems: Sequence[Element]) -> VerifyReport:
         dim = len(index)
         echelon: dict = {}
         _extend_echelon(echelon, _boundary_vectors(cdga, d))
+        if d:
+            cdga._rank_cache.setdefault(d - 1, len(echelon))
         tagged = (
             {**{index[mono]: c for mono, c in elems[i].terms.items()}, dim + i: Fraction(1)}
             for i in by_degree[d]

@@ -1,12 +1,13 @@
 """Exact rank, kernel, and quotient computations for sparse rational matrices.
 
 The eliminator clears denominators row-wise with ``_clear_denominators``
-(which changes neither rank nor kernel), splits the matrix into connected
-components of its nonzero pattern, and runs one cross-multiplication
-elimination core per component: exact over the integers with row GCD
-normalization, or modulo a prime for the multimodular rank bounds. The
-caller passes the pivot rule, and both rules depend only on matrix content,
-so results are deterministic:
+(which changes neither rank nor kernel) and runs one cross-multiplication
+elimination core: exact over the integers with row GCD normalization, or
+modulo a prime for the multimodular rank bounds. ``_kernel``, ``rank_only``
+and ``rank_multimodular`` first split a matrix into the connected components
+of its nonzero pattern and eliminate one component at a time. The caller
+passes the pivot rule, and both rules depend only on matrix content, so
+results are deterministic:
 
 - ``_pick_markowitz``, for ``_kernel`` and so ``rank_exact`` and
   ``cohomology.representatives``, whose pivot columns and kernel vectors are
@@ -19,17 +20,18 @@ so results are deterministic:
   nonzero, and any pivot sequence gives the same rank.
 
 ``_rank_of_rows`` ranks integer rows: ``rank_only`` feeds it the rows of a
-matrix, ``cohomology.betti`` the rows that ``CDGA._integer_rows`` assembles
-without building a matrix; ``rank_multimodular`` ranks mod p through
-``_rank_mod_p``.
+matrix, split into components, and ``cohomology.betti`` the torus-weight
+blocks that ``CDGA._weight_blocks`` assembles without building a matrix,
+which on the nilmanifold models are already single components and are
+ranked unsplit; ``rank_multimodular`` ranks mod p through ``_rank_mod_p``.
 
 Kernel and quotient work on sparse vectors, dicts from index to Fraction.
-``_kernel`` back-substitutes one primitive integer vector per free column.
-``_extend_echelon`` is the one reduce-and-insert routine: ``_quotient``,
-which picks cocycles modulo boundaries by index, the representatives and
-class checks in ``cohomology`` and the Lie spans all reduce through it. The
-public ``rank_exact`` and ``quotient_representatives`` wrap ``_kernel`` and
-``_quotient`` with dense tuples.
+``_kernel`` back-substitutes one primitive integer vector per free column,
+in int arithmetic. ``_extend_echelon`` is the one reduce-and-insert routine:
+``_quotient``, which picks cocycles modulo boundaries by index, the
+representatives and class checks in ``cohomology`` and the Lie spans all
+reduce through it. The public ``rank_exact`` and ``quotient_representatives``
+wrap ``_kernel`` and ``_quotient`` with dense tuples.
 """
 
 from __future__ import annotations
@@ -353,36 +355,39 @@ def _eliminate(
 
 
 def _kernel_of_component(cols, pivots, frozen) -> list:
-    """Back-substitute one free column at a time; (free column, dict) pairs."""
+    """(free column, primitive kernel vector) pairs, one per free column.
+
+    Back-substitutes in integers: the vector is kept as y / D with y
+    integral and D = y at the free column, starting from y = 1 there. When
+    the pivot p does not divide s, the sum of the row's other terms, y is
+    scaled by k = |p| / gcd(s, p) first, so y_c = -s / p is an integer prime
+    to k. y ends primitive and positive at the free column: for each prime q
+    of D, the last scaling by a multiple of q left an entry prime to q, and
+    no later factor has q. It is returned as a dict from index to Fraction,
+    sorted by index.
+    """
     pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in cols if c not in pivot_cols]
     vectors = []
-    for f in free_cols:
-        x = {f: Fraction(1)}
+    for f in cols:
+        if f in pivot_cols:
+            continue
+        y = {f: 1}
         for r, c in reversed(pivots):
             row = frozen[r]
-            s = Fraction(0)
+            s = 0
             for j, v in row.items():
-                if j != c and j in x:
-                    s += v * x[j]
+                if j != c and j in y:
+                    s += v * y[j]
             if s:
-                x[c] = -s / row[c]
-        vectors.append((f, x))
+                p = row[c]
+                if s % p:
+                    k = abs(p) // gcd(s, p)
+                    for j in y:
+                        y[j] *= k
+                    s *= k
+                y[c] = -s // p
+        vectors.append((f, {j: Fraction(y[j]) for j in sorted(y)}))
     return vectors
-
-
-def _primitive(vec: dict) -> dict:
-    """Clear the denominators of a back-substituted vector, sorted by index.
-
-    Its free-column entry is 1, so the result is already primitive: for each
-    prime power p^e exactly dividing the common denominator, some entry's
-    denominator has p^e and its scaled numerator stays prime to p.
-    """
-    den = 1
-    for v in vec.values():
-        d = v.denominator
-        den = den // gcd(den, d) * d
-    return {j: Fraction(vec[j].numerator * (den // vec[j].denominator)) for j in sorted(vec)}
 
 
 def _kernel(m: SparseExactMatrix) -> tuple:
@@ -401,8 +406,7 @@ def _kernel(m: SparseExactMatrix) -> tuple:
         sub = {r: dict(rows[r]) for r in row_ids}
         pivots, frozen = _eliminate(sub, keep_pivot_rows=True)
         pivot_columns.extend(c for _, c in pivots)
-        for f, x in _kernel_of_component(cols, pivots, frozen):
-            kernel.append((f, _primitive(x)))
+        kernel.extend(_kernel_of_component(cols, pivots, frozen))
     for j in range(m.cols):
         if j not in seen_cols:
             kernel.append((j, {j: Fraction(1)}))
@@ -431,11 +435,18 @@ def rank_exact(m: SparseExactMatrix) -> RankResult:
     )
 
 
-def _rank_of_rows(rows: dict) -> int:
-    """Exact rank of integer rows {row: {col: int}}, component by component.
+def _rank_of_rows(rows: dict, split: bool = True) -> int:
+    """Exact rank of nonempty integer rows {row: {col: int}}, eliminated in place.
 
-    The rows are eliminated in place, with the count pivot rule.
+    The pivots follow the count rule. With ``split`` the rows are first cut
+    into the connected components of their nonzero pattern and ranked one
+    component at a time; without it they are ranked as one piece. A single
+    row has rank 1 and needs no elimination.
     """
+    if len(rows) < 2:
+        return len(rows)
+    if not split:
+        return len(_eliminate(rows, keep_pivot_rows=False, pick=_pick_count)[0])
     total = 0
     for _, row_ids in _components(rows):
         sub = {r: rows[r] for r in row_ids}

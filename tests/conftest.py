@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from nilcohom import CDGA, Element, Signature, xr_model
+from nilcohom import CDGA, Element, Signature, basis_of_degree, rank_exact, xr_model
+from nilcohom.algebra import transport
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -39,4 +40,37 @@ def seeded_two_step_cdgas() -> list:
     for seed in range(12):
         rng = random.Random(seed)
         models.append(random_two_step_cdga(rng, closed=rng.randint(2, 5), upper=rng.randint(1, 4)))
+    return models
+
+
+def cocycle_extension(rng: random.Random, model: CDGA, extra: int) -> CDGA:
+    """``model`` (degree-1 generators) with ``extra`` more degree-1 generators
+    v0, v1, ..., each with a random degree-2 cocycle of the model before it
+    as d. d^2 = 0 holds by construction. Cocycles that mix terms of different
+    word length in the closed generators pin weights, so some of these
+    models have a torus-weight lattice of rank 0."""
+    for k in range(extra):
+        sig = model.signature
+        basis = basis_of_degree(sig, 2)
+        cocycle = {}
+        for vec in rank_exact(model.differential_matrix(2)).kernel_basis:
+            c = rng.choice([0, 1, -1, 2, Fraction(1, 3)])
+            for j, v in enumerate(vec):
+                if c and v:
+                    cocycle[basis[j]] = cocycle.get(basis[j], 0) + c * v
+        bigger = Signature([(g.name, g.degree) for g in sig.generators] + [(f"v{k}", 1)])
+        diffs = {name: transport(model.d_of(name), bigger, {}) for name in sig.names}
+        diffs[f"v{k}"] = transport(Element(sig, cocycle), bigger, {})
+        model = CDGA(bigger, diffs, name=f"{model.name}_v{k + 1}")
+    return model
+
+
+def seeded_rational_models() -> list:
+    """The twelve ``seeded_two_step_cdgas`` and thirty seeded cocycle
+    extensions of random two-step models, some with a rank-0 weight lattice."""
+    models = seeded_two_step_cdgas()
+    for seed in range(30):
+        rng = random.Random(1000 + seed)
+        base = random_two_step_cdga(rng, closed=rng.randint(2, 4), upper=rng.randint(1, 3))
+        models.append(cocycle_extension(rng, base, rng.randint(1, 2)))
     return models

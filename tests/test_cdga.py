@@ -21,7 +21,8 @@ from nilcohom import (
     torus_model,
     xr_model,
 )
-from nilcohom.algebra import basis_dimensions
+from nilcohom import cdga
+from nilcohom.algebra import Monomial, basis_dimensions, basis_index
 from nilcohom.linalg import _integer_rows
 from conftest import random_two_step_cdga, seeded_two_step_cdgas
 from dense_oracle import dense_differential
@@ -277,15 +278,36 @@ class TestDifferentialMatrixAgainstOracles:
                 assert actual == column
 
 
-def _structure(rows):
-    """Rows as nested item lists, so that comparisons also check dict order."""
-    return [(r, list(row.items())) for r, row in rows.items()]
+def _flattened_blocks(model, n):
+    """The rows of ``_weight_blocks(n)`` on the global basis indices of
+    ``differential_matrix(n)``; asserts that no row lies in two blocks."""
+    sig = model.signature
+    col_of = basis_index(sig, n)
+    row_of = basis_index(sig, n + 1)
+    flat = {}
+    for sources, targets, rows in model._weight_blocks(n):
+        key_of = {r: key for key, r in targets.items()}
+        assert set(key_of) == set(rows)
+        for r, row in rows.items():
+            g = row_of[Monomial(sig, *key_of[r])]
+            assert g not in flat
+            flat[g] = {col_of[sources[c]]: v for c, v in row.items()}
+    return flat
 
 
-class TestIntegerRows:
-    """``CDGA._integer_rows`` assembles d_n as integer rows without a matrix;
-    they must be exactly what ``linalg._integer_rows`` makes of
-    ``differential_matrix(n)``, dict order and int entries included."""
+@pytest.fixture(params=["default", "every-degree"])
+def grouping(request, monkeypatch):
+    """Blocks as ``betti`` gets them, and with every degree grouped by weight."""
+    if request.param == "every-degree":
+        monkeypatch.setattr(cdga, "_BLOCK_MIN_MONOMIALS", 0)
+    return request.param
+
+
+class TestWeightBlocks:
+    """``CDGA._weight_blocks`` assembles d_n one weight block at a time,
+    without a matrix; flattened onto the global basis indices, the blocks
+    must be exactly what ``linalg._integer_rows`` makes of
+    ``differential_matrix(n)``, int entries included."""
 
     @pytest.mark.parametrize(
         "model",
@@ -296,28 +318,34 @@ class TestIntegerRows:
         + seeded_two_step_cdgas(),
         ids=lambda m: m.name,
     )
-    def test_rows_match_the_matrix_path(self, model):
+    def test_flattened_blocks_match_the_matrix_path(self, model, grouping):
         degrees = range(model.truncation) if model.truncation else range(model.top_degree() + 1)
         for n in degrees:
-            rows = model._integer_rows(n)
-            assert _structure(rows) == _structure(_integer_rows(model.differential_matrix(n))), n
-            assert all(type(v) is int for row in rows.values() for v in row.values()), n
+            flat = _flattened_blocks(model, n)
+            assert flat == _integer_rows(model.differential_matrix(n)), n
+            assert all(type(v) is int for row in flat.values() for v in row.values()), n
 
     def test_rational_models_clear_denominators(self):
         models = seeded_two_step_cdgas()
         assert any(not m._integral for m in models)
         assert any(m._integral for m in models)
 
-    def test_rows_are_not_cached(self):
-        model = upper_tri_model(4)
-        model._integer_rows(3)
+    def test_blocks_build_no_matrix(self):
+        model = upper_tri_model(6)
+        assert len(list(model._weight_blocks(4))) > 1
         assert model._matrix_cache == {}
+
+    def test_small_degrees_need_no_lattice(self):
+        model = xr_model(5)
+        for n in range(model.top_degree()):
+            assert len(list(model._weight_blocks(n))) == 1
+        assert model._weights is None
 
     def test_truncation_enforced(self):
         with pytest.raises(TruncationError):
-            _polynomial_model()._integer_rows(12)
+            list(_polynomial_model()._weight_blocks(12))
         with pytest.raises(ValueError):
-            upper_tri_model(3)._integer_rows(-1)
+            list(upper_tri_model(3)._weight_blocks(-1))
 
 
 class TestBasisDimensions:

@@ -261,6 +261,26 @@ class TestVerifyCommand:
         assert verdict["dependency"] is not None
         assert 2 in [m["degree"] for m in verdict["missing_degrees"]]
 
+    @pytest.mark.parametrize("jobs", [None, "1", "3"])
+    def test_jobs_reach_betti(self, capsys, monkeypatch, jobs):
+        from nilcohom import cli
+
+        seen = []
+        real_betti = cli.betti
+
+        def recording_betti(model, jobs=None):
+            seen.append(jobs)
+            return real_betti(model, jobs=jobs)
+
+        monkeypatch.setattr(cli, "betti", recording_betti)
+        argv = ["verify", "--builtin", "xr:5", "--classes", str(DATA / "x5_classes.txt")]
+        if jobs is not None:
+            argv += ["--jobs", jobs]
+        report = run_json(capsys, *argv)
+        assert report["outputs"]["ok"] is True
+        default = cli.build_parser().parse_args(argv[:5]).jobs
+        assert seen == [default if jobs is None else int(jobs)]
+
 
 class TestReportEnvelope:
     def test_schema_fields_present(self, capsys):

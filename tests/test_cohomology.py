@@ -33,10 +33,17 @@ from nilcohom import (
 from nilcohom import cohomology
 from nilcohom.algebra import basis_index
 from nilcohom.cli import main
-from nilcohom.cohomology import _boundary_vectors, _degree_range, _mirror_top, _shares
+from nilcohom import cdga as cdga_module
+from nilcohom.cohomology import (
+    _boundary_vectors,
+    _degree_range,
+    _mirror_top,
+    _rank_of_degree,
+    _shares,
+)
 from nilcohom.dsl import parse_element, render_element
-from nilcohom.linalg import _kernel, _quotient
-from conftest import random_two_step_cdga, seeded_two_step_cdgas
+from nilcohom.linalg import _components, _integer_rows, _kernel, _quotient
+from conftest import random_two_step_cdga, seeded_rational_models, seeded_two_step_cdgas
 from dense_oracle import dense_betti
 
 X5_CLASSES = [
@@ -108,9 +115,10 @@ class TestBetti:
     def test_purely_odd_dims_enumerate_only_the_lower_half(self):
         model = upper_tri_model(6)
         betti(model)
-        # Ranks of d_0..d_7 need the bases of degrees 0..8 and the d_14 = 0
-        # gate those of 14 and 15; dim_n for n > 7 is read off degree 15 - n.
-        assert sorted(model.signature._basis_cache) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 14, 15]
+        # Ranks of d_0..d_7 enumerate their source degrees 0..7 and the
+        # d_14 = 0 gate degree 14; targets are keyed as d reaches them, and
+        # dim_n is counted, so no other degree is enumerated.
+        assert sorted(model.signature._basis_cache) == [0, 1, 2, 3, 4, 5, 6, 7, 14]
 
     def test_json_shape(self, x5):
         d = betti(x5).to_json_dict()
@@ -191,6 +199,41 @@ class TestRepresentativesOfUn:
         }
         assert betti(model) == betti(upper_tri_model(4))
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda n=n: upper_tri_model(n) for n in range(2, 6)]
+        + [lambda r=r: xr_model(r) for r in range(1, 8)],
+        ids=[f"u{n}" for n in range(2, 6)] + [f"xr{r}" for r in range(1, 8)],
+    )
+    def test_representatives_seed_the_rank_below(self, make):
+        # Each degree on a fresh model, so rank d_(n-1) comes from the
+        # boundary echelon of this call alone.
+        for n in range(1, make().top_degree() + 1):
+            model = make()
+            representatives(model, n)
+            assert model._rank_cache[n - 1] == rank_only(model.differential_matrix(n - 1)), n
+
+    def test_representatives_and_verify_spare_betti_two_degrees(self, monkeypatch):
+        ranked = []
+        real = cohomology._rank_of_degree
+
+        def recording(cdga, n):
+            ranked.append(n)
+            return real(cdga, n)
+
+        monkeypatch.setattr(cohomology, "_rank_of_degree", recording)
+        model = upper_tri_model(5)
+        report = verify_classes(model, representatives(model, 4))
+        assert report.all_closed and report.independent
+        assert sorted(ranked) == [0, 1, 2]
+        assert betti(model) == betti(upper_tri_model(5))
+
+    def test_verify_seeds_the_rank_below(self, monkeypatch):
+        monkeypatch.setattr(cohomology, "betti", lambda cdga: BettiStub())
+        model = xr_model(5)
+        verify_classes(model, x5_class_elements(model)[3:5])
+        assert model._rank_cache == {1: rank_only(model.differential_matrix(1))}
+
     @pytest.mark.slow
     def test_cli_u6_representatives_span(self, capsys):
         assert main(["cohomology", "--builtin", "upper-tri:6", "--representatives"]) == 0
@@ -202,6 +245,13 @@ class TestRepresentativesOfUn:
         elems = [parse_element(model.signature, t) for k in sorted(reps, key=int) for t in reps[k]]
         assert len(elems) == 720
         assert verify_classes(model, elems).ok
+
+
+class BettiStub:
+    """A Betti table with no classes, for tests that skip ranking."""
+
+    def b(self, n):
+        return 0
 
 
 def quotient_reference(model, n):
@@ -589,7 +639,7 @@ class TestForkedRanks:
         assert len(forks) == 0
 
     def test_failing_child_raises_and_leaves_no_zombie(self, forks, monkeypatch):
-        def broken(rows):
+        def broken(*args):
             raise ZeroDivisionError("injected")
 
         monkeypatch.setattr(cohomology, "_rank_of_rows", broken)
@@ -612,3 +662,151 @@ class TestForkedRanks:
         cost = {0: 1, 1: 15, 2: 8, 3: 9, 4: 2}
         assert _shares(cost, 2) == [[1, 4, 0], [3, 2]]
         assert _shares(cost, 5) == [[1], [3], [2], [4], [0]]
+
+
+def kostant_weight(name: str, n: int) -> tuple:
+    """The standard torus weight e_i - e_j of the generator x_i_j of u_n."""
+    _, i, j = name.split("_")
+    weight = [0] * n
+    weight[int(i) - 1] += 1
+    weight[int(j) - 1] -= 1
+    return tuple(weight)
+
+
+class TestKostantOracle:
+    """Kostant (1961): H^*(u_n) is one-dimensional in each weight
+    w(rho) - rho with rho = (n-1, ..., 0), in degree l(w), and zero in every
+    other weight. The weights here come from the generator names, not from
+    the library's lattice, and each weight block of d is ranked with
+    ``rank_only`` on its sub-matrix of ``differential_matrix``."""
+
+    @staticmethod
+    def nonzero_blocks(n):
+        model = upper_tri_model(n)
+        sig = model.signature
+        gen_weights = [kostant_weight(g.name, n) for g in sig.generators]
+        top = model.top_degree()
+        # blocks[k][weight]: {position in the degree-k basis: position in the block}
+        blocks = []
+        for k in range(top + 1):
+            by_weight: dict = {}
+            for pos, mono in enumerate(basis_of_degree(sig, k)):
+                weight = tuple(
+                    sum(e * gen_weights[i][q] for i, e in enumerate(mono.exponents()))
+                    for q in range(n)
+                )
+                block = by_weight.setdefault(weight, {})
+                block[pos] = len(block)
+            blocks.append(by_weight)
+        ranks = []
+        for k in range(top):
+            weight_of = {c: w for w, cols in blocks[k].items() for c in cols}
+            entries: dict = {}
+            for (r, c), v in model.differential_matrix(k).entries.items():
+                w = weight_of[c]
+                entries.setdefault(w, {})[blocks[k + 1][w][r], blocks[k][w][c]] = v
+            ranks.append({
+                w: rank_only(SparseExactMatrix(len(blocks[k + 1][w]), len(blocks[k][w]), block))
+                for w, block in entries.items()
+            })
+        ranks.append({})
+        nonzero = {}
+        for k in range(top + 1):
+            for w, cols in blocks[k].items():
+                h = len(cols) - ranks[k].get(w, 0) - (ranks[k - 1].get(w, 0) if k else 0)
+                if h:
+                    nonzero[k, w] = h
+        return nonzero
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_cohomology_sits_in_the_kostant_weights(self, n):
+        rho = tuple(range(n - 1, -1, -1))
+        expected = {}
+        for perm in itertools.permutations(range(n)):
+            length = sum(a > b for a, b in itertools.combinations(perm, 2))
+            expected[length, tuple(rho[perm[i]] - rho[i] for i in range(n))] = 1
+        assert len(expected) == len(list(itertools.permutations(range(n))))
+        assert self.nonzero_blocks(n) == expected
+
+
+def _axb_model():
+    sig = Signature([("x", 1), ("y", 1)])
+    return CDGA(
+        sig, {"x": Element.zero(sig), "y": Element.from_monomial(sig.monomial_of("x", "y"))}
+    )
+
+
+class TestWeightBlocksAgainstComponents:
+    """The Betti path ranks d_n one torus-weight block at a time. These
+    tests check it, with the default grouping and with every degree grouped
+    by weight, against ``rank_only(differential_matrix(n))`` and the
+    connected components of the whole degree."""
+
+    MODELS = (
+        [upper_tri_model(n) for n in range(2, 7)]
+        + [xr_model(r) for r in range(10)]
+        + [borel_twist(xr_model(r), f"x{r}") for r in range(1, 8)]
+        + [
+            tensor_product(xr_model(2), xr_model(3)),
+            tensor_product(xr_model(1), tensor_product(xr_model(1), xr_model(2))),
+            tensor_product(upper_tri_model(3), xr_model(1)),
+            split_at_k(5, 4).fiber,
+            split_at_k(5, 3).fiber,
+            split_at_k(6, 4).fiber,
+            degree_shift(upper_tri_model(3), 1),
+            degree_shift(upper_tri_model(4), 2),
+            _axb_model(),
+        ]
+        + seeded_rational_models()
+    )
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_block_ranks_match_the_matrix_path(self, model, monkeypatch):
+        expected = [rank_only(model.differential_matrix(n)) for n in _degree_range(model)]
+        assert [_rank_of_degree(model, n) for n in _degree_range(model)] == expected
+        monkeypatch.setattr(cdga_module, "_BLOCK_MIN_MONOMIALS", 0)
+        assert [_rank_of_degree(model, n) for n in _degree_range(model)] == expected
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_blocks_are_unions_of_components(self, model, monkeypatch):
+        monkeypatch.setattr(cdga_module, "_BLOCK_MIN_MONOMIALS", 0)
+        sig = model.signature
+        for n in _degree_range(model):
+            col_of = basis_index(sig, n)
+            block_of = {}
+            for b, (sources, _, _) in enumerate(model._weight_blocks(n)):
+                block_of.update((col_of[mono], b) for mono in sources)
+            assert len(block_of) == len(col_of), n
+            for cols, _ in _components(_integer_rows(model.differential_matrix(n))):
+                assert len({block_of[c] for c in cols}) == 1, n
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_differentials_are_weight_homogeneous(self, model):
+        weights = model._weight_lattice()
+        for g in model.signature.generators:
+            for mono in model.d_of(g.name).terms:
+                weight = sum(e * weights.generators[i] for i, e in enumerate(mono.exponents()))
+                assert weight == weights.generators[g.index], g.name
+                assert weights.of_key(mono.odd_mask, mono.even_exps) == weight, g.name
+
+    def test_lattice_ranks(self):
+        for n in range(2, 8):
+            assert upper_tri_model(n)._weight_lattice().rank == n - 1
+        for r in range(10):
+            assert xr_model(r)._weight_lattice().rank == 2
+        assert _axb_model()._weight_lattice().rank == 1
+        assert any(m._weight_lattice().rank == 0 for m in seeded_rational_models())
+
+    @pytest.mark.parametrize(
+        "model",
+        [m for m in MODELS if m.name in {"u5", "u6"} | {f"xr{r}" for r in range(1, 10)}],
+        ids=lambda m: m.name,
+    )
+    def test_blocks_equal_components(self, model, monkeypatch):
+        # On u_n and X_r a nonzero weight block is exactly one component,
+        # which is why the Betti path ranks it without a union-find split.
+        monkeypatch.setattr(cdga_module, "_BLOCK_MIN_MONOMIALS", 0)
+        for n in _degree_range(model):
+            rows = _integer_rows(model.differential_matrix(n))
+            nonzero = [rows for _, _, rows in model._weight_blocks(n) if rows]
+            assert len(nonzero) == len(_components(rows)), n
