@@ -438,12 +438,63 @@ def basis_of_degree(sig: Signature, n: int) -> tuple:
     return result
 
 
+def _keys_by_weight(sig: Signature, n: int, weights: Sequence[int], keep=None) -> dict:
+    """The degree-n monomial keys (odd_mask, even_exps), grouped by weight.
+
+    ``weights`` holds one int per generator in signature order, and a key's
+    weight is their sum over its factors, with multiplicity. Returns
+    {weight: [key, ...]}: keys in the order of ``basis_of_degree``, weights
+    in the order of their first key, and only the weights in ``keep`` when
+    it is given. The recursion of ``basis_of_degree`` also carries the
+    weight here; it builds no ``Monomial`` and caches nothing.
+    """
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    gens = sig.generators
+    count = len(gens)
+    # reach[pos]: the largest degree generators pos.. can still add, capped at
+    # n; any even generator among them can add as much as needed.
+    reach = [0] * (count + 1)
+    for pos in range(count - 1, -1, -1):
+        g = gens[pos]
+        reach[pos] = min(n, reach[pos + 1] + g.degree) if g.is_odd else n
+    bits = [1 << sig._odd_pos[g.index] if g.is_odd else 0 for g in gens]
+    groups: dict = {}
+    evens = [0] * len(sig.even_indices)
+
+    def rec(pos: int, remaining: int, mask: int, weight: int) -> None:
+        if remaining == 0:
+            keys = groups.get(weight)
+            if keys is not None:
+                keys.append((mask, tuple(evens)))
+            elif keep is None or weight in keep:
+                groups[weight] = [(mask, tuple(evens))]
+            return
+        if reach[pos] < remaining:
+            return
+        g = gens[pos]
+        if g.is_odd:
+            rec(pos + 1, remaining, mask, weight)
+            if g.degree <= remaining:
+                rec(pos + 1, remaining - g.degree, mask | bits[pos], weight + weights[pos])
+            return
+        q = sig._even_pos[pos]
+        for e in range(remaining // g.degree + 1):
+            evens[q] = e
+            rec(pos + 1, remaining - e * g.degree, mask, weight + e * weights[pos])
+        evens[q] = 0
+
+    rec(0, n, 0, 0)
+    return groups
+
+
 def basis_dimensions(sig: Signature, upto: int) -> list:
     """``len(basis_of_degree(sig, n))`` for n = 0 .. upto, without enumerating.
 
     The coefficients of prod_odd (1 + t^d) * prod_even 1 / (1 - t^d) over
     the generator degrees d: an exterior generator is used at most once, a
-    polynomial one any number of times.
+    polynomial one any number of times. ``_weight_dimensions`` refines
+    them by weight.
     """
     dims = [1] + [0] * upto
     for d in sig._odd_degrees:
@@ -453,6 +504,26 @@ def basis_dimensions(sig: Signature, upto: int) -> list:
         for n in range(d, upto + 1):
             dims[n] += dims[n - d]
     return dims
+
+
+def _weight_dimensions(sig: Signature, upto: int, weights: Sequence[int]) -> list:
+    """[{weight: number of degree-n monomials of that weight} for n = 0 .. upto].
+
+    ``weights`` is as for ``_keys_by_weight``. The coefficients of
+    prod_odd (1 + t^d z^w) * prod_even 1 / (1 - t^d z^w) over the generators
+    of degree d and weight w, counted without enumerating: an exterior
+    generator is used at most once, a polynomial one any number of times.
+    """
+    cells = [{0: 1}] + [{} for _ in range(upto)]
+    for g in sig.generators:
+        d, w = g.degree, weights[g.index]
+        # Downwards each degree reads the ones below before they take g;
+        # upwards after, so a polynomial generator is taken again.
+        for n in range(upto, d - 1, -1) if g.is_odd else range(d, upto + 1):
+            cell = cells[n]
+            for v, c in cells[n - d].items():
+                cell[v + w] = cell.get(v + w, 0) + c
+    return cells
 
 
 def basis_index(sig: Signature, n: int) -> dict:

@@ -13,13 +13,16 @@ they are integral, and a Koszul sign mask per term. d acts on keys alone:
 ``_d_key`` is the one Leibniz expansion, with one popcount per term for its
 sign, and serves ``apply_d`` (hence the d^2 check), which wraps the keys back
 into monomials, ``_d_entries``, which looks the target rows up by key for
-the cached Fraction ``differential_matrix``, and ``_weight_blocks``.
+the cached Fraction ``differential_matrix``, and ``_block_columns``.
 
 d preserves a torus weight (Kostant 1961): the weight lattice, computed on
 first use and cached, is the integer kernel of w(g) = w(u) over the terms u
-of every d g. ``_weight_blocks`` groups the basis of a degree by weight and
-yields the uncached integer rows of d one weight block at a time, which is
-how ``cohomology.betti`` ranks it.
+of every d g. ``_blocks`` splits a degree into the keys of one weight each,
+by a key-only walk over the generators that adds up packed weights and
+builds no ``Monomial``, and ``_block_columns`` expands d on one block into
+uncached integer columns keyed by target monomial. That is how
+``cohomology.betti`` ranks a degree, block by block, dropping the sources
+that the pivots of the degree below clear.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .algebra import (
     Monomial,
     Signature,
     SignatureMismatchError,
+    _keys_by_weight,
     basis_of_degree,
 )
 from .linalg import SparseExactMatrix, _clear_denominators, _kernel
@@ -110,42 +114,24 @@ class _Weights:
 
     ``rank`` is the lattice rank, ``generators`` the packed weight of each
     generator in signature order, so that adding packed weights adds weight
-    vectors. ``odd_tables[k][b]`` is the weight of the odd generators whose
-    bits are set in ``b`` among mask bits 8k .. 8k + 7, and ``even`` the
-    weight of each even generator in exponent order.
+    vectors.
     """
 
-    __slots__ = ("rank", "generators", "odd_tables", "even")
+    __slots__ = ("rank", "generators")
 
-    def __init__(self, rank: int, generators: tuple, signature: Signature):
+    def __init__(self, rank: int, generators: tuple):
         self.rank = rank
         self.generators = generators
-        odd = [generators[i] for i in signature.odd_indices]
-        tables = []
-        for start in range(0, len(odd), 8):
-            table = [0]
-            for w in odd[start : start + 8]:
-                table += [t + w for t in table]
-            tables.append(tuple(table))
-        self.odd_tables = tuple(tables)
-        self.even = tuple(generators[i] for i in signature.even_indices)
-
-    def of_key(self, mask: int, evens: tuple) -> int:
-        """The packed weight of the monomial key (mask, evens)."""
-        w = 0
-        for k, table in enumerate(self.odd_tables):
-            w += table[mask >> 8 * k & 255]
-        for e, we in zip(evens, self.even):
-            w += e * we
-        return w
 
 
-# ``_weight_blocks`` groups a degree by weight only from this many basis
-# monomials on; a smaller degree is one block, and a CDGA with no larger
-# degree never computes its lattice. Measured on a 2-core VM: grouping every
-# degree made ``betti`` of X_1..X_5 1.5 times slower, and on X_6..X_9,
-# u_3..u_5, twists and small products it saved nothing; on u_6 (degrees of
-# 455 monomials and more) and u_7 it cut the time by a quarter or more.
+# ``betti`` ranks by weight only when some degree it ranks has at least this
+# many basis monomials; otherwise each degree is one block, split into
+# components, and the CDGA never computes its lattice. Measured with
+# clearing on a 2-core VM: grouping every model made ``betti`` of X_4 and
+# u_4 (at most 20 monomials a degree) 14% slower, and 5..24% faster on
+# X_6..X_8, u_5, the twists of X_5..X_7 and a small product (64 to 252). A
+# threshold near 64 would take that gain; it stays at 256 for now, so the
+# small models keep the one-block path they had.
 _BLOCK_MIN_MONOMIALS = 256
 
 
@@ -374,47 +360,48 @@ class CDGA:
             for j, v in enumerate(vectors):
                 for i, c in v.items():
                     packed[i] += c.numerator << bits * j
-            self._weights = _Weights(len(vectors), tuple(packed), sig)
+            self._weights = _Weights(len(vectors), tuple(packed))
         return self._weights
 
-    def _weight_blocks(self, n: int):
-        """d_n one torus-weight block at a time: (sources, targets, rows) triples.
+    def _by_weight(self, dims) -> bool:
+        """Whether ``betti`` ranks degrees of these dimensions by torus weight.
 
-        ``sources`` lists the block's degree-n basis monomials in basis
-        order, and ``targets`` maps the key (odd_mask, even_exps) of each
-        degree-(n + 1) monomial that d reaches to its row id. ``rows`` is
-        {row: {col: int}}, where col is a position in ``sources``, scaled by
-        the lcm of its denominators when some coefficient of d is not
-        integral. d maps each block into the monomials of its own weight, so
-        the ranks of the blocks add up to the rank of d_n; a row lies in one
-        block. Blocks come in order of their first source. A degree of
-        fewer than ``_BLOCK_MIN_MONOMIALS`` monomials, or any degree when
-        the lattice has rank 0, is one block. Neither rows nor a matrix are
-        cached. The degree is checked on the first iteration.
+        Only when one of them has at least ``_BLOCK_MIN_MONOMIALS`` basis
+        monomials, checked first so that a smaller CDGA never computes its
+        lattice, and the lattice has positive rank.
+        """
+        return max(dims, default=0) >= _BLOCK_MIN_MONOMIALS and self._weight_lattice().rank > 0
+
+    def _blocks(self, n: int, by_weight: bool, share=None) -> dict:
+        """The keys (odd_mask, even_exps) of the degree-n monomials, by block.
+
+        By weight, {packed weight: keys} from the key walk
+        ``_keys_by_weight``, which builds no ``Monomial``, and only for the
+        weights in the set ``share`` when it is given; otherwise one block
+        {None: keys} in ``basis_of_degree`` order, and ``share`` is ignored.
+        d maps each weight block into the monomials of its own weight one
+        degree up. The degree is checked first.
         """
         self._check_window(n)
-        basis = basis_of_degree(self.signature, n)
-        if len(basis) < _BLOCK_MIN_MONOMIALS or not self._weight_lattice().rank:
-            blocks = [basis]
-        else:
-            of_key = self._weight_lattice().of_key
-            grouped: dict = {}
-            for mono in basis:
-                _, mask, evens = mono
-                grouped.setdefault(of_key(mask, evens), []).append(mono)
-            blocks = grouped.values()
+        if by_weight:
+            return _keys_by_weight(self.signature, n, self._weight_lattice().generators, share)
+        return {None: [mono[1:] for mono in basis_of_degree(self.signature, n)]}
+
+    def _block_columns(self, sources) -> dict:
+        """The integer columns of d on the monomial keys ``sources``.
+
+        {position in ``sources``: {target key: int}} for every source that d
+        does not kill, each column scaled by the lcm of its denominators
+        when some coefficient of d is not integral. Target keys are
+        (odd_mask, even_exps) as ``_d_key`` returns them. Nothing is cached.
+        """
         d_key = self._d_key
-        for sources in blocks:
-            targets: dict = {}
-            rows: dict = {}
-            for col, (_, mask, evens) in enumerate(sources):
-                for key, val in d_key(mask, evens).items():
-                    r = targets.get(key)
-                    if r is None:
-                        r = targets[key] = len(targets)
-                        rows[r] = {}
-                    rows[r][col] = val
-            yield sources, targets, rows if self._integral else _clear_denominators(rows)
+        columns = {}
+        for pos, (mask, evens) in enumerate(sources):
+            column = d_key(mask, evens)
+            if column:
+                columns[pos] = column
+        return columns if self._integral else _clear_denominators(columns)
 
 
 def check_d_squared(

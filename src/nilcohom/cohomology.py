@@ -11,13 +11,14 @@ from typing import Optional, Sequence
 from .algebra import (
     Element,
     Signature,
+    _weight_dimensions,
     basis_dimensions,
     basis_index,
     basis_of_degree,
     transport,
 )
 from .cdga import CDGA
-from .linalg import ConsistencyError, _extend_echelon, _kernel, _rank_of_rows
+from .linalg import ConsistencyError, _extend_echelon, _kernel, _row_pivots
 
 
 def _mirror_top(cdga: CDGA) -> Optional[int]:
@@ -33,7 +34,7 @@ def _mirror_top(cdga: CDGA) -> Optional[int]:
         not cdga.signature.is_purely_odd
         or top < 1
         or (cdga.truncation is not None and cdga.truncation <= top)
-        or any(rows for _, _, rows in cdga._weight_blocks(top - 1))
+        or any(cdga._d_key(m, e) for _, m, e in basis_of_degree(cdga.signature, top - 1))
     ):
         return None
     return top
@@ -51,31 +52,59 @@ def _degree_range(cdga: CDGA) -> range:
     return range(cdga.truncation)
 
 
-def _rank_of_degree(cdga: CDGA, n: int) -> int:
-    """rank d_n, the sum of the ranks of the blocks of ``CDGA._weight_blocks``.
+def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None) -> tuple:
+    """({n: rank d_n}, {n: source monomials}) for the increasing ``degrees``.
 
-    Each block is assembled, ranked and dropped before the next. A weight
-    block is ranked whole: on u_n and X_r it is already one connected
-    component of the nonzero pattern. A block that is the whole degree (a
-    lattice of rank 0, or a degree too small to group) is split into
-    components first.
+    Each degree is split by ``CDGA._blocks``. Each block's integer columns
+    of d are assembled, eliminated with the count rule as the rows of the
+    transpose and dropped before the next block. A weight block is
+    eliminated whole: on u_n and X_r it is one connected component of the
+    nonzero pattern. The one block of a degree not split by weight is cut
+    into components first. Each pivot pairs a source with a target key, and
+    the pivot targets of a block are a basis of its rows of d. With
+    ``share``, a set of weights, only the blocks of those weights are ranked
+    and counted; the counts are of the sources before clearing.
+
+    Clearing (Chen-Kerber 2011): when d_(n-1) was ranked just before, the
+    pivot targets of each of its blocks, degree-n monomials of the block's
+    weight, are dropped from that block's sources at degree n before d is
+    expanded on them. The image of d_(n-1) lies in ker d_n and projects
+    onto their coordinates, so each dropped column of d_n is a combination
+    of the kept ones and the rank is unchanged; d^2 = 0 is all this needs.
     """
-    dim = len(basis_of_degree(cdga.signature, n))
-    return sum(
-        _rank_of_rows(rows, len(sources) == dim) for sources, _, rows in cdga._weight_blocks(n)
-    )
+    ranks: dict = {}
+    counts: dict = {}
+    pivot_keys: dict = {}
+    for n in degrees:
+        blocks = cdga._blocks(n, by_weight, share)
+        cleared = pivot_keys if n - 1 in ranks else {}
+        pivot_keys = {}
+        clears_next = n + 1 in degrees
+        rank = count = 0
+        for weight in list(blocks):
+            keys = blocks.pop(weight)
+            count += len(keys)
+            drop = cleared.pop(weight, None)
+            columns = cdga._block_columns([k for k in keys if k not in drop] if drop else keys)
+            pivots = _row_pivots(columns, split=not by_weight)
+            rank += len(pivots)
+            if clears_next:
+                pivot_keys[weight] = {key for _, key in pivots}
+        ranks[n] = rank
+        counts[n] = count
+    return ranks, counts
 
 
 # ``betti`` forks only when the degrees left to rank hold this many basis
-# monomials. Measured on a 2-core VM: at 386..1562 monomials (u_5, X_9,
-# u_7 truncated at 4) forking saved at most 2 ms and lost up to 4 ms where
-# one degree dominates; at 1941..7547 (u_6 truncated at 5 and 6, u_7 at 5)
-# it saved 12..24%.
+# monomials. Measured on a 2-core VM with weight shares and clearing: at
+# 1024..1562 monomials (X_9, u_7 truncated at 4) forking lost 15..76%, at
+# 1941 (u_6 truncated at 5) it broke even, and at 4944..7547 (u_6 truncated
+# at 6, u_7 at 5) it saved 17..28%.
 FORK_MIN_MONOMIALS = 2000
 
 
-def _fork_workers(jobs: Optional[int], degrees: int, monomials: int) -> int:
-    """How many child processes should rank ``degrees`` degrees; 0 or 1 means none."""
+def _fork_workers(jobs: Optional[int], monomials: int) -> int:
+    """How many child processes may rank ``monomials`` basis monomials; 0 means none."""
     threading = sys.modules.get("threading")
     if (
         jobs is None
@@ -86,32 +115,53 @@ def _fork_workers(jobs: Optional[int], degrees: int, monomials: int) -> int:
     ):
         return 0
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(jobs, cpus or 1, degrees)
+    return min(jobs, cpus or 1)
 
 
 def _shares(cost: dict, workers: int) -> list:
-    """Split the degrees, keys of ``cost``, into ``workers`` nonempty shares.
+    """Split the keys of ``cost`` into ``workers`` shares, empty only when keys run out.
 
-    Longest first: each degree, costliest first (lowest degree on ties),
-    joins the share with the least total cost so far (lowest share on ties).
+    Longest first: each key, costliest first (lowest key on ties), joins
+    the share with the least total cost so far (lowest share on ties). The
+    rule reads nothing but ``cost``, so it deals the same shares every time.
     """
     loads = [[0, k, []] for k in range(workers)]
-    for n in sorted(cost, key=lambda n: (-cost[n], n)):
+    for key in sorted(cost, key=lambda key: (-cost[key], key)):
         least = min(loads, key=lambda load: load[:2])
-        least[0] += cost[n]
-        least[2].append(n)
+        least[0] += cost[key]
+        least[2].append(key)
     return [share for _, _, share in loads]
 
 
-def _rank_share(cdga: CDGA, share: list, fd: int) -> None:
-    """In a forked child: write "degree:rank" pairs for ``share`` to ``fd``, then exit.
+def _weight_shares(cdga: CDGA, degrees: list, workers: int) -> list:
+    """The torus weights of ``degrees``, dealt into ``workers`` shares by ``_shares``.
 
-    Leaves through ``os._exit``, with status 0 only once every rank is
+    A weight costs the sum over ``degrees`` of dim(n, w)^2, counted from the
+    weight-graded generating function without enumerating a basis.
+    """
+    weights = cdga._weight_lattice().generators
+    cells = _weight_dimensions(cdga.signature, degrees[-1], weights)
+    cost: dict = {}
+    for n in degrees:
+        for weight, count in cells[n].items():
+            cost[weight] = cost.get(weight, 0) + count * count
+    return _shares(cost, workers)
+
+
+def _rank_share(cdga: CDGA, degrees: list, index: int, workers: int, fd: int) -> None:
+    """In forked child ``index`` of ``workers``: rank its weights through ``degrees``, then exit.
+
+    Every child deals the same shares (``_weight_shares``) and takes its own.
+    Writes one "degree:rank:count" triple per degree to ``fd``: the rank of
+    the share's blocks of d_degree and how many source monomials they hold.
+    Leaves through ``os._exit``, with status 0 only once every triple is
     written, so no parent cleanup (atexit, buffered output) runs twice.
     """
     status = 1
     try:
-        text = " ".join(f"{n}:{_rank_of_degree(cdga, n)}" for n in share)
+        share = set(_weight_shares(cdga, degrees, workers)[index])
+        ranks, counts = _rank_blocks(cdga, degrees, True, share)
+        text = " ".join(f"{n}:{ranks[n]}:{counts[n]}" for n in degrees)
         with open(fd, "wb") as pipe:
             pipe.write(text.encode())
         status = 0
@@ -122,48 +172,59 @@ def _rank_share(cdga: CDGA, share: list, fd: int) -> None:
         os._exit(status)
 
 
-def _ranks_in_children(cdga: CDGA, shares: list) -> dict:
-    """{degree: rank of d_degree} in degree order, one forked child per share.
+def _ranks_in_children(cdga: CDGA, degrees: list, workers: int, dims: list) -> dict:
+    """{degree: rank of d_degree} for ``degrees``, from ``workers`` forked children.
 
-    Every child is reaped before this returns or raises; children still
-    running when something fails are killed first. Raises RuntimeError when
-    a child exits nonzero or leaves out a degree of its share.
+    The parent adds up the children's ranks of each degree. Every child is
+    reaped before this returns or raises; children still running when
+    something fails are killed first. Raises RuntimeError when a child exits
+    nonzero or leaves out a degree, or when the children's source counts of
+    a degree n do not add up to ``dims[n]``, which a share rule that drops
+    or doubles a weight would cause.
     """
     children = []
     pipes = []
-    ranks = {}
+    ranks = dict.fromkeys(degrees, 0)
+    counts = dict.fromkeys(degrees, 0)
     try:
-        for share in shares:
+        for index in range(workers):
             read_fd, write_fd = os.pipe()
             pipes.append(read_fd)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _rank_share(cdga, share, write_fd)
+                    _rank_share(cdga, degrees, index, workers, write_fd)
             finally:
                 os.close(write_fd)
-            children.append((pid, share, read_fd))
+            children.append((pid, read_fd))
         while children:
-            pid, share, read_fd = children[0]
+            pid, read_fd = children[0]
             chunks = []
             while chunk := os.read(read_fd, 1 << 16):
                 chunks.append(chunk)
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[0]
-            pairs = [pair.split(b":") for pair in b"".join(chunks).split()]
-            if code or sorted(int(n) for n, _ in pairs) != sorted(share):
-                raise RuntimeError(f"rank worker for degrees {share} failed (exit status {code})")
-            ranks.update((int(n), int(rank)) for n, rank in pairs)
+            triples = [[int(v) for v in t.split(b":")] for t in b"".join(chunks).split()]
+            if code or [n for n, _, _ in triples] != degrees:
+                raise RuntimeError(f"rank worker for degrees {degrees} failed (exit status {code})")
+            for n, rank, count in triples:
+                ranks[n] += rank
+                counts[n] += count
     finally:
         for fd in pipes:
             os.close(fd)
         if children:
             import signal  # only on failure: ``import nilcohom`` stays as lean as before
 
-            for pid, _, _ in children:
+            for pid, _ in children:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return dict(sorted(ranks.items()))
+    for n in degrees:
+        if counts[n] != dims[n]:
+            raise RuntimeError(
+                f"rank workers ranked {counts[n]} of the {dims[n]} monomials of degree {n}"
+            )
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -196,32 +257,42 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
     d_(top-1) = 0, only the degrees n <= (top-1)/2 are ranked: rank d_(top-1-n)
     equals rank d_n by Poincare duality and rank d_top is 0, and these
     mirrored ranks join the rank cache after the ranked ones. Otherwise every
-    degree of the window is ranked, one torus-weight block at a time
-    (``CDGA._weight_blocks``): a block's integer rows are assembled directly
-    from d, eliminated with the rank-only pivot rule and dropped before the
-    next block, so no differential matrix is built or cached and no more
-    than one block's rows are alive at once. dim_n is counted from the
-    generator degrees, not enumerated.
+    degree of the window is ranked. dim_n is counted from the generator
+    degrees, not enumerated.
 
-    With ``jobs`` >= 2, ``os.fork`` available, a single running thread and
-    at least ``FORK_MIN_MONOMIALS`` basis monomials in the degrees left to
-    rank, the degrees are ranked in up to min(jobs, usable CPUs, degrees)
-    forked child processes, each sending back only its ranks. Otherwise,
-    and always with the default ``jobs=None``, they are ranked in order in
-    this process. Both give the same table and the same rank cache.
+    The degrees left to rank go in increasing order through
+    ``_rank_blocks``, one torus-weight block at a time (one block per
+    degree for models under ``_BLOCK_MIN_MONOMIALS``): the block's sources
+    come from a key walk that builds no ``Monomial``, its integer columns
+    are assembled directly from d, eliminated with the rank-only pivot rule
+    and dropped before the next block, so no differential matrix is built
+    or cached. Clearing drops from each block's sources the pivot targets
+    of the same weight one degree down, which leaves the rank as it is. A
+    degree whose rank d_(n-1) was already cached, by ``representatives`` or
+    ``verify_classes``, has no pivots below it and is ranked uncleared.
+
+    With ``jobs`` >= 2, ``os.fork`` available, a single running thread,
+    blocks by weight and at least ``FORK_MIN_MONOMIALS`` basis monomials in
+    the degrees left to rank, min(jobs, usable CPUs) forked child processes
+    rank them. Each deals the weights longest first, by the sum over n of
+    dim(n, w)^2 from the weight-graded generating function, takes its own
+    share, ranks it through every degree left, clearing as it goes, and
+    sends back per-degree partial ranks and source counts, which the parent
+    adds up and checks against dim_n. Otherwise, and always with the
+    default ``jobs=None``, the degrees are ranked in this process. Both
+    give the same table and the same rank cache.
     """
     degrees = _degree_range(cdga)
     mirror = _mirror_top(cdga)
     ranked = degrees if mirror is None else range((mirror - 1) // 2 + 1)
     todo = [n for n in ranked if n not in cdga._rank_cache]
     dims = basis_dimensions(cdga.signature, degrees[-1] + 1)
-    workers = _fork_workers(jobs, len(todo), sum(dims[n] for n in todo))
+    by_weight = cdga._by_weight([dims[n] for n in todo])
+    workers = _fork_workers(jobs, sum(dims[n] for n in todo)) if by_weight else 0
     if workers > 1:
-        cost = {n: dims[n] * dims[n + 1] for n in todo}
-        cdga._rank_cache.update(_ranks_in_children(cdga, _shares(cost, workers)))
+        cdga._rank_cache.update(_ranks_in_children(cdga, todo, workers, dims))
     else:
-        for n in todo:
-            cdga._rank_cache[n] = _rank_of_degree(cdga, n)
+        cdga._rank_cache.update(_rank_blocks(cdga, todo, by_weight)[0])
     if mirror is not None:
         for n in ranked:
             cdga._rank_cache.setdefault(mirror - 1 - n, cdga._rank_cache[n])

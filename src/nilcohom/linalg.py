@@ -13,17 +13,22 @@ results are deterministic:
   ``cohomology.representatives``, whose pivot columns and kernel vectors are
   visible: minimize (row_nnz-1)*(col_nnz-1) over every nonzero, break ties by
   lowest column index, then lowest row index.
-- ``_pick_count``, for the rank-only paths ``_rank_of_rows`` and
+- ``_pick_count``, for the rank-only paths ``_row_pivots`` and
   ``_rank_mod_p``: the column with the fewest live rows, lowest column on
   ties, then in it the row with the fewest entries, lowest row on ties
-  (Markowitz 1957; Dumas-Villard 2002). It scans columns instead of every
-  nonzero, and any pivot sequence gives the same rank.
+  (Markowitz 1957; Dumas-Villard 2002). Any pivot sequence gives the same
+  rank. ``_eliminate`` keeps the columns of this rule in a heap of
+  (live rows, column), so a pivot costs a few heap steps instead of a scan
+  of every live column; the pivots are those of ``_pick_count``.
 
-``_rank_of_rows`` ranks integer rows: ``rank_only`` feeds it the rows of a
-matrix, split into components, and ``cohomology.betti`` the torus-weight
-blocks that ``CDGA._weight_blocks`` assembles without building a matrix,
-which on the nilmanifold models are already single components and are
-ranked unsplit; ``rank_multimodular`` ranks mod p through ``_rank_mod_p``.
+``_row_pivots`` eliminates integer rows and returns the pivots, whose
+number is the rank: ``rank_only`` feeds it the rows of a matrix, split
+into components, and ``cohomology.betti`` the columns of d that
+``CDGA._block_columns`` assembles for one torus-weight block without
+building a matrix, keyed by target monomial. Those blocks are single
+components on the nilmanifold models and are eliminated unsplit, and
+their pivot targets are the rows that clearing drops from the sources of
+the next degree. ``rank_multimodular`` ranks mod p through ``_rank_mod_p``.
 
 Kernel and quotient work on sparse vectors, dicts from index to Fraction.
 ``_kernel`` back-substitutes one primitive integer vector per free column,
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -277,7 +283,8 @@ def _pick_count(rows: dict, col_rows: dict) -> tuple:
     """(col, row) for the column with the fewest live rows, then its shortest row.
 
     Ties go to the lowest column, then the lowest row id. One scan of the
-    live columns and one of the chosen column's rows.
+    live columns and one of the chosen column's rows; ``_eliminate`` picks
+    the same column from a heap instead of calling this.
     """
     _, c = min((len(rs), c) for c, rs in col_rows.items())
     _, r = min((len(rows[r]), r) for r in col_rows[c])
@@ -310,8 +317,25 @@ def _eliminate(
             col_rows.setdefault(c, set()).add(r)
     pivots = []
     frozen = {}
+    # The count rule keeps (live rows, column) in a heap instead of scanning
+    # every column per pivot. A step changes the counts of the pivot row's
+    # columns only, and those are pushed again; an entry whose column is gone
+    # or whose count is out of date is dropped when it surfaces, so the top
+    # valid entry is the least (count, column), the column ``_pick_count``
+    # picks.
+    heap = None
+    if pick is _pick_count:
+        heap = [(len(rs), c) for c, rs in col_rows.items()]
+        heapify(heap)
     while col_rows:
-        c, r = pick(rows, col_rows)
+        if heap is None:
+            c, r = pick(rows, col_rows)
+        else:
+            count, c = heap[0]
+            while c not in col_rows or len(col_rows[c]) != count:
+                heappop(heap)
+                count, c = heap[0]
+            _, r = min((len(rows[r]), r) for r in col_rows[c])
         pivot_row = rows[r]
         p = pivot_row[c]
         # Over Z, p*row - a*pivot_row for p = -1 is row + a*pivot_row negated;
@@ -347,6 +371,8 @@ def _eliminate(
                 _normalize_row(row_i)
         for j in pivot_row:
             _discard(col_rows, j, r)
+            if heap is not None and j in col_rows:
+                heappush(heap, (len(col_rows[j]), j))
         pivots.append((r, c))
         if keep_pivot_rows:
             frozen[r] = pivot_row
@@ -435,24 +461,24 @@ def rank_exact(m: SparseExactMatrix) -> RankResult:
     )
 
 
-def _rank_of_rows(rows: dict, split: bool = True) -> int:
-    """Exact rank of nonempty integer rows {row: {col: int}}, eliminated in place.
+def _row_pivots(rows: dict, split: bool = True) -> list:
+    """Pivots (row, col) of an exact elimination of nonempty integer rows {row: {col: int}}.
 
-    The pivots follow the count rule. With ``split`` the rows are first cut
-    into the connected components of their nonzero pattern and ranked one
-    component at a time; without it they are ranked as one piece. A single
-    row has rank 1 and needs no elimination.
+    Their number is the rank. The rows are eliminated in place, and the
+    pivots follow the count rule. With ``split`` the rows are first cut into
+    the connected components of their nonzero pattern and eliminated one
+    component at a time; without it they are eliminated as one piece. A
+    single row is its own pivot and needs no elimination.
     """
     if len(rows) < 2:
-        return len(rows)
+        return [(r, next(iter(row))) for r, row in rows.items()]
     if not split:
-        return len(_eliminate(rows, keep_pivot_rows=False, pick=_pick_count)[0])
-    total = 0
+        return _eliminate(rows, keep_pivot_rows=False, pick=_pick_count)[0]
+    pivots = []
     for _, row_ids in _components(rows):
         sub = {r: rows[r] for r in row_ids}
-        pivots, _ = _eliminate(sub, keep_pivot_rows=False, pick=_pick_count)
-        total += len(pivots)
-    return total
+        pivots += _eliminate(sub, keep_pivot_rows=False, pick=_pick_count)[0]
+    return pivots
 
 
 def rank_only(m: SparseExactMatrix) -> int:
@@ -461,7 +487,7 @@ def rank_only(m: SparseExactMatrix) -> int:
     Pivots by ``_pick_count``, not the Markowitz order of ``rank_exact``;
     the two agree on the rank, which is all this returns.
     """
-    return _rank_of_rows(_integer_rows(m))
+    return len(_row_pivots(_integer_rows(m)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from nilcohom import CDGA, Element, Signature, basis_of_degree, rank_exact, xr_model
+from nilcohom import cdga
 from nilcohom.algebra import transport
 
 settings.register_profile("suite", deadline=None, max_examples=50)
@@ -14,6 +15,14 @@ settings.load_profile("suite")
 @pytest.fixture(scope="session")
 def x5():
     return xr_model(5)
+
+
+@pytest.fixture(params=["default", "every-degree"])
+def grouping(request, monkeypatch):
+    """Blocks as ``betti`` gets them, and with every degree grouped by weight."""
+    if request.param == "every-degree":
+        monkeypatch.setattr(cdga, "_BLOCK_MIN_MONOMIALS", 0)
+    return request.param
 
 
 def random_two_step_cdga(rng: random.Random, closed: int, upper: int) -> CDGA:

@@ -13,6 +13,7 @@ from nilcohom import (
     SparseExactMatrix,
     TruncationError,
     basis_of_degree,
+    betti,
     borel_twist,
     check_d_squared,
     degree_shift,
@@ -278,36 +279,38 @@ class TestDifferentialMatrixAgainstOracles:
                 assert actual == column
 
 
-def _flattened_blocks(model, n):
-    """The rows of ``_weight_blocks(n)`` on the global basis indices of
-    ``differential_matrix(n)``; asserts that no row lies in two blocks."""
+def _flattened_blocks(model, n, by_weight):
+    """The columns of ``_blocks(n, by_weight)``, assembled by
+    ``_block_columns``, on the global basis indices of
+    ``differential_matrix(n)``; asserts that every basis monomial is a
+    source once."""
     sig = model.signature
     col_of = basis_index(sig, n)
     row_of = basis_index(sig, n + 1)
     flat = {}
-    for sources, targets, rows in model._weight_blocks(n):
-        key_of = {r: key for key, r in targets.items()}
-        assert set(key_of) == set(rows)
-        for r, row in rows.items():
-            g = row_of[Monomial(sig, *key_of[r])]
+    sources_seen = 0
+    for sources in model._blocks(n, by_weight).values():
+        sources_seen += len(sources)
+        for c, column in model._block_columns(sources).items():
+            g = col_of[Monomial(sig, *sources[c])]
             assert g not in flat
-            flat[g] = {col_of[sources[c]]: v for c, v in row.items()}
+            flat[g] = {row_of[Monomial(sig, *key)]: v for key, v in column.items()}
+    assert sources_seen == len(col_of)
     return flat
 
 
-@pytest.fixture(params=["default", "every-degree"])
-def grouping(request, monkeypatch):
-    """Blocks as ``betti`` gets them, and with every degree grouped by weight."""
-    if request.param == "every-degree":
-        monkeypatch.setattr(cdga, "_BLOCK_MIN_MONOMIALS", 0)
-    return request.param
+def _integer_columns(m):
+    """The nonzero columns of a matrix, each scaled by its denominators' lcm."""
+    return _integer_rows(m.transpose())
 
 
 class TestWeightBlocks:
-    """``CDGA._weight_blocks`` assembles d_n one weight block at a time,
-    without a matrix; flattened onto the global basis indices, the blocks
-    must be exactly what ``linalg._integer_rows`` makes of
-    ``differential_matrix(n)``, int entries included."""
+    """``CDGA._blocks`` splits a degree into monomial keys, one block per
+    torus weight or one for the whole degree, and ``CDGA._block_columns``
+    assembles the columns of d on a block without a matrix; flattened onto
+    the global basis indices, they must be exactly the columns of
+    ``differential_matrix(n)``, each scaled by the lcm of its denominators,
+    int entries included."""
 
     @pytest.mark.parametrize(
         "model",
@@ -320,9 +323,10 @@ class TestWeightBlocks:
     )
     def test_flattened_blocks_match_the_matrix_path(self, model, grouping):
         degrees = range(model.truncation) if model.truncation else range(model.top_degree() + 1)
+        by_weight = model._by_weight(basis_dimensions(model.signature, degrees[-1] + 1))
         for n in degrees:
-            flat = _flattened_blocks(model, n)
-            assert flat == _integer_rows(model.differential_matrix(n)), n
+            flat = _flattened_blocks(model, n, by_weight)
+            assert flat == _integer_columns(model.differential_matrix(n)), n
             assert all(type(v) is int for row in flat.values() for v in row.values()), n
 
     def test_rational_models_clear_denominators(self):
@@ -332,20 +336,31 @@ class TestWeightBlocks:
 
     def test_blocks_build_no_matrix(self):
         model = upper_tri_model(6)
-        assert len(list(model._weight_blocks(4))) > 1
+        blocks = model._blocks(4, True)
+        assert len(blocks) > 1
+        assert any(model._block_columns(keys) for keys in blocks.values())
         assert model._matrix_cache == {}
+        assert model.signature._basis_cache == {}
+
+    def test_a_share_keeps_only_its_weights(self):
+        model = upper_tri_model(5)
+        full = model._blocks(5, True)
+        share = set(list(full)[::3])
+        assert model._blocks(5, True, share) == {w: full[w] for w in full if w in share}
 
     def test_small_degrees_need_no_lattice(self):
         model = xr_model(5)
+        assert not model._by_weight(basis_dimensions(model.signature, model.top_degree()))
         for n in range(model.top_degree()):
-            assert len(list(model._weight_blocks(n))) == 1
+            assert len(model._blocks(n, False)) == 1
+        betti(model)
         assert model._weights is None
 
     def test_truncation_enforced(self):
         with pytest.raises(TruncationError):
-            list(_polynomial_model()._weight_blocks(12))
+            _polynomial_model()._blocks(12, True)
         with pytest.raises(ValueError):
-            list(upper_tri_model(3)._weight_blocks(-1))
+            upper_tri_model(3)._blocks(-1, False)
 
 
 class TestBasisDimensions:

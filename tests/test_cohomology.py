@@ -31,14 +31,14 @@ from nilcohom import (
     xr_model,
 )
 from nilcohom import cohomology
-from nilcohom.algebra import basis_index
+from nilcohom.algebra import _keys_by_weight, _weight_dimensions, basis_dimensions, basis_index
 from nilcohom.cli import main
 from nilcohom import cdga as cdga_module
 from nilcohom.cohomology import (
     _boundary_vectors,
     _degree_range,
     _mirror_top,
-    _rank_of_degree,
+    _rank_blocks,
     _shares,
 )
 from nilcohom.dsl import parse_element, render_element
@@ -115,10 +115,10 @@ class TestBetti:
     def test_purely_odd_dims_enumerate_only_the_lower_half(self):
         model = upper_tri_model(6)
         betti(model)
-        # Ranks of d_0..d_7 enumerate their source degrees 0..7 and the
-        # d_14 = 0 gate degree 14; targets are keyed as d reaches them, and
-        # dim_n is counted, so no other degree is enumerated.
-        assert sorted(model.signature._basis_cache) == [0, 1, 2, 3, 4, 5, 6, 7, 14]
+        # Ranks of d_0..d_7 walk the keys of their source degrees 0..7,
+        # which caches no basis; targets are keyed as d reaches them, and
+        # dim_n is counted. Only the d_14 = 0 gate degree 14 is enumerated.
+        assert sorted(model.signature._basis_cache) == [14]
 
     def test_json_shape(self, x5):
         d = betti(x5).to_json_dict()
@@ -215,13 +215,13 @@ class TestRepresentativesOfUn:
 
     def test_representatives_and_verify_spare_betti_two_degrees(self, monkeypatch):
         ranked = []
-        real = cohomology._rank_of_degree
+        real = cohomology._rank_blocks
 
-        def recording(cdga, n):
-            ranked.append(n)
-            return real(cdga, n)
+        def recording(cdga, degrees, *args):
+            ranked.extend(degrees)
+            return real(cdga, degrees, *args)
 
-        monkeypatch.setattr(cohomology, "_rank_of_degree", recording)
+        monkeypatch.setattr(cohomology, "_rank_blocks", recording)
         model = upper_tri_model(5)
         report = verify_classes(model, representatives(model, 4))
         assert report.all_closed and report.independent
@@ -565,9 +565,9 @@ class TestPoincareMirroredRanks:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedRanks:
-    """``betti`` with ``jobs`` >= 2 ranks degrees in forked children above
-    the size gate. The table and the rank cache, order included, must equal
-    the serial ones; no test here starts more than two children."""
+    """``betti`` with ``jobs`` >= 2 deals torus weights to forked children
+    above the size gate. The table and the rank cache, order included, must
+    equal the serial ones; no test here starts more than two children."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -629,20 +629,30 @@ class TestForkedRanks:
         assert betti(upper_tri_model(6), jobs=1000) == betti(upper_tri_model(6))
         assert len(forks) == 2
 
-    def test_cached_ranks_are_not_ranked_again(self, forks):
+    def test_cached_ranks_are_not_ranked_again(self, forks, monkeypatch):
         serial = upper_tri_model(6)
         table = betti(serial)
         model = upper_tri_model(6)
         model._rank_cache.update((n, serial._rank_cache[n]) for n in range(7))
-        # Only degree 7 is left: one degree needs no second process.
+        asked = []
+        real = cohomology._ranks_in_children
+
+        def recording(cdga, degrees, *args):
+            asked.append(list(degrees))
+            return real(cdga, degrees, *args)
+
+        monkeypatch.setattr(cohomology, "_ranks_in_children", recording)
+        # Only degree 7 is left; its weights are still dealt to two children.
         assert betti(model, jobs=2) == table
-        assert len(forks) == 0
+        assert asked == [[7]]
+        assert len(forks) == 2
+        assert list(model._rank_cache.items()) == list(serial._rank_cache.items())
 
     def test_failing_child_raises_and_leaves_no_zombie(self, forks, monkeypatch):
         def broken(*args):
             raise ZeroDivisionError("injected")
 
-        monkeypatch.setattr(cohomology, "_rank_of_rows", broken)
+        monkeypatch.setattr(cohomology, "_row_pivots", broken)
         model = upper_tri_model(6)
         with pytest.raises(RuntimeError, match="exit status 1"):
             betti(model, jobs=2)
@@ -652,8 +662,37 @@ class TestForkedRanks:
             os.waitpid(-1, os.WNOHANG)
 
     def test_short_reply_raises(self, forks, monkeypatch):
-        monkeypatch.setattr(cohomology, "_rank_share", lambda cdga, share, fd: os._exit(0))
+        monkeypatch.setattr(cohomology, "_rank_share", lambda *args: os._exit(0))
         with pytest.raises(RuntimeError, match="exit status 0"):
+            betti(upper_tri_model(6), jobs=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_child_that_skips_a_weight_raises(self, forks, monkeypatch):
+        real = cohomology._rank_blocks
+
+        def skipping(cdga, degrees, by_weight, share=None):
+            return real(cdga, degrees, by_weight, set(sorted(share)[1:]))
+
+        monkeypatch.setattr(cohomology, "_rank_blocks", skipping)
+        model = upper_tri_model(6)
+        with pytest.raises(RuntimeError, match="monomials of degree"):
+            betti(model, jobs=2)
+        assert len(forks) == 2
+        assert model._rank_cache == {}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_doubled_weight_raises(self, forks, monkeypatch):
+        real = cohomology._shares
+
+        def doubling(cost, workers):
+            shares = real(cost, workers)
+            shares[1].append(shares[0][0])
+            return shares
+
+        monkeypatch.setattr(cohomology, "_shares", doubling)
+        with pytest.raises(RuntimeError, match="monomials of degree"):
             betti(upper_tri_model(6), jobs=2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -737,9 +776,11 @@ def _axb_model():
 
 
 class TestWeightBlocksAgainstComponents:
-    """The Betti path ranks d_n one torus-weight block at a time. These
-    tests check it, with the default grouping and with every degree grouped
-    by weight, against ``rank_only(differential_matrix(n))`` and the
+    """The Betti path ranks d_n one block at a time, by torus weight when
+    ``CDGA._by_weight`` says so, and drops from each block the pivot rows
+    of d_(n-1) of its weight (clearing). These tests check it, with the
+    default grouping and with every degree grouped by weight, against
+    ``rank_only(differential_matrix(n))``, the uncleared ranks and the
     connected components of the whole degree."""
 
     MODELS = (
@@ -760,22 +801,59 @@ class TestWeightBlocksAgainstComponents:
         + seeded_rational_models()
     )
 
-    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
-    def test_block_ranks_match_the_matrix_path(self, model, monkeypatch):
-        expected = [rank_only(model.differential_matrix(n)) for n in _degree_range(model)]
-        assert [_rank_of_degree(model, n) for n in _degree_range(model)] == expected
-        monkeypatch.setattr(cdga_module, "_BLOCK_MIN_MONOMIALS", 0)
-        assert [_rank_of_degree(model, n) for n in _degree_range(model)] == expected
+    @staticmethod
+    def by_weight(model, degrees):
+        dims = basis_dimensions(model.signature, degrees[-1] + 1)
+        return model._by_weight([dims[n] for n in degrees])
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
-    def test_blocks_are_unions_of_components(self, model, monkeypatch):
-        monkeypatch.setattr(cdga_module, "_BLOCK_MIN_MONOMIALS", 0)
+    def test_block_ranks_match_the_matrix_path(self, model, grouping):
+        degrees = list(_degree_range(model))
+        expected = {n: rank_only(model.differential_matrix(n)) for n in degrees}
+        ranks, counts = _rank_blocks(model, degrees, self.by_weight(model, degrees))
+        assert ranks == expected
+        assert counts == {n: len(basis_of_degree(model.signature, n)) for n in degrees}
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_cleared_ranks_equal_uncleared_ranks(self, model, grouping):
+        # A degree ranked on its own has no pivot rows below it to clear.
+        degrees = list(_degree_range(model))
+        by_weight = self.by_weight(model, degrees)
+        uncleared = {n: _rank_blocks(model, [n], by_weight)[0][n] for n in degrees}
+        assert _rank_blocks(model, degrees, by_weight)[0] == uncleared
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_clearing_drops_exactly_the_pivot_rows_below(self, model, grouping, monkeypatch):
+        # A block has as many pivot rows as its rank, so with d_(n-1) ranked
+        # just before, d is expanded on dim_n - rank d_(n-1) sources of degree n.
+        degrees = list(_degree_range(model))
+        expanded = dict.fromkeys(degrees, 0)
+        current = []
+        real_blocks, real_columns = CDGA._blocks, CDGA._block_columns
+
+        def blocks(cdga, n, *args):
+            current.append(n)
+            return real_blocks(cdga, n, *args)
+
+        def columns(cdga, sources):
+            expanded[current[-1]] += len(sources)
+            return real_columns(cdga, sources)
+
+        monkeypatch.setattr(CDGA, "_blocks", blocks)
+        monkeypatch.setattr(CDGA, "_block_columns", columns)
+        ranks, _ = _rank_blocks(model, degrees, self.by_weight(model, degrees))
+        dims = basis_dimensions(model.signature, degrees[-1])
+        assert expanded == {n: dims[n] - (ranks[n - 1] if n else 0) for n in degrees}
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_blocks_are_unions_of_components(self, model):
         sig = model.signature
         for n in _degree_range(model):
-            col_of = basis_index(sig, n)
+            col_of = {mono[1:]: c for c, mono in enumerate(basis_of_degree(sig, n))}
             block_of = {}
-            for b, (sources, _, _) in enumerate(model._weight_blocks(n)):
-                block_of.update((col_of[mono], b) for mono in sources)
+            for b, keys in enumerate(model._blocks(n, True).values()):
+                block_of.update((col_of[key], b) for key in keys)
+                assert len(set(keys)) == len(keys), n
             assert len(block_of) == len(col_of), n
             for cols, _ in _components(_integer_rows(model.differential_matrix(n))):
                 assert len({block_of[c] for c in cols}) == 1, n
@@ -787,7 +865,8 @@ class TestWeightBlocksAgainstComponents:
             for mono in model.d_of(g.name).terms:
                 weight = sum(e * weights.generators[i] for i, e in enumerate(mono.exponents()))
                 assert weight == weights.generators[g.index], g.name
-                assert weights.of_key(mono.odd_mask, mono.even_exps) == weight, g.name
+                walk = _keys_by_weight(model.signature, g.degree + 1, weights.generators)
+                assert (mono.odd_mask, mono.even_exps) in walk[weight], g.name
 
     def test_lattice_ranks(self):
         for n in range(2, 8):
@@ -802,11 +881,88 @@ class TestWeightBlocksAgainstComponents:
         [m for m in MODELS if m.name in {"u5", "u6"} | {f"xr{r}" for r in range(1, 10)}],
         ids=lambda m: m.name,
     )
-    def test_blocks_equal_components(self, model, monkeypatch):
+    def test_blocks_equal_components(self, model):
         # On u_n and X_r a nonzero weight block is exactly one component,
         # which is why the Betti path ranks it without a union-find split.
-        monkeypatch.setattr(cdga_module, "_BLOCK_MIN_MONOMIALS", 0)
         for n in _degree_range(model):
             rows = _integer_rows(model.differential_matrix(n))
-            nonzero = [rows for _, _, rows in model._weight_blocks(n) if rows]
+            blocks = model._blocks(n, True).values()
+            nonzero = [keys for keys in blocks if model._block_columns(keys)]
             assert len(nonzero) == len(_components(rows)), n
+
+
+def exterior_counts(gens) -> dict:
+    """{(degree, weight): number of monomials} of an exterior algebra on
+    generators given as (degree, weight tuple): the coefficients of
+    prod (1 + t^degree z^weight), multiplied out one generator at a time."""
+    counts = {(0, (0,) * len(gens[0][1])): 1}
+    for d, w in gens:
+        for (n, v), c in list(counts.items()):
+            key = (n + d, tuple(a + b for a, b in zip(v, w)))
+            counts[key] = counts.get(key, 0) + c
+    return counts
+
+
+def euler_characteristics(counts) -> dict:
+    """{weight: sum over n of (-1)^n dim(n, weight)}."""
+    chi: dict = {}
+    for (n, w), c in counts.items():
+        chi[w] = chi.get(w, 0) + (-c if n % 2 else c)
+    return chi
+
+
+class TestWeightedEulerCharacteristic:
+    """d preserves the torus weight, so each weight w has its own Euler
+    characteristic chi_w = sum over n of (-1)^n dim(n, w), and
+    sum over w of dim H_w >= |chi_w|. dim(n, w) is counted here from the
+    generating function prod_odd (1 + t^deg z^w), independently of the key
+    walk and of every rank."""
+
+    FULL_ODD = [
+        m
+        for m in TestWeightBlocksAgainstComponents.MODELS
+        if m.signature.is_purely_odd and (m.truncation is None or m.truncation > m.top_degree())
+    ]
+
+    @staticmethod
+    def lattice_counts(model):
+        weights = model._weight_lattice().generators
+        gens = model.signature.generators
+        return exterior_counts([(g.degree, (weights[g.index],)) for g in gens])
+
+    def test_walk_counts_match_the_generating_function(self):
+        assert len(self.FULL_ODD) > 20
+        for model in self.FULL_ODD:
+            weights = model._weight_lattice().generators
+            walked = {
+                (n, (w,)): len(keys)
+                for n in range(model.top_degree() + 1)
+                for w, keys in _keys_by_weight(model.signature, n, weights).items()
+            }
+            assert walked == self.lattice_counts(model), model.name
+
+    def test_weight_dimensions_match_the_walk(self):
+        # The counts that deal weights to forked children, on every model
+        # and window, even generators included.
+        for model in TestWeightBlocksAgainstComponents.MODELS:
+            weights = model._weight_lattice().generators
+            degrees = _degree_range(model)
+            cells = _weight_dimensions(model.signature, degrees[-1], weights)
+            for n in degrees:
+                walk = _keys_by_weight(model.signature, n, weights)
+                assert cells[n] == {w: len(keys) for w, keys in walk.items()}, (model.name, n)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_euler_characteristics_of_u_n_add_up_to_n_factorial(self, n):
+        # Kostant: H(u_n) has one class in each of n! weights, so every
+        # weight's complex has |chi_w| classes in all.
+        sig = upper_tri_model(n).signature
+        counts = exterior_counts([(g.degree, kostant_weight(g.name, n)) for g in sig.generators])
+        chi = euler_characteristics(counts)
+        assert sum(map(abs, chi.values())) == len(list(itertools.permutations(range(n))))
+
+    def test_betti_total_bounds_the_euler_characteristics(self):
+        for model in self.FULL_ODD:
+            fresh = CDGA(model.signature, model.differentials, model.truncation)
+            chi = euler_characteristics(self.lattice_counts(model))
+            assert betti(fresh).total >= sum(map(abs, chi.values())), model.name

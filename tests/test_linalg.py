@@ -15,7 +15,14 @@ from nilcohom import (
     rank_only,
     upper_tri_model,
 )
-from nilcohom.linalg import _eliminate, _kernel, _pick_count, _pick_markowitz, _quotient
+from nilcohom.linalg import (
+    _eliminate,
+    _integer_rows,
+    _kernel,
+    _pick_count,
+    _pick_markowitz,
+    _quotient,
+)
 from dense_oracle import dense_rank, dense_rank_mod_p
 
 
@@ -416,6 +423,32 @@ class TestPivotRules:
         pivots, frozen = _eliminate(rows, keep_pivot_rows=False, pick=_pick_count)
         assert pivots == [(1, 0), (3, 2), (0, 1)]
         assert frozen == {} and rows == {2: {}}
+
+    @given(block_structured_matrices(), st.sampled_from([None, 3, 1000003]))
+    def test_count_rule_heap_follows_the_scan(self, m, p):
+        # ``_eliminate`` keeps the count rule's columns in a heap; a pick that
+        # scans with ``_pick_count`` on every step must give the same pivots.
+        rows = _integer_rows(m)
+        if p is not None:
+            rows = {r: {c: v % p for c, v in row.items() if v % p} for r, row in rows.items()}
+            rows = {r: row for r, row in rows.items() if row}
+        copy = {r: dict(row) for r, row in rows.items()}
+        heap = _eliminate(rows, keep_pivot_rows=True, modulus=p, pick=_pick_count)
+        scan = _eliminate(copy, keep_pivot_rows=True, modulus=p, pick=lambda *a: _pick_count(*a))
+        assert heap == scan
+
+    def test_count_rule_heap_follows_the_scan_on_larger_matrices(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            cols = rng.randint(5, 120)
+            rows = {}
+            for r in range(rng.randint(2, 120)):
+                support = rng.sample(range(cols), rng.randint(1, 5))
+                rows[r] = {c: rng.choice([1, -1, 2, -3, 5]) for c in support}
+            copy = {r: dict(row) for r, row in rows.items()}
+            heap = _eliminate(rows, keep_pivot_rows=True, pick=_pick_count)
+            scan = _eliminate(copy, keep_pivot_rows=True, pick=lambda *a: _pick_count(*a))
+            assert heap == scan
 
     def test_rank_exact_keeps_the_markowitz_pivots(self):
         # The count rule would pivot on column 3 here, leaving column 2 free
