@@ -392,73 +392,26 @@ def elem_mul(e1: Element, e2: Element) -> Element:
     return Element(e1.signature, acc)
 
 
-def basis_of_degree(sig: Signature, n: int) -> tuple:
-    """All monomials of total degree exactly n, lexicographic on exponent vectors.
-
-    Finite for every fixed n even with polynomial generators. Cached on the
-    signature.
-    """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    cached = sig._basis_cache.get(n)
-    if cached is not None:
-        return cached
-    gens = sig.generators
-    count = len(gens)
-    # reach[pos]: the largest degree generators pos.. can still add, capped at
-    # n; any even generator among them can add as much as needed.
-    reach = [0] * (count + 1)
-    for pos in range(count - 1, -1, -1):
-        g = gens[pos]
-        reach[pos] = min(n, reach[pos + 1] + g.degree) if g.is_odd else n
-    out = []
-    evens = [0] * len(sig.even_indices)
-
-    def rec(pos: int, remaining: int, mask: int) -> None:
-        if remaining == 0:
-            out.append(Monomial(sig, mask, tuple(evens)))
-            return
-        if reach[pos] < remaining:
-            return
-        g = gens[pos]
-        if g.is_odd:
-            rec(pos + 1, remaining, mask)
-            if g.degree <= remaining:
-                rec(pos + 1, remaining - g.degree, mask | 1 << sig._odd_pos[pos])
-            return
-        q = sig._even_pos[pos]
-        for e in range(remaining // g.degree + 1):
-            evens[q] = e
-            rec(pos + 1, remaining - e * g.degree, mask)
-        evens[q] = 0
-
-    rec(0, n, 0)
-    result = tuple(out)
-    sig._basis_cache[n] = result
-    return result
-
-
 def _keys_by_weight(sig: Signature, n: int, weights: Sequence[int], keep=None) -> dict:
     """The degree-n monomial keys (odd_mask, even_exps), grouped by weight.
 
     ``weights`` holds one int per generator in signature order, and a key's
     weight is their sum over its factors, with multiplicity. Returns
-    {weight: [key, ...]}: keys in the order of ``basis_of_degree``, weights
-    in the order of their first key, and only the weights in ``keep`` when
-    it is given. The recursion of ``basis_of_degree`` also carries the
-    weight here; it builds no ``Monomial`` and caches nothing.
+    {weight: [key, ...]}: keys in lexicographic order of their exponent
+    vectors, weights in the order of their first key, and only the weights
+    in ``keep`` when it is given. Builds no ``Monomial`` and caches nothing;
+    ``basis_of_degree`` is this walk with every weight 0.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    gens = sig.generators
-    count = len(gens)
+    degrees = [g.degree for g in sig.generators]
+    # bits[pos]: the mask bit of an odd generator, 0 for an even one.
+    bits = [1 << sig._odd_pos[pos] if d % 2 else 0 for pos, d in enumerate(degrees)]
     # reach[pos]: the largest degree generators pos.. can still add, capped at
     # n; any even generator among them can add as much as needed.
-    reach = [0] * (count + 1)
-    for pos in range(count - 1, -1, -1):
-        g = gens[pos]
-        reach[pos] = min(n, reach[pos + 1] + g.degree) if g.is_odd else n
-    bits = [1 << sig._odd_pos[g.index] if g.is_odd else 0 for g in gens]
+    reach = [0] * (len(degrees) + 1)
+    for pos in range(len(degrees) - 1, -1, -1):
+        reach[pos] = min(n, reach[pos + 1] + degrees[pos]) if bits[pos] else n
     groups: dict = {}
     evens = [0] * len(sig.even_indices)
 
@@ -472,38 +425,43 @@ def _keys_by_weight(sig: Signature, n: int, weights: Sequence[int], keep=None) -
             return
         if reach[pos] < remaining:
             return
-        g = gens[pos]
-        if g.is_odd:
+        degree = degrees[pos]
+        if bits[pos]:
             rec(pos + 1, remaining, mask, weight)
-            if g.degree <= remaining:
-                rec(pos + 1, remaining - g.degree, mask | bits[pos], weight + weights[pos])
+            if degree <= remaining:
+                rec(pos + 1, remaining - degree, mask | bits[pos], weight + weights[pos])
             return
         q = sig._even_pos[pos]
-        for e in range(remaining // g.degree + 1):
+        for e in range(remaining // degree + 1):
             evens[q] = e
-            rec(pos + 1, remaining - e * g.degree, mask, weight + e * weights[pos])
+            rec(pos + 1, remaining - e * degree, mask, weight + e * weights[pos])
         evens[q] = 0
 
     rec(0, n, 0, 0)
     return groups
 
 
+def basis_of_degree(sig: Signature, n: int) -> tuple:
+    """All monomials of total degree exactly n, lexicographic on exponent vectors.
+
+    Finite for every fixed n even with polynomial generators. The one group
+    of ``_keys_by_weight`` with every weight 0, as ``Monomial``s; cached on
+    the signature.
+    """
+    cached = sig._basis_cache.get(n)
+    if cached is None:
+        keys = _keys_by_weight(sig, n, (0,) * len(sig.generators)).get(0, ())
+        cached = sig._basis_cache[n] = tuple(Monomial(sig, mask, evens) for mask, evens in keys)
+    return cached
+
+
 def basis_dimensions(sig: Signature, upto: int) -> list:
     """``len(basis_of_degree(sig, n))`` for n = 0 .. upto, without enumerating.
 
-    The coefficients of prod_odd (1 + t^d) * prod_even 1 / (1 - t^d) over
-    the generator degrees d: an exterior generator is used at most once, a
-    polynomial one any number of times. ``_weight_dimensions`` refines
-    them by weight.
+    The weight-0 cells of ``_weight_dimensions`` with every weight 0.
     """
-    dims = [1] + [0] * upto
-    for d in sig._odd_degrees:
-        for n in range(upto, d - 1, -1):
-            dims[n] += dims[n - d]
-    for d in sig._even_degrees:
-        for n in range(d, upto + 1):
-            dims[n] += dims[n - d]
-    return dims
+    cells = _weight_dimensions(sig, upto, (0,) * len(sig.generators))
+    return [cell.get(0, 0) for cell in cells]
 
 
 def _weight_dimensions(sig: Signature, upto: int, weights: Sequence[int]) -> list:

@@ -12,8 +12,8 @@ integer keys (odd bitmask, even exponent tuple) with int coefficients where
 they are integral, and a Koszul sign mask per term. d acts on keys alone:
 ``_d_key`` is the one Leibniz expansion, with one popcount per term for its
 sign, and serves ``apply_d`` (hence the d^2 check), which wraps the keys back
-into monomials, ``_d_entries``, which looks the target rows up by key for
-the cached Fraction ``differential_matrix``, and ``_block_columns``.
+into monomials, the cached Fraction ``differential_matrix``, which looks the
+target rows up by key, and ``_block_columns``.
 
 d preserves a torus weight (Kostant 1961): the weight lattice, computed on
 first use and cached, is the integer kernel of w(g) = w(u) over the terms u
@@ -293,36 +293,26 @@ class CDGA:
         if self.truncation is not None and n + 1 > self.truncation:
             raise TruncationError(f"degree {n + 1} exceeds truncation {self.truncation}")
 
-    def _d_entries(self, n: int):
-        """(row, col, coefficient) of d from degree n to degree n + 1.
-
-        Column by column in basis order, each column in the order of its
-        integer expansion on the monomial's key (odd_mask, even_exps); target
-        rows are looked up by the same key. Coefficients are ints where
-        integral. The degree is checked on the first iteration.
-        """
-        self._check_window(n)
-        source = basis_of_degree(self.signature, n)
-        target = basis_of_degree(self.signature, n + 1)
-        row_of = {(m.odd_mask, m.even_exps): i for i, m in enumerate(target)}
-        d_key = self._d_key
-        for col, mono in enumerate(source):
-            for key, val in d_key(mono.odd_mask, mono.even_exps).items():
-                yield row_of[key], col, val
-
     def differential_matrix(self, n: int) -> SparseExactMatrix:
         """Matrix of d from the degree-n basis to the degree-(n+1) basis.
 
-        Column j holds the expansion of d applied to the j-th basis monomial;
-        deterministic given the canonical basis order. Entries are Fractions;
-        the matrix is cached on the CDGA.
+        Column j holds the expansion of d applied to the j-th basis monomial,
+        in the order of ``_d_key`` on its key (odd_mask, even_exps); target
+        rows are looked up by the same key. Deterministic given the canonical
+        basis order. Entries are Fractions; the matrix is cached on the CDGA.
         """
         cached = self._matrix_cache.get(n)
         if cached is None:
-            entries = {(r, c): Fraction(v) for r, c, v in self._d_entries(n)}
-            sig = self.signature
+            self._check_window(n)
+            source = basis_of_degree(self.signature, n)
+            target = basis_of_degree(self.signature, n + 1)
+            row_of = {mono[1:]: i for i, mono in enumerate(target)}
+            entries = {}
+            for col, mono in enumerate(source):
+                for key, val in self._d_key(mono.odd_mask, mono.even_exps).items():
+                    entries[row_of[key], col] = Fraction(val)
             cached = self._matrix_cache[n] = SparseExactMatrix._trusted(
-                len(basis_of_degree(sig, n + 1)), len(basis_of_degree(sig, n)), entries
+                len(target), len(source), entries
             )
         return cached
 

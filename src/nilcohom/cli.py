@@ -445,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=os.cpu_count(),
-        help="most child processes that rank Betti degrees at once (default: "
-        "the CPU count); 1, and models under the size gate, rank in this "
-        "process; results never depend on it",
+        help="most child processes that rank Betti torus-weight shares at once, "
+        "each through every degree (default: the CPU count); 1, and models "
+        "under the size gate, rank in this process; results never depend on it",
     )
     common.add_argument(
         "--unsafe-large",

@@ -21,6 +21,11 @@ from .cdga import CDGA
 from .linalg import ConsistencyError, _extend_echelon, _kernel, _row_pivots
 
 
+def _window_below_top(cdga: CDGA, top: int) -> bool:
+    """Whether the truncation window stops at or below the top degree ``top``."""
+    return cdga.truncation is not None and cdga.truncation <= top
+
+
 def _mirror_top(cdga: CDGA) -> Optional[int]:
     """The top degree when ranks mirror about it, else None.
 
@@ -33,7 +38,7 @@ def _mirror_top(cdga: CDGA) -> Optional[int]:
     if (
         not cdga.signature.is_purely_odd
         or top < 1
-        or (cdga.truncation is not None and cdga.truncation <= top)
+        or _window_below_top(cdga, top)
         or any(cdga._d_key(m, e) for _, m, e in basis_of_degree(cdga.signature, top - 1))
     ):
         return None
@@ -44,7 +49,7 @@ def _degree_range(cdga: CDGA) -> range:
     """Degrees n for which b_n is computable (rank d_n needs basis at n+1)."""
     top = cdga.top_degree()
     if top is not None:
-        if cdga.truncation is not None and cdga.truncation <= top:
+        if _window_below_top(cdga, top):
             return range(cdga.truncation)
         return range(top + 1)
     if cdga.truncation is None:
@@ -300,7 +305,7 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
     ranks = cdga._rank_cache
     per_degree = [dims[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in degrees]
     top = cdga.top_degree()
-    truncated = top is None or (cdga.truncation is not None and cdga.truncation <= top)
+    truncated = top is None or _window_below_top(cdga, top)
     return BettiTable(
         tuple(per_degree), sum(per_degree), cdga.truncation if truncated else None
     )

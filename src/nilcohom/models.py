@@ -230,15 +230,6 @@ class ObstructionReport:
     solution_dimension: int
     fiber_generators: tuple
 
-    def forced_generators(self) -> tuple:
-        """Generators all of whose twist coefficients are forced to zero."""
-        by_gen: dict = {}
-        for g, _ in self.forced_zero:
-            by_gen.setdefault(g, 0)
-            by_gen[g] += 1
-        free_gens = {g for g, _ in self.free}
-        return tuple(g for g in by_gen if g not in free_gens)
-
     def to_json_dict(self) -> dict:
         return {
             "rank": self.rank,

@@ -14,6 +14,7 @@ from nilcohom import (
     elem_mul,
     mono_mul,
 )
+from nilcohom.algebra import Monomial, _keys_by_weight, _weight_dimensions
 
 
 @pytest.fixture
@@ -205,3 +206,37 @@ class TestBasisOfDegree:
         basis = basis_of_degree(sig, n)
         assert [m.exponents() for m in basis] == expected
         assert all(m == sig.monomial(m.exponents()) for m in basis)
+
+    def test_negative_degree_raises_and_caches_nothing(self, odd3):
+        with pytest.raises(ValueError):
+            basis_of_degree(odd3, -1)
+        assert odd3._basis_cache == {}
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(-3, 3)), min_size=1, max_size=6),
+        st.integers(0, 8),
+        st.data(),
+    )
+    def test_weight_walk_matches_brute_force(self, gens, n, data):
+        degrees = [d for d, _ in gens]
+        weights = [w for _, w in gens]
+        sig = Signature([(f"g{i}", d) for i, d in enumerate(degrees)])
+        ranges = [range(2) if d % 2 else range(n // d + 1) for d in degrees]
+        # itertools.product runs in lex order, so each weight's list is in
+        # lex order and the dict's keys in the order of their first vector.
+        expected: dict = {}
+        counts = [{} for _ in range(n + 1)]
+        for exps in itertools.product(*ranges):
+            degree = sum(e * d for e, d in zip(exps, degrees))
+            if degree > n:
+                continue
+            weight = sum(e * w for e, w in zip(exps, weights))
+            counts[degree][weight] = counts[degree].get(weight, 0) + 1
+            if degree == n:
+                expected.setdefault(weight, []).append(exps)
+        keep = data.draw(st.none() | st.sets(st.sampled_from(sorted(expected) + [25])))
+        groups = _keys_by_weight(sig, n, weights, keep)
+        assert [
+            (w, [Monomial(sig, *key).exponents() for key in keys]) for w, keys in groups.items()
+        ] == [(w, v) for w, v in expected.items() if keep is None or w in keep]
+        assert _weight_dimensions(sig, n, weights) == counts
