@@ -252,26 +252,26 @@ def _cmd_trc(args):
             scan = scan_minimal_counterexample(args.max_n)
             outputs = {"scan": scan.to_json_dict()}
             tabular = (["n", "inequality_holds"], [list(v) for v in scan.verdicts])
-        elif args.xr is not None:
-            cert = certificate_xr(args.xr)
-            outputs = {"xr_certificate": cert.to_json_dict()}
-            tabular = (["field", "value"], sorted(outputs["xr_certificate"].items()))
-        else:
-            if args.product is not None:
-                rs = _ints(args.product)
-                if sum(r + 2 for r in rs) > MAX_GENERATORS and not args.unsafe_large:
-                    raise UsageError("product too large; pass --unsafe-large")
-                cert = certificate_xr_product(rs)
-                outputs = {"xr_certificate": cert.to_json_dict()}
-                tabular = (["field", "value"], sorted(outputs["xr_certificate"].items()))
+        elif args.xr is not None or args.product is not None:
+            if args.xr is not None:
+                cert = certificate_xr(args.xr)
             else:
-                lo, hi = args.ratio_range
-                entries = [e.to_json_dict() for e in ratio_table(range(lo, hi + 1))]
-                outputs = {"ratio_table": entries}
-                tabular = (
-                    ["n", "k", "d(n,k)", "ratio"],
-                    [[e["n"], e["k"], e["d_nk"], e["ratio_decimal"]] for e in entries],
-                )
+                cert = certificate_xr_product(_ints(args.product))
+            outputs = {"xr_certificate": cert.to_json_dict()}
+            # Render every value here, total_betti included, so a total past
+            # the int-to-str digit limit is refused as a too-long power is.
+            tabular = (
+                ["field", "value"],
+                [[k, str(v)] for k, v in sorted(outputs["xr_certificate"].items())],
+            )
+        else:
+            lo, hi = args.ratio_range
+            entries = [e.to_json_dict() for e in ratio_table(range(lo, hi + 1))]
+            outputs = {"ratio_table": entries}
+            tabular = (
+                ["n", "k", "d(n,k)", "ratio"],
+                [[e["n"], e["k"], e["d_nk"], e["ratio_decimal"]] for e in entries],
+            )
     except ValueError as err:
         raise UsageError(str(err)) from None
     inputs = {
@@ -376,7 +376,10 @@ def _cmd_verify(args):
             elems.append(parse_element(model.signature, stripped))
     # Rank the Betti table with the user's --jobs; verify_classes reuses it.
     betti(model, jobs=args.jobs)
-    report = verify_classes(model, elems)
+    try:
+        report = verify_classes(model, elems)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
     outputs = {
         "name": model.name,
         "count": len(elems),

@@ -151,6 +151,52 @@ class TestTrcCommand:
         cert = report["outputs"]["xr_certificate"]
         assert cert["total_betti"] == 676 and cert["verdict"] is True
 
+    def test_five_factor_product_certificate(self, capsys):
+        report = run_json(capsys, "trc", "--product", "5,5,5,5,5")
+        cert = report["outputs"]["xr_certificate"]
+        assert cert["fiber_rank"] == 25
+        assert cert["total_betti"] == 11881376
+        assert cert["power"] == "33554432"
+        assert cert["verdict"] is True
+        assert cert["factors"] == [5, 5, 5, 5, 5]
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "product",
+        [",".join(["9"] * 1600), ",".join(["0"] * 7200)],
+        ids=["power-2^14400", "total-4^7200"],
+    )
+    def test_unrenderable_product_exits_2(self, capsys, product, fmt):
+        code, out, err = run_cli(capsys, "trc", "--product", product, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert "Exceeds the limit" in err
+        assert "Traceback" not in err
+
+    def test_product_ranks_each_distinct_factor_once(self, capsys, monkeypatch):
+        from nilcohom import trc
+
+        seen = []
+        real_betti = trc.betti
+
+        def recording_betti(model, jobs=None):
+            seen.append(model.name)
+            return real_betti(model, jobs=jobs)
+
+        monkeypatch.setattr(trc, "betti", recording_betti)
+        report = run_json(capsys, "trc", "--product", "5,3,5,5,3")
+        assert sorted(seen) == ["xr3", "xr5"]
+        assert report["outputs"]["xr_certificate"]["total_betti"] == 26**3 * 12**2
+
+    @pytest.mark.parametrize("product", ["5", "10,1"])
+    def test_product_argument_checks_exit_2(self, capsys, product):
+        code, out, err = run_cli(capsys, "trc", "--product", product)
+        assert code == 2
+        assert out == ""
+
     def test_ratio_range(self, capsys):
         report = run_json(capsys, "trc", "--ratio-range", "5", "6")
         decimals = [e["ratio_decimal"] for e in report["outputs"]["ratio_table"]]
@@ -260,6 +306,17 @@ class TestVerifyCommand:
         assert verdict["independent"] is False
         assert verdict["dependency"] is not None
         assert 2 in [m["degree"] for m in verdict["missing_degrees"]]
+
+    @pytest.mark.parametrize("line", ["a + a*b", "0"])
+    def test_inhomogeneous_or_zero_class_exits_2(self, capsys, tmp_path, line):
+        path = tmp_path / "classes.txt"
+        path.write_text(line + "\n")
+        code, out, err = run_cli(
+            capsys, "verify", "--builtin", "xr:5", "--classes", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: element 0 is not homogeneous\n"
 
     @pytest.mark.parametrize("jobs", [None, "1", "3"])
     def test_jobs_reach_betti(self, capsys, monkeypatch, jobs):

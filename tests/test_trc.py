@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,7 +17,18 @@ from nilcohom import (
     stirling_threshold,
     trc_inequality,
 )
-from nilcohom.trc import default_k
+from nilcohom.cohomology import betti, tensor_product
+from nilcohom.models import xr_model
+from nilcohom.trc import XrCertificate, default_k
+
+# Every shape of two to four X_r factors with at most 10 generators (r + 2 per
+# factor), so each folded tensor model has at most 2^10 monomials.
+SMALL_PRODUCTS = tuple(
+    shape
+    for factors in (2, 3, 4)
+    for shape in itertools.combinations_with_replacement(range(9, -1, -1), factors)
+    if sum(shape) + 2 * factors <= 10
+)
 
 
 class TestFactorials:
@@ -149,3 +161,40 @@ class TestXrCertificates:
     def test_direct_range_enforced(self):
         with pytest.raises(ValueError):
             certificate_xr(10)
+
+
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestKunnethProducts:
+    def test_shape_count(self):
+        assert len(SMALL_PRODUCTS) == 31
+
+    @pytest.mark.parametrize("shape", SMALL_PRODUCTS, ids=lambda s: ",".join(map(str, s)))
+    def test_matches_tensor_model(self, shape):
+        model = xr_model(shape[0])
+        for r in shape[1:]:
+            model = tensor_product(model, xr_model(r))
+        table = betti(model)
+        rank = sum(shape)
+        assert certificate_xr_product(shape) == XrCertificate(
+            fiber_rank=rank,
+            total_betti=table.total,
+            power=2**rank,
+            verdict=table.total < 2**rank,
+            factors=shape,
+        )
+        row = [1]
+        for r in shape:
+            row = _convolve(row, betti(xr_model(r)).per_degree)
+        assert list(table.per_degree) == row
+
+    @pytest.mark.parametrize("rs", [[5], [], [10, 1], [5, -1]])
+    def test_argument_checks(self, rs):
+        with pytest.raises(ValueError):
+            certificate_xr_product(rs)
