@@ -356,22 +356,28 @@ class Element:
         return self._hash
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            if c == 1 and not m.is_unit():
-                parts.append(repr(m))
-            elif c == -1 and not m.is_unit():
-                parts.append(f"-{m!r}")
-            elif m.is_unit():
-                parts.append(str(c))
-            else:
-                parts.append(f"{c}*{m!r}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_sum((c, "" if m.is_unit() else repr(m)) for m, c in self.sorted_terms())
+
+
+def _signed_sum(terms: Iterable) -> str:
+    """Join nonzero (coefficient, word) pairs as "a - 2*b + 1/2*c"; an empty
+    word is the unit and shows its coefficient alone. "0" when empty."""
+    parts = []
+    for c, word in terms:
+        if not word:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(word)
+        elif c == -1:
+            parts.append(f"-{word}")
+        else:
+            parts.append(f"{c}*{word}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
 
 def elem_mul(e1: Element, e2: Element) -> Element:

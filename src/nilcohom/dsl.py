@@ -240,25 +240,16 @@ class _LineParser:
             if rat is None:
                 return None
             coeff *= rat
-            nxt = self.peek()
-            if nxt is not None and nxt.text == "*":
-                self.next()
-                if not self._parse_factors(factors):
-                    return None
         elif _NAME_RE.match(tok.text):
             factors.append(tok)
-            nxt = self.peek()
-            while nxt is not None and nxt.text == "*":
-                self.next()
-                name_tok = self.next()
-                if name_tok is None or not _NAME_RE.match(name_tok.text):
-                    self.error("syntax", "expected generator name after '*'", name_tok)
-                    return None
-                factors.append(name_tok)
-                nxt = self.peek()
         else:
             self.error("syntax", "expected term", tok)
             return None
+        nxt = self.peek()
+        if nxt is not None and nxt.text == "*":
+            self.next()
+            if not self._parse_factors(factors):
+                return None
         return TermAst(
             coeff,
             tuple(t.text for t in factors),
@@ -360,15 +351,8 @@ def parse(text: str) -> ParseResult:
             for term in expr.terms:
                 for factor_tok in term.name_tokens:
                     if factor_tok.text not in declared:
-                        diags.append(
-                            Diagnostic(
-                                "unknown-generator",
-                                f"unknown generator {factor_tok.text!r}",
-                                factor_tok.line,
-                                factor_tok.column,
-                                factor_tok.text,
-                            )
-                        )
+                        message = f"unknown generator {factor_tok.text!r}"
+                        lp.error("unknown-generator", message, factor_tok)
                         bad = True
             if bad:
                 continue
@@ -554,15 +538,8 @@ def parse_element(sig: Signature, text: str) -> Element:
         for term in expr.terms:
             for factor_tok in term.name_tokens:
                 if factor_tok.text not in sig:
-                    diags.append(
-                        Diagnostic(
-                            "unknown-generator",
-                            f"unknown generator {factor_tok.text!r}",
-                            factor_tok.line,
-                            factor_tok.column,
-                            factor_tok.text,
-                        )
-                    )
+                    message = f"unknown generator {factor_tok.text!r}"
+                    lp.error("unknown-generator", message, factor_tok)
     if diags or expr is None:
         raise DslValidationError(diags or [Diagnostic("syntax", "empty expression", 1, 1)])
     return _expr_to_element(sig, expr)

@@ -1,14 +1,16 @@
 """Finite-dimensional nilpotent Lie algebra presentations and their dual CDGAs.
 
 Structure constants are stored for index pairs i < j only; antisymmetry is
-built in. The Jacobi identity is checked exhaustively over basis triples at
-construction, so downstream consumers can rely on a legal bracket. The two
-dualizations implemented here are inverse to each other on quadratic,
-purely-odd cochain algebras: the bracket-to-differential rule
+built in. The two dualizations implemented here are inverse to each other on
+quadratic, purely-odd cochain algebras: the bracket-to-differential rule
 
     d x_k = - sum_{i<j} c_{i,j}^k  x_i x_j
 
 and the differential-to-bracket rule reading the same constants back off.
+Since d^2 = 0 on the cochains exactly when the bracket satisfies Jacobi,
+construction builds the cochain CDGA of every presentation, nilpotent or
+not, and lets the CDGA's own d^2 check decide; so downstream consumers can
+rely on a legal bracket.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .algebra import Element, Monomial, Signature
-from .cdga import CDGA
+from .algebra import Element, Monomial, Signature, _signed_sum
+from .cdga import CDGA, DifferentialError
 from .linalg import SparseExactMatrix, rank_exact
+from .models import _pairs
 
 
 class JacobiError(ValueError):
@@ -89,23 +92,19 @@ class LiePresentation:
         return out
 
     def _check_jacobi(self) -> None:
-        n = len(self.basis)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    acc: dict = {}
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.bracket_basis(a, b)
-                        for l, coeff in inner.items():
-                            for m, d in self.bracket_basis(l, c).items():
-                                s = acc.get(m, 0) + coeff * d
-                                if s:
-                                    acc[m] = s
-                                else:
-                                    acc.pop(m, None)
-                    if acc:
-                        names = (self.basis[i], self.basis[j], self.basis[k])
-                        raise JacobiError(f"Jacobi fails on triple {names}")
+        """Build the cochain CDGA on names g0, g1, ...; its d^2 check decides.
+
+        d^2 x_m is a sum over the triples i < j < k whose Jacobiator has a
+        nonzero m-th component, so each term x_i x_j x_k of the residue names
+        a failing triple; the lexicographically least one is reported.
+        """
+        try:
+            _cochains(self, [f"g{i}" for i in range(len(self.basis))], self.name)
+        except DifferentialError as err:
+            masks = [mono.odd_mask for mono in err.violation.residue.terms]
+            i, j, k = min(tuple(b for b in range(m.bit_length()) if m >> b & 1) for m in masks)
+            names = (self.basis[i], self.basis[j], self.basis[k])
+            raise JacobiError(f"Jacobi fails on triple {names}") from None
 
     # ---- series and flags ----------------------------------------------------
 
@@ -166,10 +165,7 @@ def u_n_presentation(n: int) -> LiePresentation:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    pairs = sorted(
-        ((i, j) for i in range(1, n + 1) for j in range(1, i)),
-        key=lambda ij: (ij[0] - ij[1], ij[1]),
-    )
+    pairs = _pairs(n)
     index = {ij: pos for pos, ij in enumerate(pairs)}
     basis = [f"X_{i}_{j}" for (i, j) in pairs]
     brackets: dict = {}
@@ -214,24 +210,6 @@ class CenterReport:
         }
 
 
-def _render_combination(basis: Sequence[str], vec: Sequence) -> str:
-    parts = []
-    for i, c in enumerate(vec):
-        if not c:
-            continue
-        if c == 1:
-            term = basis[i]
-        elif c == -1:
-            term = f"-{basis[i]}"
-        else:
-            term = f"{c}*{basis[i]}"
-        parts.append(term)
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
-
-
 def center(L: LiePresentation) -> CenterReport:
     """Kernel of v -> ([v, X_b])_b, solved exactly; no reliance on the basis
     containing a central element."""
@@ -243,7 +221,9 @@ def center(L: LiePresentation) -> CenterReport:
                 entries[(b * n + k, i)] = c
     result = rank_exact(SparseExactMatrix(n * n, n, entries))
     vectors = result.kernel_basis
-    descriptions = tuple(_render_combination(L.basis, v) for v in vectors)
+    descriptions = tuple(
+        _signed_sum((c, L.basis[i]) for i, c in enumerate(v) if c) for v in vectors
+    )
     return CenterReport(len(vectors), vectors, descriptions)
 
 
@@ -271,13 +251,21 @@ def chevalley_eilenberg(L: LiePresentation, name: Optional[str] = None) -> CDGA:
     per basis element, differential dual to the bracket.
 
     Generator names are the lowercased basis names when those stay unique,
-    otherwise the basis names verbatim. d^2 = 0 is equivalent to Jacobi and
-    is re-verified by construction.
+    otherwise the basis names verbatim. d^2 = 0 is equivalent to Jacobi:
+    ``LiePresentation`` decided Jacobi by building this same differential,
+    and the CDGA constructor checks d^2 = 0 once more here.
     """
     if not L.is_nilpotent:
         raise ValueError("presentation is not nilpotent")
     lowered = [_dual_name_down(b) for b in L.basis]
     gen_names = lowered if len(set(lowered)) == len(lowered) else list(L.basis)
+    return _cochains(L, gen_names, name or f"{L.name}_cochains")
+
+
+def _cochains(L: LiePresentation, gen_names: Sequence[str], name: str) -> CDGA:
+    """The cochain CDGA of ``L`` on generators ``gen_names``: one odd degree-1
+    generator per basis element, d x_k = - sum_{i<j} c_{i,j}^k x_i x_j.
+    The CDGA constructor checks d^2 = 0, that is Jacobi."""
     sig = Signature([(g, 1) for g in gen_names])
     diffs = {g: Element.zero(sig) for g in gen_names}
     by_target: dict = {}
@@ -288,7 +276,7 @@ def chevalley_eilenberg(L: LiePresentation, name: Optional[str] = None) -> CDGA:
         diffs[gen_names[k]] = Element(
             sig, {Monomial(sig, (1 << i) | (1 << j), ()): c for (i, j), c in terms.items()}
         )
-    return CDGA(sig, diffs, name=name or f"{L.name}_cochains")
+    return CDGA(sig, diffs, name=name)
 
 
 def dual_homotopy_lie(c: CDGA, name: Optional[str] = None) -> LiePresentation:

@@ -259,6 +259,15 @@ class TestCenterCommand:
         code, out, err = run_cli(capsys, "center", "--builtin", "xr:5")
         assert code == 2
 
+    def test_jacobi_failure_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "broken.cdga"
+        path.write_text("lie broken\nbasis E1 E2 E3\nbracket E1 E2 = E3\nbracket E1 E3 = E1\n")
+        code, out, err = run_cli(capsys, "center", str(path))
+        assert code == 2
+        assert out == ""
+        assert ": jacobi: Jacobi fails on triple ('E1', 'E2', 'E3')" in err
+        assert "Traceback" not in err
+
 
 class TestShiftCommand:
     def test_totals_agree(self, capsys):

@@ -1,6 +1,11 @@
+import ast
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nilcohom import (
     JacobiError,
@@ -17,6 +22,7 @@ from nilcohom import (
     upper_tri_model,
     xr_model,
 )
+from conftest import seeded_two_step_cdgas
 
 
 class TestUnPresentation:
@@ -53,6 +59,113 @@ class TestUnPresentation:
                 ["e1", "e2", "e3"],
                 {(0, 1): {2: 1}, (0, 2): {0: 1}},
             )
+
+
+def _bracket(brackets: dict, a: int, b: int) -> dict:
+    if a < b:
+        return brackets.get((a, b), {})
+    if a > b:
+        return {k: -c for k, c in brackets.get((b, a), {}).items()}
+    return {}
+
+
+def jacobiator(brackets: dict, i: int, j: int, k: int) -> dict:
+    """[[X_i, X_j], X_k] + [[X_j, X_k], X_i] + [[X_k, X_i], X_j], by brute force."""
+    acc: dict = {}
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for l, x in _bracket(brackets, a, b).items():
+            for m, y in _bracket(brackets, l, c).items():
+                acc[m] = acc.get(m, 0) + x * y
+    return {m: v for m, v in acc.items() if v}
+
+
+def jacobi_holds(n: int, brackets: dict) -> bool:
+    return not any(jacobiator(brackets, *t) for t in itertools.combinations(range(n), 3))
+
+
+def check_against_oracle(basis: list, brackets: dict) -> None:
+    """Construction raises JacobiError exactly when the oracle finds a
+    nonzero Jacobiator, and the triple it names has one."""
+    try:
+        LiePresentation(basis, brackets)
+    except JacobiError as err:
+        named = ast.literal_eval(str(err).split("triple ", 1)[1])
+        i, j, k = (basis.index(b) for b in named)
+        assert i < j < k
+        assert jacobiator(brackets, i, j, k), err
+        return
+    assert jacobi_holds(len(basis), brackets)
+
+
+def _legal_presentations() -> list:
+    out = [u_n_presentation(n) for n in range(2, 9)]
+    out += [abelian_presentation(k) for k in range(1, 7)]
+    out += [dual_homotopy_lie(xr_model(r)) for r in range(10)]
+    out += [dual_homotopy_lie(model) for model in seeded_two_step_cdgas()]
+    return out
+
+
+LEGAL = _legal_presentations()
+
+
+def _one_constant_changed(L: LiePresentation, seed: int) -> dict:
+    rng = random.Random(seed)
+    n = len(L.basis)
+    i, j = sorted(rng.sample(range(n), 2))
+    k = rng.randrange(n)
+    brackets = {ij: dict(entry) for ij, entry in L.brackets.items()}
+    entry = brackets.setdefault((i, j), {})
+    entry[k] = entry.get(k, 0) + rng.choice([1, -1, 2, Fraction(1, 2)])
+    return brackets
+
+
+class TestJacobiOracle:
+    @pytest.mark.parametrize("L", LEGAL, ids=lambda L: L.name)
+    def test_legal_presentations_satisfy_the_oracle(self, L):
+        assert jacobi_holds(len(L.basis), L.brackets)
+        check_against_oracle(list(L.basis), L.brackets)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "L", [L for L in LEGAL if len(L.basis) >= 2], ids=lambda L: L.name
+    )
+    def test_one_constant_changed(self, L, seed):
+        check_against_oracle(list(L.basis), _one_constant_changed(L, seed))
+
+    def test_changed_constants_break_jacobi_somewhere(self):
+        broken = sum(
+            not jacobi_holds(len(L.basis), _one_constant_changed(L, seed))
+            for L in LEGAL
+            if len(L.basis) >= 2
+            for seed in range(3)
+        )
+        assert broken >= 50
+
+    @given(st.data())
+    def test_drawn_brackets(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        coeff = st.sampled_from([0, 1, -1, 2, Fraction(1, 2)])
+        brackets = {
+            ij: data.draw(st.dictionaries(st.integers(0, n - 1), coeff, max_size=2), label=str(ij))
+            for ij in itertools.combinations(range(n), 2)
+        }
+        check_against_oracle([f"E{i}" for i in range(1, n + 1)], brackets)
+
+    def test_basis_names_need_not_be_generator_names(self):
+        # cochains are built on synthetic names, so a basis of arbitrary strings works
+        L = LiePresentation(["[x,y]", "x", "y"], {(1, 2): {0: 1}})
+        assert center(L).descriptions == ("[x,y]",)
+        with pytest.raises(JacobiError, match=r"\('g1', 'x y', '1'\)"):
+            LiePresentation(["g1", "x y", "1"], {(0, 1): {2: 1}, (0, 2): {0: 1}})
+
+    def test_least_triple_of_the_residue_is_named(self):
+        # d^2 of the fourth cochain is -x1 x2 x4 - 2 x1 x2 x3: both (e1,e2,e4)
+        # and (e1,e2,e3) fail, and the lexicographically least is named
+        basis = ["e1", "e2", "e3", "e4"]
+        brackets = {(0, 1): {3: 1}, (0, 2): {0: 1}, (0, 3): {0: 1}, (1, 2): {1: 1}}
+        with pytest.raises(JacobiError, match=r"\('e1', 'e2', 'e3'\)"):
+            LiePresentation(basis, brackets)
+        check_against_oracle(basis, brackets)
 
 
 class TestCenter:
