@@ -23,6 +23,13 @@ builds no ``Monomial``, and ``_block_columns`` expands d on one block into
 uncached integer columns keyed by target monomial. That is how
 ``cohomology.betti`` ranks a degree, block by block, dropping the sources
 that the pivots of the degree below clear.
+
+A model constructor may attach a symmetry sigma, a signed involution of the
+generators that keeps degrees (``_symmetry``). It is data that is checked,
+not trusted: on first use of the lattice the CDGA checks sigma(d g) =
+d sigma(g) exactly for every generator and refuses sigma otherwise. Such a
+sigma maps the block of weight w onto the block of weight sigma(w) and
+intertwines d on them, so ``betti`` ranks one block of each pair.
 """
 
 from __future__ import annotations
@@ -114,14 +121,19 @@ class _Weights:
 
     ``rank`` is the lattice rank, ``generators`` the packed weight of each
     generator in signature order, so that adding packed weights adds weight
-    vectors.
+    vectors. ``mirrors`` is the packed weight of sigma(g) for each generator
+    g when the CDGA carries a checked symmetry sigma, else None. ``span`` is
+    a power of two above twice the size of every packed weight of a
+    monomial in the window, so that w + span * v keeps w and v apart.
     """
 
-    __slots__ = ("rank", "generators")
+    __slots__ = ("rank", "generators", "mirrors", "span")
 
-    def __init__(self, rank: int, generators: tuple):
+    def __init__(self, rank: int, generators: tuple, mirrors: Optional[tuple], span: int):
         self.rank = rank
         self.generators = generators
+        self.mirrors = mirrors
+        self.span = span
 
 
 # ``betti`` ranks by weight only when some degree it ranks has at least this
@@ -149,6 +161,7 @@ class CDGA:
         "_matrix_cache",
         "_rank_cache",
         "_weights",
+        "_symmetry",
     )
 
     def __init__(
@@ -190,6 +203,9 @@ class CDGA:
         self._matrix_cache: dict = {}
         self._rank_cache: dict = {}
         self._weights: Optional[_Weights] = None
+        # One (index, sign) per generator g, sigma(g) = sign * generators[index];
+        # attached by a model constructor, checked by ``_weight_lattice``.
+        self._symmetry: Optional[tuple] = None
         violation = self._d_squared_violation()
         if violation is not None:
             raise DifferentialError(f"d^2 != 0: {violation}", violation)
@@ -324,7 +340,8 @@ class CDGA:
         every term u of every d g. Kernel vector j is coordinate j of the
         weight; each generator's coordinates are packed into one int in
         base 2^bits, with bits wide enough that every monomial of the
-        window keeps its coordinates apart, signs included.
+        window keeps its coordinates apart, signs included. A symmetry
+        sigma is checked here (``_check_symmetry``), before any use.
         """
         if self._weights is None:
             sig = self.signature
@@ -350,8 +367,54 @@ class CDGA:
             for j, v in enumerate(vectors):
                 for i, c in v.items():
                     packed[i] += c.numerator << bits * j
-            self._weights = _Weights(len(vectors), tuple(packed))
+            mirrors = None
+            if self._symmetry is not None:
+                self._check_symmetry()
+                mirrors = tuple(packed[j] for j, _ in self._symmetry)
+            self._weights = _Weights(len(vectors), tuple(packed), mirrors, 1 << bits * len(vectors))
         return self._weights
+
+    def _check_symmetry(self) -> None:
+        """Raise ValueError unless ``_symmetry`` is a signed involution of
+        the generators that keeps degrees and commutes with d, exactly.
+
+        sigma extends to an algebra map, Koszul signs included, and
+        sigma(d g) = d sigma(g) on every generator g makes it commute with d
+        everywhere, by the derivation property.
+        """
+        sig = self.signature
+        gens = sig.generators
+        sigma = self._symmetry
+        if sorted(j for j, _ in sigma) != list(range(len(gens))):
+            raise ValueError("symmetry is not a permutation of the generators")
+        for g, (j, s) in zip(gens, sigma):
+            if s not in (1, -1) or sigma[j] != (g.index, s):
+                raise ValueError(f"symmetry is not a signed involution at {g.name!r}")
+            if gens[j].degree != g.degree:
+                raise ValueError(f"symmetry maps {g.name!r} to degree {gens[j].degree}")
+        images = [Element.generator(sig, gens[j].name).scale(s) for j, s in sigma]
+        for g, (j, s) in zip(gens, sigma):
+            mapped = Element.zero(sig)
+            for mono, c in self._diff[g.index].terms.items():
+                term = Element.unit(sig, c)
+                for h, e in mono.factors():
+                    for _ in range(e):
+                        term = term * images[h.index]
+                mapped = mapped + term
+            if mapped != self._diff[j].scale(s):
+                raise ValueError(f"symmetry does not commute with d at {g.name!r}")
+
+    def _mirror_weight(self, key) -> int:
+        """The packed weight of sigma applied to the monomial key (odd_mask, even_exps)."""
+        sig = self.signature
+        mirrors = self._weight_lattice().mirrors
+        mask, evens = key
+        weight = sum(e * mirrors[i] for i, e in zip(sig.even_indices, evens))
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            weight += mirrors[sig.odd_indices[low.bit_length() - 1]]
+        return weight
 
     def _by_weight(self, dims) -> bool:
         """Whether ``betti`` ranks degrees of these dimensions by torus weight.

@@ -70,6 +70,15 @@ def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None) -> tupl
     ``share``, a set of weights, only the blocks of those weights are ranked
     and counted; the counts are of the sources before clearing.
 
+    Orbits: when the CDGA carries a checked symmetry sigma, the block of
+    weight w and the block of sigma(w) have equal ranks and sizes, sigma
+    being a chain isomorphism between them. sigma(w) is the weight of the
+    sigma-image of the block's first key. A block with w > sigma(w) is
+    skipped; one with w < sigma(w) is ranked and counted twice, sources
+    and rank, so the counts still add up to dim_n; a block with w =
+    sigma(w) is ranked once. The representatives do not depend on the
+    degree, so each kept pivot set clears a ranked block one degree up.
+
     Clearing (Chen-Kerber 2011): when d_(n-1) was ranked just before, the
     pivot targets of each of its blocks, degree-n monomials of the block's
     weight, are dropped from that block's sources at degree n before d is
@@ -80,6 +89,7 @@ def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None) -> tupl
     ranks: dict = {}
     counts: dict = {}
     pivot_keys: dict = {}
+    orbits = by_weight and cdga._weight_lattice().mirrors is not None
     for n in degrees:
         blocks = cdga._blocks(n, by_weight, share)
         cleared = pivot_keys if n - 1 in ranks else {}
@@ -88,11 +98,17 @@ def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None) -> tupl
         rank = count = 0
         for weight in list(blocks):
             keys = blocks.pop(weight)
-            count += len(keys)
+            copies = 1
+            if orbits:
+                partner = cdga._mirror_weight(keys[0])
+                if partner < weight:
+                    continue
+                copies = 1 if partner == weight else 2
+            count += copies * len(keys)
             drop = cleared.pop(weight, None)
             columns = cdga._block_columns([k for k in keys if k not in drop] if drop else keys)
             pivots = _row_pivots(columns, split=not by_weight)
-            rank += len(pivots)
+            rank += copies * len(pivots)
             if clears_next:
                 pivot_keys[weight] = {key for _, key in pivots}
         ranks[n] = rank
@@ -104,7 +120,12 @@ def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None) -> tupl
 # monomials. Measured on a 2-core VM with weight shares and clearing: at
 # 1024..1562 monomials (X_9, u_7 truncated at 4) forking lost 15..76%, at
 # 1941 (u_6 truncated at 5) it broke even, and at 4944..7547 (u_6 truncated
-# at 6, u_7 at 5) it saved 17..28%.
+# at 6, u_7 at 5) it saved 17..28%. Measured again with orbit ranking, the
+# same truncated u_n given the anti-transpose symmetry, medians of 7
+# alternating runs, two runs each: u_7 truncated at 4 lost 5..60%, u_6
+# truncated at 5 saved 4..9%, at 6 24..26%, u_7 truncated at 5 9..19%, and
+# the 15-generator fiber of split_at_k(7, 3) 28..31%. Halving the serial
+# work did not move the break-even past 2000.
 FORK_MIN_MONOMIALS = 2000
 
 
@@ -139,17 +160,33 @@ def _shares(cost: dict, workers: int) -> list:
 
 
 def _weight_shares(cdga: CDGA, degrees: list, workers: int) -> list:
-    """The torus weights of ``degrees``, dealt into ``workers`` shares by ``_shares``.
+    """The torus weights ``_rank_blocks`` ranks in ``degrees``, dealt into
+    ``workers`` shares by ``_shares``.
 
     A weight costs the sum over ``degrees`` of dim(n, w)^2, counted from the
-    weight-graded generating function without enumerating a basis.
+    weight-graded generating function without enumerating a basis. With a
+    symmetry sigma only the orbit representatives, w <= sigma(w), are
+    dealt, each at its own cost: the cells are counted with the packed
+    weight w + span * sigma(w) of each generator, which carries both
+    weights of every monomial.
     """
-    weights = cdga._weight_lattice().generators
+    lattice = cdga._weight_lattice()
+    weights, mirrors, span = lattice.generators, lattice.mirrors, lattice.span
+    if mirrors is not None:
+        weights = [w + span * m for w, m in zip(weights, mirrors)]
     cells = _weight_dimensions(cdga.signature, degrees[-1], weights)
     cost: dict = {}
     for n in degrees:
         for weight, count in cells[n].items():
             cost[weight] = cost.get(weight, 0) + count * count
+    if mirrors is not None:
+        half = span // 2
+        representatives = {}
+        for pair, c in cost.items():
+            weight = (pair + half) % span - half
+            if weight <= (pair - weight) // span:
+                representatives[weight] = c
+        cost = representatives
     return _shares(cost, workers)
 
 
@@ -275,12 +312,17 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
     of the same weight one degree down, which leaves the rank as it is. A
     degree whose rank d_(n-1) was already cached, by ``representatives`` or
     ``verify_classes``, has no pivots below it and is ranked uncleared.
+    When the CDGA carries a symmetry sigma (u_n and the models of
+    ``split_at_k``), checked exactly on first use, blocks w and sigma(w)
+    have equal ranks: only the block of each pair with w <= sigma(w) is
+    ranked, and one with w < sigma(w) counts twice.
 
     With ``jobs`` >= 2, ``os.fork`` available, a single running thread,
     blocks by weight and at least ``FORK_MIN_MONOMIALS`` basis monomials in
     the degrees left to rank, min(jobs, usable CPUs) forked child processes
-    rank them. Each deals the weights longest first, by the sum over n of
-    dim(n, w)^2 from the weight-graded generating function, takes its own
+    rank them. Each deals the weights (with sigma, the orbit
+    representatives) longest first, by the sum over n of dim(n, w)^2 from
+    the weight-graded generating function, takes its own
     share, ranks it through every degree left, clearing as it goes, and
     sends back per-degree partial ranks and source counts, which the parent
     adds up and checks against dim_n. Otherwise, and always with the

@@ -549,12 +549,13 @@ def parse_element(sig: Signature, text: str) -> Element:
 # serialization
 
 
-def _render_coeff_terms(parts: list) -> str:
-    """Join (coefficient, body) pairs with +/- separators; magnitude 1 omitted."""
+def _render_coeff_terms(parts: list, omit_one: bool = True) -> str:
+    """Join (coefficient, body) pairs with +/- separators; a magnitude of 1
+    is omitted unless ``omit_one`` is False (bracket values print "1 * X")."""
     rendered = []
     for coeff, body in parts:
         mag = abs(coeff)
-        if body and mag == 1:
+        if body and mag == 1 and omit_one:
             piece = body
         elif body:
             piece = f"{mag} * {body}"
@@ -598,13 +599,7 @@ def _serialize_lie(L: LiePresentation) -> str:
         entry = L.brackets[(i, j)]
         # written as [X_j, X_i] with j > i, matching the matrix bracket tables
         parts = [(-entry[k], L.basis[k]) for k in sorted(entry)]
-        rendered = []
-        for coeff, name in parts:
-            piece = f"{abs(coeff)} * {name}"
-            rendered.append((coeff < 0, piece))
-        body = ("-" if rendered[0][0] else "") + rendered[0][1]
-        for negative, piece in rendered[1:]:
-            body += (" - " if negative else " + ") + piece
+        body = _render_coeff_terms(parts, omit_one=False)
         lines.append(f"bracket {L.basis[j]} {L.basis[i]} = {body}")
     return "\n".join(lines) + "\n"
 

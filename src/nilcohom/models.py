@@ -54,6 +54,13 @@ def _tri_cdga(n: int, pairs: Sequence, fiber_floor: Optional[int], name: str) ->
     With ``fiber_floor`` set to k-1 the sum keeps only terms whose both
     factors have off-diagonal distance >= k-1 (the projected differential on
     the fiber generators).
+
+    The model carries the symmetry sigma(x_i_j) = -x_(n+1-j)_(n+1-i), the
+    dual of the anti-transpose automorphism, as private data. It keeps the
+    off-diagonal distance i - j, so every ``pairs`` given here (all of u_n,
+    the base and the fiber of ``split_at_k``) is closed under it. The CDGA
+    checks that sigma commutes with d before ``betti`` ranks one torus-weight
+    block per sigma-orbit; a rebuild through ``CDGA(...)`` drops it.
     """
     index = {ij: pos for pos, ij in enumerate(pairs)}
     sig = Signature([(f"x_{i}_{j}", 1) for (i, j) in pairs])
@@ -71,7 +78,9 @@ def _tri_cdga(n: int, pairs: Sequence, fiber_floor: Optional[int], name: str) ->
             mono = Monomial(sig, (1 << lo) | (1 << hi), ())
             terms[mono] = terms.get(mono, 0) - sign
         diffs[f"x_{i}_{j}"] = Element(sig, terms)
-    return CDGA(sig, diffs, name=name)
+    cdga = CDGA(sig, diffs, name=name)
+    cdga._symmetry = tuple((index[n + 1 - j, n + 1 - i], -1) for (i, j) in pairs)
+    return cdga
 
 
 def upper_tri_model(n: int) -> CDGA:

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import json
+import math
 import os
 import random
 import threading
@@ -40,9 +42,10 @@ from nilcohom.cohomology import (
     _mirror_top,
     _rank_blocks,
     _shares,
+    _weight_shares,
 )
-from nilcohom.dsl import parse_element, render_element
-from nilcohom.linalg import _components, _integer_rows, _kernel, _quotient
+from nilcohom.dsl import parse, parse_element, render_element, serialize, to_cdga
+from nilcohom.linalg import _components, _integer_rows, _kernel, _quotient, _row_pivots
 from conftest import random_two_step_cdga, seeded_rational_models, seeded_two_step_cdgas
 from dense_oracle import dense_betti
 
@@ -606,6 +609,16 @@ class TestForkedRanks:
         assert len(forks) == 2
         assert list(forked._rank_cache.items()) == list(serial._rank_cache.items())
 
+    def test_orbits_match_the_serial_path_without_symmetry(self, forks):
+        # Children rank sigma-orbit representatives; the rebuild has no sigma
+        # and ranks every weight block in this process.
+        forked = upper_tri_model(6)
+        plain = CDGA(forked.signature, forked.differentials)
+        assert betti(forked, jobs=2) == betti(plain)
+        assert len(forks) == 2
+        assert forked._weights.mirrors is not None and plain._weights.mirrors is None
+        assert list(forked._rank_cache.items()) == list(plain._rank_cache.items())
+
     def test_x9_is_under_the_size_gate(self, monkeypatch, no_fork):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         assert betti(xr_model(9), jobs=4) == betti(xr_model(9))
@@ -825,25 +838,47 @@ class TestWeightBlocksAgainstComponents:
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
     def test_clearing_drops_exactly_the_pivot_rows_below(self, model, grouping, monkeypatch):
         # A block has as many pivot rows as its rank, so with d_(n-1) ranked
-        # just before, d is expanded on dim_n - rank d_(n-1) sources of degree n.
+        # just before, d is expanded on the sources of the ranked blocks of
+        # degree n less the pivot rows found in degree n - 1. Without
+        # sigma-orbits every block is ranked: dim_n - rank d_(n-1) sources.
         degrees = list(_degree_range(model))
+        by_weight = self.by_weight(model, degrees)
+        orbits = by_weight and model._weight_lattice().mirrors is not None
         expanded = dict.fromkeys(degrees, 0)
+        ranked = dict.fromkeys(degrees, 0)
+        pivot_rows = dict.fromkeys(degrees, 0)
         current = []
         real_blocks, real_columns = CDGA._blocks, CDGA._block_columns
+        real_pivots = cohomology._row_pivots
 
         def blocks(cdga, n, *args):
             current.append(n)
-            return real_blocks(cdga, n, *args)
+            found = real_blocks(cdga, n, *args)
+            ranked[n] = sum(
+                len(keys)
+                for w, keys in found.items()
+                if not orbits or cdga._mirror_weight(keys[0]) >= w
+            )
+            return found
 
         def columns(cdga, sources):
             expanded[current[-1]] += len(sources)
             return real_columns(cdga, sources)
 
+        def pivots(rows, split=True):
+            found = real_pivots(rows, split)
+            pivot_rows[current[-1]] += len(found)
+            return found
+
         monkeypatch.setattr(CDGA, "_blocks", blocks)
         monkeypatch.setattr(CDGA, "_block_columns", columns)
-        ranks, _ = _rank_blocks(model, degrees, self.by_weight(model, degrees))
-        dims = basis_dimensions(model.signature, degrees[-1])
-        assert expanded == {n: dims[n] - (ranks[n - 1] if n else 0) for n in degrees}
+        monkeypatch.setattr(cohomology, "_row_pivots", pivots)
+        ranks, _ = _rank_blocks(model, degrees, by_weight)
+        assert expanded == {n: ranked[n] - (pivot_rows[n - 1] if n else 0) for n in degrees}
+        if not orbits:
+            dims = basis_dimensions(model.signature, degrees[-1])
+            assert ranked == {n: dims[n] for n in degrees}
+            assert pivot_rows == ranks
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
     def test_blocks_are_unions_of_components(self, model):
@@ -889,6 +924,180 @@ class TestWeightBlocksAgainstComponents:
             blocks = model._blocks(n, True).values()
             nonzero = [keys for keys in blocks if model._block_columns(keys)]
             assert len(nonzero) == len(_components(rows)), n
+
+
+def mirror_indices(model, n: int) -> list:
+    """For each generator x_i_j of a model on u_n's names, the index of
+    x_(n+1-j)_(n+1-i): the anti-transpose read off the names."""
+    sig = model.signature
+    out = []
+    for g in sig.generators:
+        _, i, j = g.name.split("_")
+        out.append(sig.generator(f"x_{n + 1 - int(j)}_{n + 1 - int(i)}").index)
+    return out
+
+
+def weight_block_ranks(model) -> dict:
+    """{(degree, packed weight): (dim, rank of d on the block)} for every
+    weight block of a purely odd model, each ranked on its own: no
+    clearing, no orbits."""
+    return {
+        (k, w): (len(keys), len(_row_pivots(model._block_columns(keys), split=False)))
+        for k in range(model.top_degree() + 1)
+        for w, keys in model._blocks(k, True).items()
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def u_n_weight_blocks(n: int) -> dict:
+    return weight_block_ranks(upper_tri_model(n))
+
+
+def u_n_partners(n: int) -> dict:
+    """{packed weight: packed weight of its anti-transpose image} over the
+    weights of u_n, from the generator names and the lattice alone."""
+    model = upper_tri_model(n)
+    weights = model._weight_lattice().generators
+    mirror = mirror_indices(model, n)
+    partners = {}
+    for k in range(model.top_degree() + 1):
+        for w, keys in model._blocks(k, True).items():
+            mask = keys[0][0]
+            partners[w] = sum(weights[mirror[p]] for p in range(len(mirror)) if mask >> p & 1)
+    return partners
+
+
+class TestOrbitRanking:
+    """sigma(x_i_j) = -x_(n+1-j)_(n+1-i) commutes with d on u_n, so the
+    weight blocks w and sigma(w) have equal ranks and ``betti`` ranks one of
+    each pair. The oracles: every block ranked on its own, and the ranking
+    of a rebuild that carries no sigma."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_mirror_blocks_have_equal_ranks(self, n):
+        blocks = u_n_weight_blocks(n)
+        partners = u_n_partners(n)
+        assert {partners[partners[w]] == w for w in partners} == {True}
+        moved = 0
+        for (k, w), (dim, rank) in blocks.items():
+            assert blocks[k, partners[w]] == (dim, rank), (k, w)
+            moved += partners[w] != w
+        assert 0 < moved < len(blocks)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_orbit_ranks_equal_the_unshortcut_ranks(self, n, monkeypatch):
+        model = upper_tri_model(n)
+        degrees = list(range(8 if n == 7 else model.top_degree()))
+        plain = CDGA(model.signature, model.differentials)
+        assert plain._symmetry is None
+        expanded = []
+        real_columns = CDGA._block_columns
+
+        def columns(cdga, sources):
+            expanded.append((cdga is model, len(sources)))
+            return real_columns(cdga, sources)
+
+        monkeypatch.setattr(CDGA, "_block_columns", columns)
+        assert _rank_blocks(model, degrees, True) == _rank_blocks(plain, degrees, True)
+        assert model._weights.mirrors is not None
+        orbit = sum(size for own, size in expanded if own)
+        assert 0 < orbit < sum(size for own, size in expanded if not own)
+
+    def test_shares_deal_each_representative_once(self):
+        model = upper_tri_model(6)
+        degrees = list(range(8))
+        partners = u_n_partners(6)
+        shares = _weight_shares(model, degrees, 2)
+        dealt = [w for share in shares for w in share]
+        weights = {w for k in degrees for w in model._blocks(k, True)}
+        assert sorted(dealt) == sorted(w for w in weights if w <= partners[w])
+
+    def test_the_anti_transpose_is_attached_and_checked_lazily(self, monkeypatch):
+        checks = []
+        real = CDGA._check_symmetry
+        monkeypatch.setattr(CDGA, "_check_symmetry", lambda cdga: checks.append(real(cdga)))
+        model = upper_tri_model(6)
+        assert model._symmetry == tuple((j, -1) for j in mirror_indices(model, 6))
+        assert model._weights is None and not checks
+        betti(upper_tri_model(5))  # under the weight-block gate: no lattice, no check
+        assert not checks
+        betti(model)
+        assert len(checks) == 1
+        betti(CDGA(model.signature, model.differentials))
+        assert len(checks) == 1
+
+    def test_which_models_carry_the_symmetry(self):
+        split = split_at_k(6, 3)
+        carried = [upper_tri_model(4), split.base, split.total, split.fiber]
+        for model in carried:
+            assert model._symmetry is not None, model.name
+            assert model._weight_lattice().mirrors is not None, model.name
+        u4 = upper_tri_model(4)
+        dropped = [
+            CDGA(u4.signature, u4.differentials),
+            to_cdga(parse(serialize(u4)).document),
+            degree_shift(u4, 1),
+            borel_twist(u4, "x_4_1"),
+            tensor_product(u4, xr_model(1)),
+            chevalley_eilenberg(u_n_presentation(4)),
+            xr_model(3),
+        ]
+        for model in dropped:
+            assert model._symmetry is None, model.name
+            assert model._weight_lattice().mirrors is None, model.name
+
+    @staticmethod
+    def mutant(model, n, kind):
+        sigma = list(model._symmetry)
+        if kind == "sign +1":
+            return tuple((j, 1) for j, _ in sigma)
+        # sigma fixes x_(m+1)_m and x_n_1 (m = n // 2, i + j = n + 1); the
+        # swapped mutant gives each the other's image.
+        index = model.signature.generator
+        a, b = index(f"x_{n // 2 + 1}_{n // 2}").index, index(f"x_{n}_1").index
+        if kind == "swapped":
+            sigma[a], sigma[b] = (b, -1), (a, -1)
+        elif kind == "not an involution":
+            c = index("x_2_1").index
+            sigma[a], sigma[c] = sigma[c], sigma[a]
+        return tuple(sigma)
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("sign +1", "does not commute with d at 'x_3_1'"),
+            ("swapped", "does not commute with d at 'x_{m}_{n}'"),
+            ("not an involution", "not a signed involution at 'x_2_1'"),
+        ],
+    )
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_a_mutant_symmetry_is_refused(self, n, kind, message):
+        # u_6 is ranked by weight, so ``betti`` itself must refuse first.
+        model = upper_tri_model(n)
+        model._symmetry = self.mutant(model, n, kind)
+        with pytest.raises(ValueError, match=message.format(m=n // 2 + 1, n=n // 2)):
+            betti(model) if n == 6 else model._weight_lattice()
+        assert model._weights is None
+        assert model._rank_cache == {}
+
+    def test_a_degree_changing_symmetry_is_refused(self):
+        # degree_shift keeps u_4's generator order and the off-diagonal
+        # distance, so sigma still keeps degrees there; the swapped mutant
+        # sends x_3_2 (degree 3) to x_4_1 (degree 7).
+        u4 = upper_tri_model(4)
+        shifted = degree_shift(u4, 1)
+        shifted._symmetry = u4._symmetry
+        assert shifted._weight_lattice().mirrors is not None
+        shifted = degree_shift(u4, 1)
+        shifted._symmetry = self.mutant(u4, 4, "swapped")
+        with pytest.raises(ValueError, match="maps 'x_3_2' to degree 7"):
+            shifted._weight_lattice()
+
+    def test_a_permutation_is_required(self):
+        model = upper_tri_model(3)
+        model._symmetry = ((0, -1), (0, -1), (2, -1))
+        with pytest.raises(ValueError, match="not a permutation"):
+            model._weight_lattice()
 
 
 def exterior_counts(gens) -> dict:
@@ -960,6 +1169,47 @@ class TestWeightedEulerCharacteristic:
         counts = exterior_counts([(g.degree, kostant_weight(g.name, n)) for g in sig.generators])
         chi = euler_characteristics(counts)
         assert sum(map(abs, chi.values())) == len(list(itertools.permutations(range(n))))
+
+    @staticmethod
+    def block_totals(model, blocks) -> tuple:
+        """({weight: sum over n of b_(n,w)}, {weight: chi_w}): the Betti
+        numbers from the ranks of every weight block, chi_w from the
+        generating function (``_weight_dimensions``)."""
+        cells = _weight_dimensions(
+            model.signature, model.top_degree(), model._weight_lattice().generators
+        )
+        chi: dict = {}
+        for k, cell in enumerate(cells):
+            for w, c in cell.items():
+                chi[w] = chi.get(w, 0) + (-c if k % 2 else c)
+        totals: dict = {}
+        for (k, w), (dim, rank) in blocks.items():
+            assert cells[k][w] == dim, (model.name, k, w)
+            below = blocks[k - 1, w][1] if (k - 1, w) in blocks else 0
+            totals[w] = totals.get(w, 0) + dim - rank - below
+        assert totals.keys() == chi.keys(), model.name
+        return totals, chi
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_block_betti_totals_bound_the_block_euler_characteristics(self, n):
+        # Per block: sum over n of b_(n,w) >= |chi_w|, which the per-degree
+        # oracles cannot see. Kostant: sum over w of |chi_w| is n!, the
+        # total of H(u_n).
+        totals, chi = self.block_totals(upper_tri_model(n), u_n_weight_blocks(n))
+        assert all(totals[w] >= abs(c) for w, c in chi.items())
+        assert sum(map(abs, chi.values())) == math.factorial(n) == sum(totals.values())
+
+    def test_block_betti_totals_bound_chi_on_every_full_odd_model(self):
+        checked = 0
+        for model in self.FULL_ODD:
+            fresh = CDGA(model.signature, model.differentials, model.truncation, model.name)
+            if fresh._weight_lattice().rank == 0:
+                continue
+            totals, chi = self.block_totals(fresh, weight_block_ranks(fresh))
+            assert all(totals[w] >= abs(c) for w, c in chi.items()), model.name
+            assert sum(totals.values()) == betti(fresh).total, model.name
+            checked += 1
+        assert checked > 20
 
     def test_betti_total_bounds_the_euler_characteristics(self):
         for model in self.FULL_ODD:

@@ -168,6 +168,27 @@ class TestLieBlocks:
         L = to_lie(result.document)
         assert L.brackets == {}
 
+# Bracket values always print their magnitude, "1 * X" included, and join
+# their terms as elements do.
+LIE_GOLDEN = {
+    "u4": (
+        "lie u4\n"
+        "basis X_2_1 X_3_2 X_4_3 X_3_1 X_4_2 X_4_1\n"
+        "bracket X_3_2 X_2_1 = -1 * X_3_1\n"
+        "bracket X_4_2 X_2_1 = -1 * X_4_1\n"
+        "bracket X_4_3 X_3_2 = -1 * X_4_2\n"
+        "bracket X_3_1 X_4_3 = 1 * X_4_1\n"
+    ),
+    "xr3_dual": (
+        "lie xr3_dual\n"
+        "basis A B X1 X2 X3\n"
+        "bracket B A = 1 * X1\n"
+        "bracket X1 A = 1 * X2\n"
+        "bracket X2 A = 1 * X3\n"
+    ),
+    "q": "lie q\nbasis A B C D\nbracket B A = -2/3 * C + 1 * D\n",
+}
+
 
 class TestSerialize:
     def test_xr3_golden_text(self):
@@ -175,6 +196,11 @@ class TestSerialize:
 
     def test_u3_lie_golden_text(self):
         assert serialize(u_n_presentation(3)) == U3_LIE_GOLDEN
+
+    def test_lie_golden_texts(self):
+        assert serialize(u_n_presentation(4)) == LIE_GOLDEN["u4"]
+        assert serialize(dual_homotopy_lie(xr_model(3))) == LIE_GOLDEN["xr3_dual"]
+        assert serialize(to_lie(parse(LIE_GOLDEN["q"]).document)) == LIE_GOLDEN["q"]
 
     def test_serializer_is_byte_stable(self):
         a = serialize(upper_tri_model(5))
