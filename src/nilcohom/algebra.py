@@ -5,7 +5,9 @@ degrees. Odd-degree generators are exterior (they anticommute and square to
 zero); even-degree generators are polynomial. A monomial stores its odd part
 as a bitmask in signature order and its even part as an exponent tuple, so
 multiplication reduces to a bitmask merge and the Koszul sign to a
-transposition count over set bits.
+transposition count over set bits. The Betti path packs both parts into one
+int key per monomial (``_encode``, ``_decode``); ``_keys_by_weight`` walks
+such keys without building a ``Monomial``.
 
 Coefficients are ``fractions.Fraction`` throughout; no floating point.
 All values are immutable after construction and safe to share.
@@ -398,8 +400,54 @@ def elem_mul(e1: Element, e2: Element) -> Element:
     return Element(e1.signature, acc)
 
 
+# A monomial key is one int: the odd mask in the low bits, then one field of
+# _EXPONENT_BITS bits per even generator, in signature order, so that adding
+# keys multiplies monomials without a common odd factor. The width is fixed,
+# not taken from a truncation window, because d also acts on elements of any
+# degree: ``apply_d`` on verify input, and the d^2 check of a model whose
+# window is smaller than the degree of its differentials. ``_encode`` refuses
+# an exponent of half a field or more, so one step of d, which adds two such
+# exponents, never carries into the next field.
+_EXPONENT_BITS = 32
+_EXPONENT_FIELD = (1 << _EXPONENT_BITS) - 1
+_EXPONENT_LIMIT = 1 << (_EXPONENT_BITS - 1)
+
+
+def _key_units(sig: Signature) -> list:
+    """The key of each generator alone, in signature order."""
+    odd = len(sig.odd_indices)
+    return [
+        1 << (sig._odd_pos[i] if g.is_odd else odd + _EXPONENT_BITS * sig._even_pos[i])
+        for i, g in enumerate(sig.generators)
+    ]
+
+
+def _encode(mono: Monomial) -> int:
+    """The key of a monomial; ValueError for an exponent of ``_EXPONENT_LIMIT``
+    (2^31) or more."""
+    key = mono.odd_mask
+    shift = len(mono.signature.odd_indices)
+    for e in mono.even_exps:
+        if e >= _EXPONENT_LIMIT:
+            raise ValueError(f"exponent {e} is not below {_EXPONENT_LIMIT}")
+        key |= e << shift
+        shift += _EXPONENT_BITS
+    return key
+
+
+def _decode(sig: Signature, key: int) -> Monomial:
+    """The monomial of a key; every field is read whole, so an exponent that
+    one step of d raised past ``_EXPONENT_LIMIT`` comes back exactly."""
+    odd = len(sig.odd_indices)
+    evens = tuple(
+        key >> (odd + _EXPONENT_BITS * q) & _EXPONENT_FIELD
+        for q in range(len(sig.even_indices))
+    )
+    return Monomial(sig, key & ((1 << odd) - 1), evens)
+
+
 def _keys_by_weight(sig: Signature, n: int, weights: Sequence[int], keep=None) -> dict:
-    """The degree-n monomial keys (odd_mask, even_exps), grouped by weight.
+    """The degree-n monomial keys (see ``_encode``), grouped by weight.
 
     ``weights`` holds one int per generator in signature order, and a key's
     weight is their sum over its factors, with multiplicity. Returns
@@ -411,37 +459,33 @@ def _keys_by_weight(sig: Signature, n: int, weights: Sequence[int], keep=None) -
     if n < 0:
         raise ValueError("degree must be >= 0")
     degrees = [g.degree for g in sig.generators]
-    # bits[pos]: the mask bit of an odd generator, 0 for an even one.
-    bits = [1 << sig._odd_pos[pos] if d % 2 else 0 for pos, d in enumerate(degrees)]
+    odd = [d % 2 == 1 for d in degrees]
+    units = _key_units(sig)
     # reach[pos]: the largest degree generators pos.. can still add, capped at
     # n; any even generator among them can add as much as needed.
     reach = [0] * (len(degrees) + 1)
     for pos in range(len(degrees) - 1, -1, -1):
-        reach[pos] = min(n, reach[pos + 1] + degrees[pos]) if bits[pos] else n
+        reach[pos] = min(n, reach[pos + 1] + degrees[pos]) if odd[pos] else n
     groups: dict = {}
-    evens = [0] * len(sig.even_indices)
 
-    def rec(pos: int, remaining: int, mask: int, weight: int) -> None:
+    def rec(pos: int, remaining: int, key: int, weight: int) -> None:
         if remaining == 0:
             keys = groups.get(weight)
             if keys is not None:
-                keys.append((mask, tuple(evens)))
+                keys.append(key)
             elif keep is None or weight in keep:
-                groups[weight] = [(mask, tuple(evens))]
+                groups[weight] = [key]
             return
         if reach[pos] < remaining:
             return
         degree = degrees[pos]
-        if bits[pos]:
-            rec(pos + 1, remaining, mask, weight)
+        if odd[pos]:
+            rec(pos + 1, remaining, key, weight)
             if degree <= remaining:
-                rec(pos + 1, remaining - degree, mask | bits[pos], weight + weights[pos])
+                rec(pos + 1, remaining - degree, key + units[pos], weight + weights[pos])
             return
-        q = sig._even_pos[pos]
         for e in range(remaining // degree + 1):
-            evens[q] = e
-            rec(pos + 1, remaining - e * degree, mask, weight + e * weights[pos])
-        evens[q] = 0
+            rec(pos + 1, remaining - e * degree, key + e * units[pos], weight + e * weights[pos])
 
     rec(0, n, 0, 0)
     return groups
@@ -457,7 +501,7 @@ def basis_of_degree(sig: Signature, n: int) -> tuple:
     cached = sig._basis_cache.get(n)
     if cached is None:
         keys = _keys_by_weight(sig, n, (0,) * len(sig.generators)).get(0, ())
-        cached = sig._basis_cache[n] = tuple(Monomial(sig, mask, evens) for mask, evens in keys)
+        cached = sig._basis_cache[n] = tuple(_decode(sig, key) for key in keys)
     return cached
 
 

@@ -8,12 +8,15 @@ The checker reports the offending generator and the nonzero residue instead
 of a bare boolean, because the obstruction solver needs the failure data.
 
 Construction also turns each generator's differential into a term list of
-integer keys (odd bitmask, even exponent tuple) with int coefficients where
-they are integral, and a Koszul sign mask per term. d acts on keys alone:
-``_d_key`` is the one Leibniz expansion, with one popcount per term for its
-sign, and serves ``apply_d`` (hence the d^2 check), which wraps the keys back
-into monomials, the cached Fraction ``differential_matrix``, which looks the
-target rows up by key, and ``_block_columns``.
+monomial keys, one int each (``algebra._encode``: the odd bitmask in the low
+bits, one fixed-width exponent field per even generator above it), with int
+coefficients where they are integral and a Koszul sign mask per term. d acts
+on keys alone: ``_d_key`` is the one Leibniz expansion, which multiplies by
+adding keys and lowers an exponent by subtracting its field's unit, with one
+popcount per term for its sign. It serves ``apply_d`` (hence the d^2 check),
+which encodes and decodes at the ``Monomial`` edge, the cached Fraction
+``differential_matrix``, which looks the target rows up by key, and
+``_block_columns``.
 
 d preserves a torus weight (Kostant 1961): the weight lattice, computed on
 first use and cached, is the integer kernel of w(g) = w(u) over the terms u
@@ -39,10 +42,13 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .algebra import (
+    _EXPONENT_FIELD,
     Element,
-    Monomial,
     Signature,
     SignatureMismatchError,
+    _decode,
+    _encode,
+    _key_units,
     _keys_by_weight,
     basis_of_degree,
 )
@@ -86,33 +92,31 @@ def default_truncation(sig: Signature) -> Optional[int]:
 
 
 def _term_list(value: Element, below: int = 0) -> tuple:
-    """A differential as (odd_mask, even_exps or (), coeff, sign_mask) tuples.
+    """A differential as (odd_mask, key, coeff, sign_mask) tuples.
 
-    ``even_exps`` is () when the term has no even factor; ``coeff`` is an
-    int when integral and a Fraction otherwise. ``sign_mask`` is ``below``
-    XOR (ul - 1) for every odd bit ul of the term, so that the sign of the
-    term in d of a monomial, with ``rest`` the monomial's other factors, is
-    the parity of ``(rest & sign_mask).bit_count()``: the Koszul sign of the
-    term's odd bits past the lower bits of ``rest``, and for an odd
-    generator with ``below`` = the mask of the bits under its own, the
-    sign of moving it to the front.
+    ``key`` is the term's monomial key and ``odd_mask`` its odd part;
+    ``coeff`` is an int when integral and a Fraction otherwise.
+    ``sign_mask`` is ``below`` XOR (ul - 1) for every odd bit ul of the
+    term, so that the sign of the term in d of a monomial, with ``rest`` the
+    monomial's other factors, is the parity of ``(rest & sign_mask).bit_count()``:
+    the Koszul sign of the term's odd bits past the lower bits of ``rest``,
+    and for an odd generator with ``below`` = the mask of the bits under its
+    own, the sign of moving it to the front. Raises DifferentialError for a
+    term whose exponent ``_encode`` refuses.
     """
     out = []
     for u, c in value.terms.items():
+        try:
+            key = _encode(u)
+        except ValueError as err:
+            raise DifferentialError(f"term {u!r}: {err}") from None
         sign_mask = below
         um = u.odd_mask
         while um:
             ul = um & -um
             um ^= ul
             sign_mask ^= ul - 1
-        out.append(
-            (
-                u.odd_mask,
-                u.even_exps if any(u.even_exps) else (),
-                c.numerator if c.denominator == 1 else c,
-                sign_mask,
-            )
-        )
+        out.append((u.odd_mask, key, c.numerator if c.denominator == 1 else c, sign_mask))
     return tuple(out)
 
 
@@ -155,6 +159,7 @@ class CDGA:
         "name",
         "truncation",
         "_diff",
+        "_odd_bits",
         "_odd_terms",
         "_even_terms",
         "_integral",
@@ -193,9 +198,19 @@ class CDGA:
         self._odd_terms = tuple(
             _term_list(diffs[i], (1 << p) - 1) for p, i in enumerate(signature.odd_indices)
         )
-        self._even_terms = tuple(_term_list(diffs[i]) for i in signature.even_indices)
+        self._odd_bits = (1 << len(signature.odd_indices)) - 1
+        # (bit position of the exponent field, term list) per even generator
+        # that d does not kill.
+        units = _key_units(signature)
+        self._even_terms = tuple(
+            (units[i].bit_length() - 1, _term_list(diffs[i]))
+            for i in signature.even_indices
+            if diffs[i].terms
+        )
         self._integral = all(
-            type(c) is int for terms in self._odd_terms + self._even_terms for _, _, c, _ in terms
+            type(c) is int
+            for terms in self._odd_terms + tuple(terms for _, terms in self._even_terms)
+            for _, _, c, _ in terms
         )
         if truncation is None and not signature.is_purely_odd:
             truncation = default_truncation(signature)
@@ -246,61 +261,68 @@ class CDGA:
 
     # ---- differential ------------------------------------------------------
 
-    def _d_key(self, mask: int, evens: tuple) -> dict:
-        """Graded Leibniz expansion of d on the monomial key (mask, evens).
+    def _removals(self, key: int):
+        """Yield (rest, scale, terms) for each factor of the monomial ``key``
+        whose d is nonzero: ``rest`` is the key with one copy of the factor
+        removed, ``scale`` its exponent, ``terms`` the term list of its d.
 
-        Returns {(odd_mask, even_exps): coefficient}. Removing the odd factor
-        with bit ``low`` leaves ``rest`` = mask ^ low; lowering an even
-        factor of exponent e scales by e. Each term u of d of the factor
-        then multiplies ``rest``, and its whole sign, the prefix sign of an
-        odd factor included, is the parity of popcount(rest & sign_mask)
-        for u's sign mask (see ``_term_list``).
+        An odd factor with bit ``low`` leaves key ^ low; an even factor of
+        exponent e leaves the key less its field's unit, and scales by e.
         """
-        removals = []
-        mm = mask
-        while mm:
-            low = mm & -mm
-            mm ^= low
+        odd = key & self._odd_bits
+        while odd:
+            low = odd & -odd
+            odd ^= low
             terms = self._odd_terms[low.bit_length() - 1]
             if terms:
-                removals.append((mask ^ low, evens, 1, terms))
-        for q, e in enumerate(evens):
-            if e and self._even_terms[q]:
-                lowered = evens[:q] + (e - 1,) + evens[q + 1 :]
-                removals.append((mask, lowered, e, self._even_terms[q]))
+                yield key ^ low, 1, terms
+        for shift, terms in self._even_terms:
+            e = key >> shift & _EXPONENT_FIELD
+            if e:
+                yield key - (1 << shift), e, terms
+
+    def _d_key(self, key: int) -> dict:
+        """Graded Leibniz expansion of d on a monomial key; returns {key: coefficient}.
+
+        Each term u of d of a factor (``_removals``) multiplies the rest of
+        the monomial by adding u's key, and its whole sign, the prefix sign
+        of an odd factor included, is the parity of popcount(rest &
+        sign_mask) for u's sign mask (see ``_term_list``).
+        """
         acc: dict = {}
-        for rest, rest_evens, scale, terms in removals:
-            for umask, uevens, coeff, signs in terms:
+        for rest, scale, terms in self._removals(key):
+            for umask, ukey, coeff, signs in terms:
                 if umask & rest:
                     continue
-                if uevens:
-                    key = (rest | umask, tuple(a + b for a, b in zip(rest_evens, uevens)))
-                else:
-                    key = (rest | umask, rest_evens)
+                target = rest + ukey
                 if (rest & signs).bit_count() & 1:
-                    val = acc.get(key, 0) - scale * coeff
+                    val = acc.get(target, 0) - scale * coeff
                 else:
-                    val = acc.get(key, 0) + scale * coeff
+                    val = acc.get(target, 0) + scale * coeff
                 if val:
-                    acc[key] = val
+                    acc[target] = val
                 else:
-                    acc.pop(key, None)
+                    acc.pop(target, None)
         return acc
 
     def apply_d(self, elem: Element) -> Element:
-        """Extend d to arbitrary elements as a degree +1 derivation."""
+        """Extend d to arbitrary elements as a degree +1 derivation.
+
+        Raises ValueError for a term with an exponent of
+        ``algebra._EXPONENT_LIMIT`` (2^31) or more, which has no monomial key.
+        """
         if elem.signature != self.signature:
             raise SignatureMismatchError("element over a different signature")
         acc: dict = {}
         for mono, coeff in elem.terms.items():
-            for key, val in self._d_key(mono.odd_mask, mono.even_exps).items():
+            for key, val in self._d_key(_encode(mono)).items():
                 s = acc.get(key, 0) + coeff * val
                 if s:
                     acc[key] = s
                 else:
                     acc.pop(key, None)
         sig = self.signature
-        return Element(sig, {Monomial(sig, *key): c for key, c in acc.items()})
+        return Element(sig, {_decode(sig, key): c for key, c in acc.items()})
 
     def _check_window(self, n: int) -> None:
         """Raise unless d_n lies in the window: n >= 0 and n + 1 <= truncation."""
@@ -313,19 +335,19 @@ class CDGA:
         """Matrix of d from the degree-n basis to the degree-(n+1) basis.
 
         Column j holds the expansion of d applied to the j-th basis monomial,
-        in the order of ``_d_key`` on its key (odd_mask, even_exps); target
-        rows are looked up by the same key. Deterministic given the canonical
-        basis order. Entries are Fractions; the matrix is cached on the CDGA.
+        in the order of ``_d_key`` on its key; target rows are looked up by
+        key. Deterministic given the canonical basis order. Entries are
+        Fractions; the matrix is cached on the CDGA.
         """
         cached = self._matrix_cache.get(n)
         if cached is None:
             self._check_window(n)
             source = basis_of_degree(self.signature, n)
             target = basis_of_degree(self.signature, n + 1)
-            row_of = {mono[1:]: i for i, mono in enumerate(target)}
+            row_of = {_encode(mono): i for i, mono in enumerate(target)}
             entries = {}
             for col, mono in enumerate(source):
-                for key, val in self._d_key(mono.odd_mask, mono.even_exps).items():
+                for key, val in self._d_key(_encode(mono)).items():
                     entries[row_of[key], col] = Fraction(val)
             cached = self._matrix_cache[n] = SparseExactMatrix._trusted(
                 len(target), len(source), entries
@@ -404,18 +426,6 @@ class CDGA:
             if mapped != self._diff[j].scale(s):
                 raise ValueError(f"symmetry does not commute with d at {g.name!r}")
 
-    def _mirror_weight(self, key) -> int:
-        """The packed weight of sigma applied to the monomial key (odd_mask, even_exps)."""
-        sig = self.signature
-        mirrors = self._weight_lattice().mirrors
-        mask, evens = key
-        weight = sum(e * mirrors[i] for i, e in zip(sig.even_indices, evens))
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            weight += mirrors[sig.odd_indices[low.bit_length() - 1]]
-        return weight
-
     def _by_weight(self, dims) -> bool:
         """Whether ``betti`` ranks degrees of these dimensions by torus weight.
 
@@ -426,7 +436,7 @@ class CDGA:
         return max(dims, default=0) >= _BLOCK_MIN_MONOMIALS and self._weight_lattice().rank > 0
 
     def _blocks(self, n: int, by_weight: bool, share=None) -> dict:
-        """The keys (odd_mask, even_exps) of the degree-n monomials, by block.
+        """The keys (``algebra._encode``) of the degree-n monomials, by block.
 
         By weight, {packed weight: keys} from the key walk
         ``_keys_by_weight``, which builds no ``Monomial``, and only for the
@@ -438,20 +448,20 @@ class CDGA:
         self._check_window(n)
         if by_weight:
             return _keys_by_weight(self.signature, n, self._weight_lattice().generators, share)
-        return {None: [mono[1:] for mono in basis_of_degree(self.signature, n)]}
+        return {None: [_encode(mono) for mono in basis_of_degree(self.signature, n)]}
 
     def _block_columns(self, sources) -> dict:
         """The integer columns of d on the monomial keys ``sources``.
 
         {position in ``sources``: {target key: int}} for every source that d
         does not kill, each column scaled by the lcm of its denominators
-        when some coefficient of d is not integral. Target keys are
-        (odd_mask, even_exps) as ``_d_key`` returns them. Nothing is cached.
+        when some coefficient of d is not integral. Target keys are monomial
+        keys as ``_d_key`` returns them. Nothing is cached.
         """
         d_key = self._d_key
         columns = {}
-        for pos, (mask, evens) in enumerate(sources):
-            column = d_key(mask, evens)
+        for pos, key in enumerate(sources):
+            column = d_key(key)
             if column:
                 columns[pos] = column
         return columns if self._integral else _clear_denominators(columns)

@@ -182,9 +182,13 @@ def _cmd_cohomology(args):
     if args.truncate is not None:
         if args.truncate < 1:
             raise UsageError("truncation must be >= 1")
-        model = CDGA(
+        truncated = CDGA(
             model.signature, model.differentials, truncation=args.truncate, name=model.name
         )
+        # A symmetry keeps degrees, so it holds in every window; the CDGA
+        # still checks it on first use.
+        truncated._symmetry = model._symmetry
+        model = truncated
     _guard(model, args)
     table = betti(model, jobs=args.jobs)
     outputs = {"name": model.name, "betti": table.to_json_dict()}

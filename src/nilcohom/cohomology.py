@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 from .algebra import (
     Element,
     Signature,
+    _encode,
     _weight_dimensions,
     basis_dimensions,
     basis_index,
@@ -39,7 +40,7 @@ def _mirror_top(cdga: CDGA) -> Optional[int]:
         not cdga.signature.is_purely_odd
         or top < 1
         or _window_below_top(cdga, top)
-        or any(cdga._d_key(m, e) for _, m, e in basis_of_degree(cdga.signature, top - 1))
+        or any(cdga._d_key(_encode(m)) for m in basis_of_degree(cdga.signature, top - 1))
     ):
         return None
     return top
@@ -67,17 +68,18 @@ def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None) -> tupl
     nonzero pattern. The one block of a degree not split by weight is cut
     into components first. Each pivot pairs a source with a target key, and
     the pivot targets of a block are a basis of its rows of d. With
-    ``share``, a set of weights, only the blocks of those weights are ranked
-    and counted; the counts are of the sources before clearing.
+    ``share``, {weight: copies}, only the blocks of those weights are walked
+    and ranked, and each counts ``copies`` times, sources and rank; the
+    counts are of the sources before clearing.
 
     Orbits: when the CDGA carries a checked symmetry sigma, the block of
     weight w and the block of sigma(w) have equal ranks and sizes, sigma
-    being a chain isomorphism between them. sigma(w) is the weight of the
-    sigma-image of the block's first key. A block with w > sigma(w) is
-    skipped; one with w < sigma(w) is ranked and counted twice, sources
-    and rank, so the counts still add up to dim_n; a block with w =
-    sigma(w) is ranked once. The representatives do not depend on the
-    degree, so each kept pivot set clears a ranked block one degree up.
+    being a chain isomorphism between them. Without a ``share``, the share
+    is then the orbit representatives of ``_weight_costs``: a block with
+    w < sigma(w) is ranked and counted twice, so the counts still add up to
+    dim_n, one with w = sigma(w) once, and one with w > sigma(w) is never
+    walked. The representatives do not depend on the degree, so each kept
+    pivot set clears a ranked block one degree up.
 
     Clearing (Chen-Kerber 2011): when d_(n-1) was ranked just before, the
     pivot targets of each of its blocks, degree-n monomials of the block's
@@ -86,10 +88,11 @@ def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None) -> tupl
     onto their coordinates, so each dropped column of d_n is a combination
     of the kept ones and the rank is unchanged; d^2 = 0 is all this needs.
     """
+    if share is None and by_weight and cdga._weight_lattice().mirrors is not None:
+        share = {w: copies for w, (_, copies) in _weight_costs(cdga, degrees).items()}
     ranks: dict = {}
     counts: dict = {}
     pivot_keys: dict = {}
-    orbits = by_weight and cdga._weight_lattice().mirrors is not None
     for n in degrees:
         blocks = cdga._blocks(n, by_weight, share)
         cleared = pivot_keys if n - 1 in ranks else {}
@@ -98,12 +101,7 @@ def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None) -> tupl
         rank = count = 0
         for weight in list(blocks):
             keys = blocks.pop(weight)
-            copies = 1
-            if orbits:
-                partner = cdga._mirror_weight(keys[0])
-                if partner < weight:
-                    continue
-                copies = 1 if partner == weight else 2
+            copies = 1 if share is None else share[weight]
             count += copies * len(keys)
             drop = cleared.pop(weight, None)
             columns = cdga._block_columns([k for k in keys if k not in drop] if drop else keys)
@@ -159,16 +157,16 @@ def _shares(cost: dict, workers: int) -> list:
     return [share for _, _, share in loads]
 
 
-def _weight_shares(cdga: CDGA, degrees: list, workers: int) -> list:
-    """The torus weights ``_rank_blocks`` ranks in ``degrees``, dealt into
-    ``workers`` shares by ``_shares``.
+def _weight_costs(cdga: CDGA, degrees: list) -> dict:
+    """{weight: (cost, copies)} for the torus weights ``_rank_blocks`` ranks in ``degrees``.
 
     A weight costs the sum over ``degrees`` of dim(n, w)^2, counted from the
-    weight-graded generating function without enumerating a basis. With a
-    symmetry sigma only the orbit representatives, w <= sigma(w), are
-    dealt, each at its own cost: the cells are counted with the packed
-    weight w + span * sigma(w) of each generator, which carries both
-    weights of every monomial.
+    weight-graded generating function without enumerating a basis, and has
+    one copy. With a symmetry sigma only the orbit representatives,
+    w <= sigma(w), are kept, each at its own cost, with 2 copies when
+    w < sigma(w): the cells are counted with the packed weight
+    w + span * sigma(w) of each generator, which carries both weights of
+    every monomial.
     """
     lattice = cdga._weight_lattice()
     weights, mirrors, span = lattice.generators, lattice.mirrors, lattice.span
@@ -179,15 +177,24 @@ def _weight_shares(cdga: CDGA, degrees: list, workers: int) -> list:
     for n in degrees:
         for weight, count in cells[n].items():
             cost[weight] = cost.get(weight, 0) + count * count
-    if mirrors is not None:
-        half = span // 2
-        representatives = {}
-        for pair, c in cost.items():
-            weight = (pair + half) % span - half
-            if weight <= (pair - weight) // span:
-                representatives[weight] = c
-        cost = representatives
-    return _shares(cost, workers)
+    if mirrors is None:
+        return {weight: (c, 1) for weight, c in cost.items()}
+    half = span // 2
+    representatives = {}
+    for pair, c in cost.items():
+        weight = (pair + half) % span - half
+        mirror = (pair - weight) // span
+        if weight <= mirror:
+            representatives[weight] = (c, 1 if weight == mirror else 2)
+    return representatives
+
+
+def _weight_shares(cdga: CDGA, degrees: list, workers: int) -> list:
+    """The weights of ``_weight_costs``, dealt into ``workers`` shares by
+    ``_shares``, each share as {weight: copies}."""
+    costs = _weight_costs(cdga, degrees)
+    shares = _shares({weight: c for weight, (c, _) in costs.items()}, workers)
+    return [{weight: costs[weight][1] for weight in share} for share in shares]
 
 
 def _rank_share(cdga: CDGA, degrees: list, index: int, workers: int, fd: int) -> None:
@@ -201,7 +208,7 @@ def _rank_share(cdga: CDGA, degrees: list, index: int, workers: int, fd: int) ->
     """
     status = 1
     try:
-        share = set(_weight_shares(cdga, degrees, workers)[index])
+        share = _weight_shares(cdga, degrees, workers)[index]
         ranks, counts = _rank_blocks(cdga, degrees, True, share)
         text = " ".join(f"{n}:{ranks[n]}:{counts[n]}" for n in degrees)
         with open(fd, "wb") as pipe:

@@ -467,7 +467,8 @@ def to_cdga(document: SourceDocument) -> CDGA:
     """Build and fully validate the CDGA declared in a document.
 
     Raises DslValidationError carrying diagnostics for missing differentials,
-    inhomogeneous values, or a d-squared failure.
+    inhomogeneous values, an exponent too large for a monomial key, or a
+    d-squared failure.
     """
     decl = document.algebra
     if decl is None:
@@ -508,10 +509,11 @@ def to_cdga(document: SourceDocument) -> CDGA:
     try:
         return CDGA(sig, diffs, truncation=decl.truncate, name=decl.name)
     except DifferentialError as err:
-        detail = f": {err.violation}" if err.violation is not None else ""
-        raise DslValidationError(
-            [Diagnostic("d-squared", f"d^2 != 0{detail}", 1, 1)]
-        ) from err
+        if err.violation is None:
+            diagnostic = Diagnostic("differential", str(err), 1, 1)
+        else:
+            diagnostic = Diagnostic("d-squared", f"d^2 != 0: {err.violation}", 1, 1)
+        raise DslValidationError([diagnostic]) from err
 
 
 def to_lie(document: SourceDocument) -> LiePresentation:

@@ -60,7 +60,8 @@ def _tri_cdga(n: int, pairs: Sequence, fiber_floor: Optional[int], name: str) ->
     off-diagonal distance i - j, so every ``pairs`` given here (all of u_n,
     the base and the fiber of ``split_at_k``) is closed under it. The CDGA
     checks that sigma commutes with d before ``betti`` ranks one torus-weight
-    block per sigma-orbit; a rebuild through ``CDGA(...)`` drops it.
+    block per sigma-orbit. ``degree_shift`` and the CLI's ``--truncate``
+    carry it; any other rebuild through ``CDGA(...)`` drops it.
     """
     index = {ij: pos for pos, ij in enumerate(pairs)}
     sig = Signature([(f"x_{i}_{j}", 1) for (i, j) in pairs])
@@ -165,7 +166,9 @@ def degree_shift(model: CDGA, kappa: int) -> CDGA:
 
     Valid because the differential is homogeneous for the off-diagonal
     distance: every term of d x_i_j is a product x_l_j * x_i_l with
-    (l-j) + (i-l) = i-j. kappa = 0 returns the original grading.
+    (l-j) + (i-l) = i-j. kappa = 0 returns the original grading. A symmetry
+    of ``model`` is carried over: the anti-transpose keeps i - j, hence the
+    new degrees, and the shifted CDGA checks it again on first use.
     """
     if kappa < 0:
         raise ValueError("need kappa >= 0")
@@ -183,7 +186,9 @@ def degree_shift(model: CDGA, kappa: int) -> CDGA:
         diffs[g.name] = Element(
             sig, {Monomial(sig, m.odd_mask, ()): c for m, c in old.terms.items()}
         )
-    return CDGA(sig, diffs, name=f"{model.name}_shift{kappa}")
+    shifted = CDGA(sig, diffs, name=f"{model.name}_shift{kappa}")
+    shifted._symmetry = model._symmetry
+    return shifted
 
 
 def borel_twist(

@@ -1,41 +1,42 @@
-"""Independent brute-force Betti computation for purely odd signatures.
+"""Independent brute-force Betti computation.
 
 Deliberately shares nothing with the sparse pipeline: monomials are sorted
-index tuples, signs come from insertion-sort swap counting, matrices are
-dense lists of Fractions, and the eliminator is textbook Gaussian reduction.
-Only the generator data (names, degrees, differentials) is read off the
-model under test.
+index tuples, an even generator repeated once per unit of its exponent,
+signs come from insertion-sort swap counting, matrices are dense lists of
+Fractions, and the eliminator is textbook Gaussian reduction. Only the
+generator data (names, degrees, differentials) and the truncation window
+are read off the model under test.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import product
 
 
-def _sort_word(word):
-    """Sort an index word, counting swaps; None when an index repeats."""
+def _sort_word(word, degrees):
+    """Sort an index word, counting swaps of two odd-degree factors; None
+    when an odd-degree index repeats."""
     word = list(word)
     swaps = 0
     for i in range(1, len(word)):
         j = i
         while j > 0 and word[j - 1] > word[j]:
             word[j - 1], word[j] = word[j], word[j - 1]
-            swaps += 1
+            swaps += degrees[word[j - 1]] * degrees[word[j]] % 2
             j -= 1
     for a, b in zip(word, word[1:]):
-        if a == b:
+        if a == b and degrees[a] % 2:
             return None, 0
     return tuple(word), (-1) ** swaps
 
 
 def _generator_data(cdga):
     sig = cdga.signature
-    assert sig.is_purely_odd, "oracle covers purely odd signatures"
     degrees = [g.degree for g in sig.generators]
     diffs = []
     for g in sig.generators:
         terms = {}
         for mono, coeff in cdga.d_of(g.name).terms.items():
-            word = tuple(i for i, e in enumerate(mono.exponents()) if e)
+            word = tuple(i for i, e in enumerate(mono.exponents()) for _ in range(e))
             terms[word] = Fraction(coeff)
         diffs.append(terms)
     return degrees, diffs
@@ -49,7 +50,7 @@ def _d_word(word, degrees, diffs):
         outer = -1 if prefix_parity else 1
         rest = word[:pos] + word[pos + 1 :]
         for dword, coeff in diffs[idx].items():
-            merged, sign = _sort_word(dword + rest)
+            merged, sign = _sort_word(dword + rest, degrees)
             if merged is None:
                 continue
             out[merged] = out.get(merged, Fraction(0)) + outer * sign * coeff
@@ -76,10 +77,12 @@ def dense_rank(matrix):
             continue
         m[row], m[pivot] = m[pivot], m[row]
         pv = m[row][col]
+        support = [j for j, b in enumerate(m[row]) if b]
         for r in range(rows):
             if r != row and m[r][col]:
                 factor = m[r][col] / pv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+                for j in support:
+                    m[r][j] -= factor * m[row][j]
         rank += 1
         row += 1
         if row == rows:
@@ -105,16 +108,26 @@ def dense_rank_mod_p(matrix, p):
     return rank
 
 
-def _words_by_degree(degrees):
-    """Every monomial word, grouped by degree and sorted by exponent vector."""
-    g = len(degrees)
-    by_degree = {}
-    for size in range(g + 1):
-        for word in combinations(range(g), size):
-            by_degree.setdefault(sum(degrees[i] for i in word), []).append(word)
-    for words in by_degree.values():
-        words.sort(key=lambda w: tuple(int(i in w) for i in range(g)))
+def _words_by_degree(degrees, upto):
+    """Every monomial word of degree at most ``upto``, grouped by degree and
+    sorted by exponent vector."""
+    ranges = [range(2) if d % 2 else range(upto // d + 1) for d in degrees]
+    by_degree = {n: [] for n in range(upto + 1)}
+    for exps in product(*ranges):
+        n = sum(e * d for e, d in zip(exps, degrees))
+        if n <= upto:
+            by_degree[n].append(tuple(i for i, e in enumerate(exps) for _ in range(e)))
     return by_degree
+
+
+def _matrix(source, target, degrees, diffs):
+    """Dense rows of d from the words ``source`` to the words ``target``."""
+    index = {w: i for i, w in enumerate(target)}
+    dense = [[Fraction(0)] * len(source) for _ in target]
+    for col, word in enumerate(source):
+        for image, coeff in _d_word(word, degrees, diffs).items():
+            dense[index[image]][col] = coeff
+    return dense
 
 
 def dense_differential(cdga, n):
@@ -124,40 +137,21 @@ def dense_differential(cdga, n):
     ``basis_of_degree`` documents; the entries come from ``_d_word``.
     """
     degrees, diffs = _generator_data(cdga)
-    by_degree = _words_by_degree(degrees)
-    source = by_degree.get(n, [])
-    target = by_degree.get(n + 1, [])
-    index = {w: i for i, w in enumerate(target)}
-    dense = [[Fraction(0)] * len(source) for _ in target]
-    for col, word in enumerate(source):
-        for image, coeff in _d_word(word, degrees, diffs).items():
-            dense[index[image]][col] = coeff
-    return len(target), len(source), dense
+    by_degree = _words_by_degree(degrees, n + 1)
+    source, target = by_degree[n], by_degree[n + 1]
+    return len(target), len(source), _matrix(source, target, degrees, diffs)
 
 
 def dense_betti(cdga):
-    """Per-degree Betti numbers over the full 2^g basis."""
+    """Per-degree Betti numbers from every monomial word: degrees 0 .. top of
+    a purely odd model, 0 .. truncation - 1 of one with even generators."""
     degrees, diffs = _generator_data(cdga)
-    g = len(degrees)
-    top = sum(degrees)
-    by_degree = {n: [] for n in range(top + 1)}
-    for size in range(g + 1):
-        for word in combinations(range(g), size):
-            by_degree[sum(degrees[i] for i in word)].append(word)
-    index = {
-        n: {w: i for i, w in enumerate(words)} for n, words in by_degree.items()
+    top = sum(degrees) if cdga.signature.is_purely_odd else cdga.truncation - 1
+    by_degree = _words_by_degree(degrees, top + 1)
+    ranks = {
+        n: dense_rank(_matrix(by_degree[n], by_degree[n + 1], degrees, diffs))
+        for n in range(top + 1)
     }
-    ranks = {}
-    for n in range(top + 1):
-        source = by_degree[n]
-        target = by_degree.get(n + 1, [])
-        dense = [[Fraction(0)] * len(source) for _ in target]
-        for col, word in enumerate(source):
-            for image, coeff in _d_word(word, degrees, diffs).items():
-                dense[index[n + 1][image]][col] = coeff
-        ranks[n] = dense_rank(dense)
-    out = []
-    for n in range(top + 1):
-        below = ranks[n - 1] if n > 0 else 0
-        out.append(len(by_degree[n]) - ranks[n] - below)
-    return tuple(out)
+    return tuple(
+        len(by_degree[n]) - ranks[n] - (ranks[n - 1] if n else 0) for n in range(top + 1)
+    )

@@ -18,15 +18,26 @@ from nilcohom import (
     check_d_squared,
     degree_shift,
     elem_mul,
+    representatives,
+    tensor_product,
     upper_tri_model,
     torus_model,
+    verify_classes,
     xr_model,
 )
 from nilcohom import cdga
-from nilcohom.algebra import Monomial, basis_dimensions, basis_index
+from nilcohom.algebra import (
+    _EXPONENT_LIMIT,
+    Monomial,
+    _decode,
+    _encode,
+    _keys_by_weight,
+    basis_dimensions,
+    basis_index,
+)
 from nilcohom.linalg import _integer_rows
 from conftest import random_two_step_cdga, seeded_two_step_cdgas
-from dense_oracle import dense_differential
+from dense_oracle import dense_betti, dense_differential
 
 
 def _failing_candidate():
@@ -292,9 +303,9 @@ def _flattened_blocks(model, n, by_weight):
     for sources in model._blocks(n, by_weight).values():
         sources_seen += len(sources)
         for c, column in model._block_columns(sources).items():
-            g = col_of[Monomial(sig, *sources[c])]
+            g = col_of[_decode(sig, sources[c])]
             assert g not in flat
-            flat[g] = {row_of[Monomial(sig, *key)]: v for key, v in column.items()}
+            flat[g] = {row_of[_decode(sig, key)]: v for key, v in column.items()}
     assert sources_seen == len(col_of)
     return flat
 
@@ -400,3 +411,90 @@ class TestTruncationArgument:
     def test_one_accepted(self):
         model = xr_model(3)
         assert CDGA(model.signature, model.differentials, truncation=1).truncation == 1
+
+
+def _two_polynomials():
+    return tensor_product(borel_twist(xr_model(3), "x3"), borel_twist(xr_model(2), "x2"))
+
+
+def _growing_model():
+    """d x = y with y and z polynomial: d(x * y^e * z^f) = y^(e+1) * z^f."""
+    sig = Signature([("x", 1), ("y", 2), ("z", 2)])
+    y = Element.generator(sig, "y")
+    return CDGA(sig, {"x": y, "y": Element.zero(sig), "z": Element.zero(sig)}, truncation=4)
+
+
+class TestMonomialKeys:
+    """One int per monomial: the odd mask in the low bits, one fixed-width
+    exponent field per polynomial generator above it. The key path must
+    round-trip through ``Monomial``, agree with the matrix path, and refuse
+    an exponent that one step of d could carry into the next field."""
+
+    def test_the_model_has_two_polynomial_generators(self):
+        assert _two_polynomials().signature.even_indices == (5, 10)
+
+    def test_every_basis_monomial_round_trips(self):
+        model = _two_polynomials()
+        sig = model.signature
+        zero = (0,) * len(sig)
+        for n in range(model.truncation + 1):
+            basis = basis_of_degree(sig, n)
+            keys = [_encode(mono) for mono in basis]
+            assert [_decode(sig, key) for key in keys] == list(basis), n
+            assert len(set(keys)) == len(keys), n
+            assert _keys_by_weight(sig, n, zero).get(0, []) == keys, n
+
+    def test_d_on_keys_matches_the_matrix(self):
+        model = _two_polynomials()
+        sig = model.signature
+        for n in range(model.truncation):
+            row_of = basis_index(sig, n + 1)
+            columns = {}
+            for col, mono in enumerate(basis_of_degree(sig, n)):
+                for key, val in model._d_key(_encode(mono)).items():
+                    columns[row_of[_decode(sig, key)], col] = Fraction(val)
+            assert columns == model.differential_matrix(n).entries, n
+
+    def test_an_exponent_growing_past_half_a_field_decodes_exactly(self):
+        model = _growing_model()
+        sig = model.signature
+        top = _EXPONENT_LIMIT - 1
+        source = Monomial(sig, 1, (top, 5))
+        image = Monomial(sig, 0, (top + 1, 5))
+        assert model.apply_d(Element.from_monomial(source, 3)) == Element.from_monomial(image, 3)
+        assert model._d_key(_encode(source)) == {_encode(source) - 1 + (1 << 1): 1}
+        assert _decode(sig, next(iter(model._d_key(_encode(source))))) == image
+
+    def test_apply_d_refuses_an_exponent_at_the_limit(self):
+        model = _growing_model()
+        sig = model.signature
+        big = Element.from_monomial(Monomial(sig, 1, (_EXPONENT_LIMIT, 0)))
+        with pytest.raises(ValueError, match=f"exponent {_EXPONENT_LIMIT} is not below"):
+            model.apply_d(big)
+        with pytest.raises(ValueError, match="is not below"):
+            _encode(Monomial(sig, 0, (0, _EXPONENT_LIMIT)))
+
+    @pytest.mark.parametrize("exponent", [_EXPONENT_LIMIT - 1, _EXPONENT_LIMIT])
+    def test_construction_refuses_an_exponent_at_the_limit(self, exponent):
+        # d w = y^exponent, homogeneous when |w| = 2 * exponent - 1.
+        sig = Signature([("y", 2), ("w", 2 * exponent - 1)])
+        power = Element.from_monomial(Monomial(sig, 0, (exponent,)))
+        diffs = {"y": Element.zero(sig), "w": power}
+        if exponent < _EXPONENT_LIMIT:
+            assert CDGA(sig, diffs, truncation=4).d_of("w") == power
+        else:
+            with pytest.raises(DifferentialError, match=f"exponent {exponent} is not below"):
+                CDGA(sig, diffs, truncation=4)
+
+    def test_betti_matches_the_dense_oracle(self):
+        model = _two_polynomials()
+        table = betti(model)
+        assert table.per_degree == dense_betti(model) == (1, 4, 8, 11, 11, 8, 4, 1)
+        assert model._by_weight(basis_dimensions(model.signature, model.truncation))
+
+    def test_representatives_pass_verify(self):
+        model = _two_polynomials()
+        classes = [z for n in range(model.truncation) for z in representatives(model, n)]
+        report = verify_classes(model, classes)
+        assert report.ok, report
+        assert len(classes) == betti(model).total

@@ -95,6 +95,46 @@ class TestCohomologyCommand:
         assert table["per_degree"] == [1, 2, 4, 6]
         assert table["truncated_at"] == 4
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_truncate_keeps_the_orbit_ranking_of_u_n(self, capsys, monkeypatch, jobs):
+        # The anti-transpose of u_6 keeps degrees, so the truncated rebuild
+        # carries it: checked once, then one weight block per orbit.
+        from nilcohom import cohomology
+        from nilcohom.cdga import CDGA
+
+        checks = []
+        real_check, real_costs = CDGA._check_symmetry, cohomology._weight_costs
+        monkeypatch.setattr(CDGA, "_check_symmetry", lambda cdga: checks.append(real_check(cdga)))
+        mirrored = []
+
+        def costs(cdga, degrees):
+            found = real_costs(cdga, degrees)
+            mirrored.append(sorted(copies for _, copies in found.values()))
+            return found
+
+        monkeypatch.setattr(cohomology, "_weight_costs", costs)
+        report = run_json(
+            capsys, "cohomology", "--builtin", "upper-tri:6", "--truncate", "7", "--jobs", jobs
+        )
+        assert report["outputs"]["betti"]["per_degree"] == [1, 5, 14, 29, 49, 71, 90]
+        assert len(checks) == 1
+        if jobs == "1":
+            assert len(mirrored) == 1 and 1 in mirrored[0] and 2 in mirrored[0]
+
+    def test_an_exponent_past_the_key_limit_exits_2(self, capsys, monkeypatch, tmp_path):
+        # The text format has no power syntax, so the limit is lowered to 4
+        # for the file to reach it: d y = t^5 then has no monomial key.
+        from nilcohom import algebra
+
+        path = tmp_path / "power.cdga"
+        path.write_text("algebra power\ngen t : 2\ngen y : 9\nd t = 0\nd y = t*t*t*t*t\n")
+        assert run_json(capsys, "cohomology", str(path))["outputs"]["name"] == "power"
+        monkeypatch.setattr(algebra, "_EXPONENT_LIMIT", 4)
+        code, out, err = run_cli(capsys, "cohomology", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "1:1: differential: term t^5: exponent 5 is not below 4\n"
+
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_truncate_below_one_exits_2(self, capsys, value):
         code, out, err = run_cli(

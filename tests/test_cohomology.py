@@ -33,7 +33,13 @@ from nilcohom import (
     xr_model,
 )
 from nilcohom import cohomology
-from nilcohom.algebra import _keys_by_weight, _weight_dimensions, basis_dimensions, basis_index
+from nilcohom.algebra import (
+    _encode,
+    _keys_by_weight,
+    _weight_dimensions,
+    basis_dimensions,
+    basis_index,
+)
 from nilcohom.cli import main
 from nilcohom import cdga as cdga_module
 from nilcohom.cohomology import (
@@ -619,6 +625,16 @@ class TestForkedRanks:
         assert forked._weights.mirrors is not None and plain._weights.mirrors is None
         assert list(forked._rank_cache.items()) == list(plain._rank_cache.items())
 
+    def test_two_polynomial_generators_match_the_serial_path(self, forks, monkeypatch):
+        # Keys with two exponent fields, ranked in children: under the size
+        # gate, so the gate is lowered.
+        monkeypatch.setattr(cohomology, "FORK_MIN_MONOMIALS", 0)
+        serial = tensor_product(borel_twist(xr_model(3), "x3"), borel_twist(xr_model(2), "x2"))
+        forked = tensor_product(borel_twist(xr_model(3), "x3"), borel_twist(xr_model(2), "x2"))
+        assert betti(forked, jobs=2) == betti(serial)
+        assert len(forks) == 2
+        assert list(forked._rank_cache.items()) == list(serial._rank_cache.items())
+
     def test_x9_is_under_the_size_gate(self, monkeypatch, no_fork):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         assert betti(xr_model(9), jobs=4) == betti(xr_model(9))
@@ -685,7 +701,7 @@ class TestForkedRanks:
         real = cohomology._rank_blocks
 
         def skipping(cdga, degrees, by_weight, share=None):
-            return real(cdga, degrees, by_weight, set(sorted(share)[1:]))
+            return real(cdga, degrees, by_weight, dict(sorted(share.items())[1:]))
 
         monkeypatch.setattr(cohomology, "_rank_blocks", skipping)
         model = upper_tri_model(6)
@@ -839,8 +855,9 @@ class TestWeightBlocksAgainstComponents:
     def test_clearing_drops_exactly_the_pivot_rows_below(self, model, grouping, monkeypatch):
         # A block has as many pivot rows as its rank, so with d_(n-1) ranked
         # just before, d is expanded on the sources of the ranked blocks of
-        # degree n less the pivot rows found in degree n - 1. Without
-        # sigma-orbits every block is ranked: dim_n - rank d_(n-1) sources.
+        # degree n less the pivot rows found in degree n - 1. Every block
+        # walked is ranked: with sigma-orbits only the representatives are
+        # walked, without them every block, dim_n - rank d_(n-1) sources.
         degrees = list(_degree_range(model))
         by_weight = self.by_weight(model, degrees)
         orbits = by_weight and model._weight_lattice().mirrors is not None
@@ -854,11 +871,7 @@ class TestWeightBlocksAgainstComponents:
         def blocks(cdga, n, *args):
             current.append(n)
             found = real_blocks(cdga, n, *args)
-            ranked[n] = sum(
-                len(keys)
-                for w, keys in found.items()
-                if not orbits or cdga._mirror_weight(keys[0]) >= w
-            )
+            ranked[n] = sum(len(keys) for keys in found.values())
             return found
 
         def columns(cdga, sources):
@@ -884,7 +897,7 @@ class TestWeightBlocksAgainstComponents:
     def test_blocks_are_unions_of_components(self, model):
         sig = model.signature
         for n in _degree_range(model):
-            col_of = {mono[1:]: c for c, mono in enumerate(basis_of_degree(sig, n))}
+            col_of = {_encode(mono): c for c, mono in enumerate(basis_of_degree(sig, n))}
             block_of = {}
             for b, keys in enumerate(model._blocks(n, True).values()):
                 block_of.update((col_of[key], b) for key in keys)
@@ -901,7 +914,7 @@ class TestWeightBlocksAgainstComponents:
                 weight = sum(e * weights.generators[i] for i, e in enumerate(mono.exponents()))
                 assert weight == weights.generators[g.index], g.name
                 walk = _keys_by_weight(model.signature, g.degree + 1, weights.generators)
-                assert (mono.odd_mask, mono.even_exps) in walk[weight], g.name
+                assert _encode(mono) in walk[weight], g.name
 
     def test_lattice_ranks(self):
         for n in range(2, 8):
@@ -962,7 +975,7 @@ def u_n_partners(n: int) -> dict:
     partners = {}
     for k in range(model.top_degree() + 1):
         for w, keys in model._blocks(k, True).items():
-            mask = keys[0][0]
+            mask = keys[0]
             partners[w] = sum(weights[mirror[p]] for p in range(len(mirror)) if mask >> p & 1)
     return partners
 
@@ -1003,6 +1016,22 @@ class TestOrbitRanking:
         orbit = sum(size for own, size in expanded if own)
         assert 0 < orbit < sum(size for own, size in expanded if not own)
 
+    def test_the_serial_path_walks_only_the_representatives(self, monkeypatch):
+        model = upper_tri_model(6)
+        partners = u_n_partners(6)
+        walked = []
+        real_blocks = CDGA._blocks
+
+        def blocks(cdga, n, *args):
+            found = real_blocks(cdga, n, *args)
+            walked.extend(found)
+            return found
+
+        monkeypatch.setattr(CDGA, "_blocks", blocks)
+        _rank_blocks(model, list(range(8)), True)
+        assert all(w <= partners[w] for w in walked)
+        assert any(w < partners[w] for w in walked)
+
     def test_shares_deal_each_representative_once(self):
         model = upper_tri_model(6)
         degrees = list(range(8))
@@ -1028,15 +1057,14 @@ class TestOrbitRanking:
 
     def test_which_models_carry_the_symmetry(self):
         split = split_at_k(6, 3)
-        carried = [upper_tri_model(4), split.base, split.total, split.fiber]
+        u4 = upper_tri_model(4)
+        carried = [u4, split.base, split.total, split.fiber, degree_shift(u4, 1)]
         for model in carried:
             assert model._symmetry is not None, model.name
             assert model._weight_lattice().mirrors is not None, model.name
-        u4 = upper_tri_model(4)
         dropped = [
             CDGA(u4.signature, u4.differentials),
             to_cdga(parse(serialize(u4)).document),
-            degree_shift(u4, 1),
             borel_twist(u4, "x_4_1"),
             tensor_product(u4, xr_model(1)),
             chevalley_eilenberg(u_n_presentation(4)),
