@@ -313,10 +313,10 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
     ``_rank_blocks``, one torus-weight block at a time (one block per
     degree for models under ``_BLOCK_MIN_MONOMIALS``): the block's sources
     come from a key walk that builds no ``Monomial``, its integer columns
-    are assembled directly from d, eliminated with the rank-only pivot rule
-    and dropped before the next block, so no differential matrix is built
-    or cached. Clearing drops from each block's sources the pivot targets
-    of the same weight one degree down, which leaves the rank as it is. A
+    are assembled directly from d, ranked by ``_row_pivots`` and dropped
+    before the next block, so no differential matrix is built or cached.
+    Clearing drops from each block's sources the pivot targets of the same
+    weight one degree down, which leaves the rank as it is. A
     degree whose rank d_(n-1) was already cached, by ``representatives`` or
     ``verify_classes``, has no pivots below it and is ranked uncleared.
     When the CDGA carries a symmetry sigma (u_n and the models of

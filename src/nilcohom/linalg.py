@@ -2,24 +2,18 @@
 
 The eliminator clears denominators row-wise with ``_clear_denominators``
 (which changes neither rank nor kernel) and runs one cross-multiplication
-elimination core: exact over the integers with row GCD normalization, or
-modulo a prime for the multimodular rank bounds. ``_kernel``, ``rank_only``
-and ``rank_multimodular`` first split a matrix into the connected components
-of its nonzero pattern and eliminate one component at a time. The caller
-passes the pivot rule, and both rules depend only on matrix content, so
-results are deterministic:
-
-- ``_pick_markowitz``, for ``_kernel`` and so ``rank_exact`` and
-  ``cohomology.representatives``, whose pivot columns and kernel vectors are
-  visible: minimize (row_nnz-1)*(col_nnz-1) over every nonzero, break ties by
-  lowest column index, then lowest row index.
-- ``_pick_count``, for the rank-only paths ``_row_pivots`` and
-  ``_rank_mod_p``: the column with the fewest live rows, lowest column on
-  ties, then in it the row with the fewest entries, lowest row on ties
-  (Markowitz 1957; Dumas-Villard 2002). Any pivot sequence gives the same
-  rank. ``_eliminate`` keeps the columns of this rule in a heap of
-  (live rows, column), so a pivot costs a few heap steps instead of a scan
-  of every live column; the pivots are those of ``_pick_count``.
+elimination core, ``_eliminate``: exact over the integers with row GCD
+normalization, or modulo a prime for the multimodular rank bounds.
+``_kernel``, ``rank_only`` and ``rank_multimodular`` first split a matrix
+into the connected components of its nonzero pattern and eliminate one
+component at a time. Every elimination pivots by one rule, the column
+count: the column with the fewest live rows, lowest column on ties, then
+in it the row with the fewest entries, lowest row id on ties (Markowitz
+1957; Dumas-Villard 2002). It depends only on matrix content, so results,
+including the pivot columns and kernel vectors that ``rank_exact`` and
+``cohomology.representatives`` show, are deterministic. ``_eliminate``
+keeps the columns in a heap of (live rows, column), so a pivot costs a few
+heap steps instead of a scan of every live column.
 
 ``_row_pivots`` eliminates integer rows and returns the pivots, whose
 number is the rank: ``rank_only`` feeds it the rows of a matrix, split
@@ -28,7 +22,8 @@ into components, and ``cohomology.betti`` the columns of d that
 building a matrix, keyed by target monomial. Those blocks are single
 components on the nilmanifold models and are eliminated unsplit, and
 their pivot targets are the rows that clearing drops from the sources of
-the next degree. ``rank_multimodular`` ranks mod p through ``_rank_mod_p``.
+the next degree. ``rank_multimodular`` ranks mod p through ``_rank_mod_p``,
+which reduces the rows and hands them to ``_row_pivots``.
 
 Kernel and quotient work on sparse vectors, dicts from index to Fraction.
 ``_kernel`` back-substitutes one primitive integer vector per free column,
@@ -266,46 +261,16 @@ def _discard(col_rows: dict, c: int, r: int) -> None:
         del col_rows[c]
 
 
-def _pick_markowitz(rows: dict, col_rows: dict) -> tuple:
-    """(col, row) minimizing (cost, col, row) over every nonzero entry.
-
-    cost = (row_nnz - 1) * (col_nnz - 1); one scan of every live entry.
-    """
-    _, c, r = min(
-        ((len(rows[r]) - 1) * (len(rs) - 1), c, r)
-        for c, rs in col_rows.items()
-        for r in rs
-    )
-    return c, r
-
-
-def _pick_count(rows: dict, col_rows: dict) -> tuple:
-    """(col, row) for the column with the fewest live rows, then its shortest row.
-
-    Ties go to the lowest column, then the lowest row id. One scan of the
-    live columns and one of the chosen column's rows; ``_eliminate`` picks
-    the same column from a heap instead of calling this.
-    """
-    _, c = min((len(rs), c) for c, rs in col_rows.items())
-    _, r = min((len(rows[r]), r) for r in col_rows[c])
-    return c, r
-
-
-def _eliminate(
-    rows: dict,
-    keep_pivot_rows: bool,
-    modulus: Optional[int] = None,
-    pick=_pick_markowitz,
-):
+def _eliminate(rows: dict, keep_pivot_rows: bool, modulus: Optional[int] = None):
     """Cross-multiplication elimination; returns (pivots, frozen_rows).
 
     Exact over Z with row GCD normalization when ``modulus`` is None;
     otherwise over Z/p for the prime ``modulus``, on entries already reduced
-    mod p and without normalization. ``pick(rows, col_rows)`` returns the
-    next pivot as (col, row) from matrix content alone, never from dict or
-    set iteration order: ``_pick_markowitz`` (the default, whose pivots
-    ``_kernel`` exposes) or ``_pick_count`` (rank-only callers). Emptied
-    column sets are dropped.
+    mod p and without normalization. Each pivot follows the count rule: the
+    column with the fewest live rows, lowest column on ties, then in it the
+    row with the fewest entries, lowest row id on ties. It depends on matrix
+    content alone, never on dict or set iteration order. Emptied column
+    sets are dropped.
     ``pivots`` is the list of (row, col) in elimination order;
     ``frozen_rows`` maps pivot row id to its content at freeze time (support
     only on its own and later pivot columns plus free columns), empty unless
@@ -317,25 +282,19 @@ def _eliminate(
             col_rows.setdefault(c, set()).add(r)
     pivots = []
     frozen = {}
-    # The count rule keeps (live rows, column) in a heap instead of scanning
-    # every column per pivot. A step changes the counts of the pivot row's
-    # columns only, and those are pushed again; an entry whose column is gone
-    # or whose count is out of date is dropped when it surfaces, so the top
-    # valid entry is the least (count, column), the column ``_pick_count``
-    # picks.
-    heap = None
-    if pick is _pick_count:
-        heap = [(len(rs), c) for c, rs in col_rows.items()]
-        heapify(heap)
+    # The columns sit in a heap of (live rows, column) instead of being
+    # scanned per pivot. A step changes the counts of the pivot row's columns
+    # only, and those are pushed again; an entry whose column is gone or
+    # whose count is out of date is dropped when it surfaces, so the top
+    # valid entry is the least (count, column).
+    heap = [(len(rs), c) for c, rs in col_rows.items()]
+    heapify(heap)
     while col_rows:
-        if heap is None:
-            c, r = pick(rows, col_rows)
-        else:
+        count, c = heap[0]
+        while c not in col_rows or len(col_rows[c]) != count:
+            heappop(heap)
             count, c = heap[0]
-            while c not in col_rows or len(col_rows[c]) != count:
-                heappop(heap)
-                count, c = heap[0]
-            _, r = min((len(rows[r]), r) for r in col_rows[c])
+        _, r = min((len(rows[r]), r) for r in col_rows[c])
         pivot_row = rows[r]
         p = pivot_row[c]
         # Over Z, p*row - a*pivot_row for p = -1 is row + a*pivot_row negated;
@@ -371,7 +330,7 @@ def _eliminate(
                 _normalize_row(row_i)
         for j in pivot_row:
             _discard(col_rows, j, r)
-            if heap is not None and j in col_rows:
+            if j in col_rows:
                 heappush(heap, (len(col_rows[j]), j))
         pivots.append((r, c))
         if keep_pivot_rows:
@@ -461,31 +420,33 @@ def rank_exact(m: SparseExactMatrix) -> RankResult:
     )
 
 
-def _row_pivots(rows: dict, split: bool = True) -> list:
-    """Pivots (row, col) of an exact elimination of nonempty integer rows {row: {col: int}}.
+def _row_pivots(rows: dict, split: bool = True, modulus: Optional[int] = None) -> list:
+    """Pivots (row, col) of an elimination of nonempty integer rows {row: {col: int}}.
 
-    Their number is the rank. The rows are eliminated in place, and the
-    pivots follow the count rule. With ``split`` the rows are first cut into
-    the connected components of their nonzero pattern and eliminated one
-    component at a time; without it they are eliminated as one piece. A
-    single row is its own pivot and needs no elimination.
+    Their number is the rank: over Z, or over Z/p for the prime ``modulus``
+    on entries already reduced mod p. The rows are eliminated in place by
+    ``_eliminate``. With ``split`` the rows are first cut into the connected
+    components of their nonzero pattern and eliminated one component at a
+    time; without it they are eliminated as one piece. A single row is its
+    own pivot, at its lowest column as the count rule picks, and needs no
+    elimination.
     """
     if len(rows) < 2:
-        return [(r, next(iter(row))) for r, row in rows.items()]
+        return [(r, min(row)) for r, row in rows.items()]
     if not split:
-        return _eliminate(rows, keep_pivot_rows=False, pick=_pick_count)[0]
+        return _eliminate(rows, keep_pivot_rows=False, modulus=modulus)[0]
     pivots = []
     for _, row_ids in _components(rows):
         sub = {r: rows[r] for r in row_ids}
-        pivots += _eliminate(sub, keep_pivot_rows=False, pick=_pick_count)[0]
+        pivots += _eliminate(sub, keep_pivot_rows=False, modulus=modulus)[0]
     return pivots
 
 
 def rank_only(m: SparseExactMatrix) -> int:
     """Exact rank without kernel bookkeeping.
 
-    Pivots by ``_pick_count``, not the Markowitz order of ``rank_exact``;
-    the two agree on the rank, which is all this returns.
+    Eliminates by the same rule as ``rank_exact`` but keeps no pivot rows
+    for back-substitution.
     """
     return len(_row_pivots(_integer_rows(m)))
 
@@ -590,17 +551,13 @@ def _is_prime(n: int) -> bool:
 
 
 def _rank_mod_p(rows: dict, p: int):
-    """Rank mod p with the same core and the count pivot rule; returns pivots."""
+    """Pivots of the integer rows reduced mod p, eliminated over Z/p."""
     mod_rows = {}
     for r, row in rows.items():
         mr = {c: v % p for c, v in row.items() if v % p}
         if mr:
             mod_rows[r] = mr
-    pivots = []
-    for _, row_ids in _components(mod_rows):
-        sub = {r: mod_rows[r] for r in row_ids}
-        pivots.extend(_eliminate(sub, keep_pivot_rows=False, modulus=p, pick=_pick_count)[0])
-    return pivots
+    return _row_pivots(mod_rows, modulus=p)
 
 
 def rank_multimodular(

@@ -201,6 +201,8 @@ def borel_twist(
     of the twisted cohomology is not claimed: consumers compare truncated
     Betti data against a predicted quotient model inside the window.
     """
+    if gen_name not in c.signature:
+        raise ValueError(f"no generator {gen_name!r} to twist")
     g = c.signature.generator(gen_name)
     if g.degree % 2 == 0:
         raise ValueError("twisted generator must have odd degree")

@@ -6,10 +6,15 @@ signs come from insertion-sort swap counting, matrices are dense lists of
 Fractions, and the eliminator is textbook Gaussian reduction. Only the
 generator data (names, degrees, differentials) and the truncation window
 are read off the model under test.
+
+``count_rule_elimination`` is the reference for the pivot order of the
+sparse core: the same row arithmetic, with each pivot found by a plain scan
+of every live column instead of a heap.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 
 def _sort_word(word, degrees):
@@ -106,6 +111,64 @@ def dense_rank_mod_p(matrix, p):
                 m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def count_pivot(rows):
+    """(column, row) the count rule picks among sparse rows {row: {col: value}}.
+
+    The column with the fewest rows, lowest column on ties, then in it the
+    row with the fewest entries, lowest row id on ties; found by scanning.
+    """
+    counts = {}
+    for row in rows.values():
+        for c in row:
+            counts[c] = counts.get(c, 0) + 1
+    col = min(counts, key=lambda c: (counts[c], c))
+    row = min((r for r in rows if col in rows[r]), key=lambda r: (len(rows[r]), r))
+    return col, row
+
+
+def count_rule_elimination(rows, modulus=None):
+    """(pivots, frozen rows) of a count-rule elimination of integer rows.
+
+    Over Z, or over Z/modulus on entries already reduced. Each pivot comes
+    from ``count_pivot``. Every other row x with an entry a in the pivot
+    column becomes p * x - a * (pivot row), p being the pivot, and over Z
+    it is then divided by the gcd of its entries; for p = -1 over Z it
+    becomes x + a * (pivot row) instead, the negation.
+    ``pivots`` lists (row, col) in elimination order; ``frozen`` maps each
+    pivot row to its content when it was chosen. The input is not changed.
+    """
+    rows = {r: dict(row) for r, row in rows.items() if row}
+    pivots, frozen = [], {}
+    while rows:
+        col, r = count_pivot(rows)
+        pivot_row = rows.pop(r)
+        p = pivot_row[col]
+        for i, row in list(rows.items()):
+            a = row.get(col)
+            if a is None:
+                continue
+            out = {}
+            for j in set(row) | set(pivot_row):
+                if modulus is None and p == -1:
+                    v = row.get(j, 0) + a * pivot_row.get(j, 0)
+                else:
+                    v = p * row.get(j, 0) - a * pivot_row.get(j, 0)
+                if modulus is not None:
+                    v %= modulus
+                if v:
+                    out[j] = v
+            if modulus is None and out:
+                g = gcd(*out.values())
+                out = {j: v // g for j, v in out.items()}
+            if out:
+                rows[i] = out
+            else:
+                del rows[i]
+        pivots.append((r, col))
+        frozen[r] = pivot_row
+    return pivots, frozen
 
 
 def _words_by_degree(degrees, upto):

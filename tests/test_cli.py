@@ -80,6 +80,14 @@ class TestCohomologyCommand:
         code, out, err = run_cli(capsys, "cohomology", "--builtin", "nope:3")
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["twist-xr:0", "twist-xr:-2"])
+    def test_twist_without_a_chain_generator_exits_2(self, capsys, spec):
+        # X_0 has no x0 to twist, and X_-2 does not exist: usage errors, not failed checks.
+        code, out, err = run_cli(capsys, "cohomology", "--builtin", spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_csv_format(self, capsys):
         code, out, err = run_cli(
             capsys, "cohomology", "--builtin", "torus:2", "--format", "csv"

@@ -15,15 +15,8 @@ from nilcohom import (
     rank_only,
     upper_tri_model,
 )
-from nilcohom.linalg import (
-    _eliminate,
-    _integer_rows,
-    _kernel,
-    _pick_count,
-    _pick_markowitz,
-    _quotient,
-)
-from dense_oracle import dense_rank, dense_rank_mod_p
+from nilcohom.linalg import _eliminate, _integer_rows, _kernel, _quotient, _row_pivots
+from dense_oracle import count_pivot, count_rule_elimination, dense_rank, dense_rank_mod_p
 
 
 def random_sparse(rng, rows, cols, density=0.3):
@@ -375,20 +368,11 @@ def block_structured_matrices(draw):
     return SparseExactMatrix(rows, cols, entries)
 
 
-def column_sets(rows: dict) -> dict:
-    col_rows: dict = {}
-    for r, row in rows.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(r)
-    return col_rows
-
-
 class TestPivotRules:
-    """``rank_only`` and ``rank_multimodular`` pivot by column count,
-    ``rank_exact`` by the Markowitz order; the ranks must agree."""
+    """Every elimination pivots by column count: ``rank_only``,
+    ``rank_exact`` and ``rank_multimodular`` alike."""
 
-    # Column 0 has the fewest rows, and row 1 is the shorter of its two;
-    # the cheapest Markowitz entry is the singleton row 2 in column 1.
+    # Column 0 has the fewest rows, and row 1 is the shorter of its two.
     ROWS = {0: {0: 1, 1: 1, 2: 1}, 1: {0: 1, 2: 1}, 2: {1: 1}, 3: {1: 2, 2: 1}}
 
     @given(block_structured_matrices(), st.sampled_from([2, 3, 5, 1000003]))
@@ -406,35 +390,38 @@ class TestPivotRules:
         assert cert.per_prime == ((p, dense_rank_mod_p(scaled, p)),)
         assert cert.exact_rank == expected
 
-    def test_count_rule_takes_the_sparsest_column_then_its_shortest_row(self):
-        assert _pick_count(self.ROWS, column_sets(self.ROWS)) == (0, 1)
+    @given(block_structured_matrices())
+    def test_kernel_and_rank_pivot_on_the_same_columns(self, m):
+        pivot_columns, _ = _kernel(m)
+        assert pivot_columns == sorted(c for _, c in _row_pivots(_integer_rows(m)))
 
-    def test_markowitz_rule_takes_the_cheapest_entry(self):
-        assert _pick_markowitz(self.ROWS, column_sets(self.ROWS)) == (1, 2)
+    def test_count_rule_takes_the_sparsest_column_then_its_shortest_row(self):
+        assert count_pivot(self.ROWS) == (0, 1)
 
     def test_count_rule_breaks_ties_by_lowest_column_then_row(self):
         # Columns 7, 5 and 2 have two rows each; rows 2 and 0 of column 2
         # have two entries each. Dict order is the reverse of the answer.
         rows = {3: {7: 1}, 2: {7: 1, 2: 1}, 1: {5: 1}, 0: {5: 1, 2: 1}}
-        assert _pick_count(rows, column_sets(rows)) == (2, 0)
+        assert count_pivot(rows) == (2, 0)
+        assert _eliminate(rows, keep_pivot_rows=False)[0][0] == (0, 2)
 
     def test_count_rule_pivot_sequence(self):
+        assert count_rule_elimination(self.ROWS)[0] == [(1, 0), (3, 2), (0, 1)]
         rows = {r: dict(row) for r, row in self.ROWS.items()}
-        pivots, frozen = _eliminate(rows, keep_pivot_rows=False, pick=_pick_count)
+        pivots, frozen = _eliminate(rows, keep_pivot_rows=False)
         assert pivots == [(1, 0), (3, 2), (0, 1)]
         assert frozen == {} and rows == {2: {}}
 
     @given(block_structured_matrices(), st.sampled_from([None, 3, 1000003]))
     def test_count_rule_heap_follows_the_scan(self, m, p):
-        # ``_eliminate`` keeps the count rule's columns in a heap; a pick that
-        # scans with ``_pick_count`` on every step must give the same pivots.
+        # ``_eliminate`` keeps the columns in a heap; the oracle scans every
+        # live column on each step and must give the same pivots and rows.
         rows = _integer_rows(m)
         if p is not None:
             rows = {r: {c: v % p for c, v in row.items() if v % p} for r, row in rows.items()}
             rows = {r: row for r, row in rows.items() if row}
-        copy = {r: dict(row) for r, row in rows.items()}
-        heap = _eliminate(rows, keep_pivot_rows=True, modulus=p, pick=_pick_count)
-        scan = _eliminate(copy, keep_pivot_rows=True, modulus=p, pick=lambda *a: _pick_count(*a))
+        scan = count_rule_elimination(rows, modulus=p)
+        heap = _eliminate(rows, keep_pivot_rows=True, modulus=p)
         assert heap == scan
 
     def test_count_rule_heap_follows_the_scan_on_larger_matrices(self):
@@ -445,19 +432,19 @@ class TestPivotRules:
             for r in range(rng.randint(2, 120)):
                 support = rng.sample(range(cols), rng.randint(1, 5))
                 rows[r] = {c: rng.choice([1, -1, 2, -3, 5]) for c in support}
-            copy = {r: dict(row) for r, row in rows.items()}
-            heap = _eliminate(rows, keep_pivot_rows=True, pick=_pick_count)
-            scan = _eliminate(copy, keep_pivot_rows=True, pick=lambda *a: _pick_count(*a))
+            scan = count_rule_elimination(rows)
+            heap = _eliminate(rows, keep_pivot_rows=True)
             assert heap == scan
 
-    def test_rank_exact_keeps_the_markowitz_pivots(self):
-        # The count rule would pivot on column 3 here, leaving column 2 free
-        # and the kernel vector (5, -1, 1, -3): the rules differ where
-        # rank_exact shows its pivots, so it must keep the Markowitz order.
+    def test_rank_exact_shows_the_count_rule_pivots(self):
+        # The count rule pivots on column 3 here and leaves column 2 free,
+        # where a Markowitz order, least (row_nnz-1)*(col_nnz-1), would take
+        # column 2 and give (-5, 1, -1, 3): the pivots rank_exact shows tell
+        # the rules apart.
         m = SparseExactMatrix.from_dense([[1, 0, 1, 2], [0, 1, 1, 0], [0, 0, 0, 0], [1, 2, 0, 1]])
         rows = {0: {0: 1, 2: 1, 3: 2}, 1: {1: 1, 2: 1}, 3: {0: 1, 1: 2, 3: 1}}
-        pivots, _ = _eliminate(rows, keep_pivot_rows=False, pick=_pick_count)
+        pivots, _ = _eliminate(rows, keep_pivot_rows=False)
         assert sorted(c for _, c in pivots) == [0, 1, 3]
         result = rank_exact(m)
-        assert result.pivot_columns == (0, 1, 2)
-        assert result.kernel_basis == ((-5, 1, -1, 3),)
+        assert result.pivot_columns == (0, 1, 3)
+        assert result.kernel_basis == ((5, -1, 1, -3),)
