@@ -58,7 +58,6 @@ class Signature:
         "_even_degrees",
         "_hash",
         "_basis_cache",
-        "_basis_index_cache",
     )
 
     def __init__(self, generators: Iterable[Union[GeneratorSpec, tuple]]):
@@ -90,7 +89,6 @@ class Signature:
         self._even_degrees = tuple(specs[i].degree for i in self.even_indices)
         self._hash = hash(tuple((g.name, g.degree) for g in specs))
         self._basis_cache: dict = {}
-        self._basis_index_cache: dict = {}
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -535,12 +533,12 @@ def _weight_dimensions(sig: Signature, upto: int, weights: Sequence[int]) -> lis
 
 
 def basis_index(sig: Signature, n: int) -> dict:
-    """Map from degree-n basis monomials to their positions."""
-    cached = sig._basis_index_cache.get(n)
-    if cached is None:
-        cached = {m: i for i, m in enumerate(basis_of_degree(sig, n))}
-        sig._basis_index_cache[n] = cached
-    return cached
+    """Map from degree-n basis monomials to their positions; not cached.
+
+    The engine no longer calls it: ``cohomology`` works on monomial keys.
+    It stays because the perfbench tracer wraps it by name.
+    """
+    return {m: i for i, m in enumerate(basis_of_degree(sig, n))}
 
 
 def transport(elem: Element, target: Signature, name_map: Mapping[str, str]) -> Element:

@@ -14,9 +14,10 @@ coefficients where they are integral and a Koszul sign mask per term. d acts
 on keys alone: ``_d_key`` is the one Leibniz expansion, which multiplies by
 adding keys and lowers an exponent by subtracting its field's unit, with one
 popcount per term for its sign. It serves ``apply_d`` (hence the d^2 check),
-which encodes and decodes at the ``Monomial`` edge, the cached Fraction
-``differential_matrix``, which looks the target rows up by key, and
-``_block_columns``.
+which encodes and decodes at the ``Monomial`` edge, ``_block_columns``,
+``cohomology.representatives`` and ``verify_classes``, which expand it on
+keys themselves, and the cached Fraction ``differential_matrix``, which
+looks the target rows up by key and is kept for public callers.
 
 d preserves a torus weight (Kostant 1961): the weight lattice, computed on
 first use and cached, is the integer kernel of w(g) = w(u) over the terms u
@@ -337,7 +338,9 @@ class CDGA:
         Column j holds the expansion of d applied to the j-th basis monomial,
         in the order of ``_d_key`` on its key; target rows are looked up by
         key. Deterministic given the canonical basis order. Entries are
-        Fractions; the matrix is cached on the CDGA.
+        Fractions; the matrix is cached on the CDGA. No engine path builds
+        it: ``betti``, ``representatives`` and ``verify_classes`` expand
+        ``_d_key`` on monomial keys instead.
         """
         cached = self._matrix_cache.get(n)
         if cached is None:
@@ -367,16 +370,15 @@ class CDGA:
         """
         if self._weights is None:
             sig = self.signature
-            entries = {}
-            row = 0
+            rows = {}
             for g in sig.generators:
                 for u in self._diff[g.index].terms:
-                    entries[row, g.index] = 1
+                    row = {g.index: 1}
                     for idx, e in enumerate(u.exponents()):
                         if e:
-                            entries[row, idx] = entries.get((row, idx), 0) - e
-                    row += 1
-            _, vectors = _kernel(SparseExactMatrix(row, len(sig), entries))
+                            row[idx] = row.get(idx, 0) - e
+                    rows[len(rows)] = {idx: c for idx, c in row.items() if c}
+            _, vectors = _kernel(rows, len(sig))
             # A generator occurs at most once in a monomial if odd, and at
             # most truncation // degree times if even (evens come with one).
             reach = [1 if g.is_odd else self.truncation // g.degree for g in sig.generators]

@@ -9,17 +9,24 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import (
+    _EXPONENT_BITS,
     Element,
     Signature,
+    _decode,
     _encode,
+    _keys_by_weight,
     _weight_dimensions,
     basis_dimensions,
-    basis_index,
-    basis_of_degree,
     transport,
 )
 from .cdga import CDGA
-from .linalg import ConsistencyError, _extend_echelon, _kernel, _row_pivots
+from .linalg import (
+    ConsistencyError,
+    _clear_denominators,
+    _extend_echelon,
+    _kernel,
+    _row_pivots,
+)
 
 
 def _window_below_top(cdga: CDGA, top: int) -> bool:
@@ -36,11 +43,12 @@ def _mirror_top(cdga: CDGA) -> Optional[int]:
     transpose of d_n, so the two ranks agree (Lambrechts-Stanley 2008).
     """
     top = cdga.top_degree()
+    sig = cdga.signature
     if (
-        not cdga.signature.is_purely_odd
+        not sig.is_purely_odd
         or top < 1
         or _window_below_top(cdga, top)
-        or any(cdga._d_key(_encode(m)) for m in basis_of_degree(cdga.signature, top - 1))
+        or any(map(cdga._d_key, _keys_by_weight(sig, top - 1, (0,) * len(sig)).get(0, ())))
     ):
         return None
     return top
@@ -360,53 +368,81 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
     )
 
 
-def _boundary_vectors(cdga: CDGA, n: int) -> list:
-    """Images of the degree-(n-1) basis under d, as sparse degree-n vectors.
-
-    These are the nonzero columns of ``differential_matrix(n - 1)`` in column
-    order, each a dict from row index to Fraction.
-    """
-    if n == 0:
-        return []
-    cols: dict = {}
-    for (r, c), v in cdga.differential_matrix(n - 1).entries.items():
-        cols.setdefault(c, {})[r] = v
-    return [cols[c] for c in sorted(cols)]
-
-
 def representatives(cdga: CDGA, n: int) -> list:
     """Closed elements whose classes form a basis of H^n; deterministic.
 
+    Degree n is split as ``betti`` splits it: into torus-weight blocks of
+    monomial keys when ``CDGA._by_weight`` says so, otherwise one block.
+    d maps the block of weight w into the keys of weight w one degree up,
+    so each block is solved alone, with d expanded on its keys by
+    ``_d_key``. Its columns and its degree-(n+1) target rows are numbered
+    in lexicographic order, as ``_keys_by_weight`` emits them, and each row
+    is cleared of denominators, so the count rule picks the pivots that it
+    picks on the whole-degree matrix.
+
     The classes are primitive integer kernel vectors of d_n, picked in
-    free-column order. Each is nonzero at its own free column only, so the
-    quotient by the image of d_(n-1) runs on boundaries projected onto the
-    free columns, which is faithful once d_n o d_(n-1) = 0 is checked. The
-    ranks of d_n (its pivot count) and of d_(n-1) (the size of the projected
-    boundary echelon) are stored in the CDGA's rank cache for a later
+    free-column order and merged across blocks in global basis order. Each
+    is nonzero at its own free column only, so the quotient by the image of
+    d_(n-1) runs on the block's boundaries projected onto the free columns,
+    which is faithful once d_n o d_(n-1) = 0 is checked on them. The ranks
+    of d_n (its pivot count) and of d_(n-1) (the size of the projected
+    boundary echelons) are stored in the CDGA's rank cache for a later
     ``betti``.
     """
     if n not in _degree_range(cdga):
         if cdga.top_degree() is not None and n > cdga.top_degree():
             return []
         raise ValueError(f"degree {n} outside the computable window")
-    d_n = cdga.differential_matrix(n)
-    if n and not (d_n @ cdga.differential_matrix(n - 1)).is_zero():
-        raise ConsistencyError(f"d_{n} o d_{n - 1} is not zero")
-    pivot_columns, cocycles = _kernel(d_n)
-    cdga._rank_cache.setdefault(n, len(pivot_columns))
-    pivots = set(pivot_columns)
-    boundaries = _boundary_vectors(cdga, n)
-    echelon: dict = {}
-    _extend_echelon(echelon, ({j: v for j, v in b.items() if j not in pivots} for b in boundaries))
+    sig = cdga.signature
+    if cdga._by_weight(basis_dimensions(sig, n + 1)):
+        weights = cdga._weight_lattice().generators
+    else:
+        weights = (0,) * len(sig)
+    d_key = cdga._d_key
+    sources = _keys_by_weight(sig, n - 1, weights) if n else {}
+    targets = _keys_by_weight(sig, n + 1, weights)
+    rank = rank_below = 0
+    classes = []
+    for weight, keys in _keys_by_weight(sig, n, weights).items():
+        columns = [d_key(key) for key in keys]
+        column_of = {key: j for j, key in enumerate(keys)}
+        boundaries = []
+        for key in sources.get(weight, ()):
+            boundary = {column_of[k]: v for k, v in d_key(key).items()}
+            image: dict = {}
+            for j, v in boundary.items():
+                for t, w in columns[j].items():
+                    image[t] = image.get(t, 0) + v * w
+            if any(image.values()):
+                raise ConsistencyError(f"d_{n} o d_{n - 1} is not zero")
+            boundaries.append(boundary)
+        row_of = {key: i for i, key in enumerate(targets.get(weight, ()))}
+        rows: dict = {}
+        for j, column in enumerate(columns):
+            for t, v in column.items():
+                rows.setdefault(row_of[t], {})[j] = v
+        pivot_columns, cocycles = _kernel(
+            rows if cdga._integral else _clear_denominators(rows), len(keys)
+        )
+        rank += len(pivot_columns)
+        pivots = set(pivot_columns)
+        echelon: dict = {}
+        _extend_echelon(
+            echelon,
+            ({j: Fraction(v) for j, v in b.items() if j not in pivots} for b in boundaries),
+        )
+        rank_below += len(echelon)
+        free = [f for f in range(len(keys)) if f not in pivots]
+        units = _extend_echelon(echelon, ({f: Fraction(1)} for f in free))
+        for f, z, residue in zip(free, cocycles, units):
+            if residue:
+                terms = {_decode(sig, keys[j]): v for j, v in z.items()}
+                classes.append((_decode(sig, keys[f]).exponents(), terms))
+    cdga._rank_cache.setdefault(n, rank)
     if n:
-        cdga._rank_cache.setdefault(n - 1, len(echelon))
-    units = ({f: Fraction(1)} for f in range(d_n.cols) if f not in pivots)
-    basis = basis_of_degree(cdga.signature, n)
-    return [
-        Element(cdga.signature, {basis[j]: v for j, v in z.items()})
-        for z, residue in zip(cocycles, _extend_echelon(echelon, units))
-        if residue
-    ]
+        cdga._rank_cache.setdefault(n - 1, rank_below)
+    classes.sort(key=lambda c: c[0])
+    return [Element(sig, terms) for _, terms in classes]
 
 
 @dataclass(frozen=True)
@@ -463,33 +499,38 @@ def verify_classes(cdga: CDGA, elems: Sequence[Element]) -> VerifyReport:
         i for i, e in enumerate(elems) if not cdga.apply_d(e).is_zero()
     )
 
-    # Independence mod boundaries, degree by degree. Element i carries a tag
-    # coordinate dim + i set to 1; a residue left with only tag entries is
-    # an explicit vanishing combination of classes. It still joins the
-    # echelon, under a tag index, so it can only reduce tag entries of later
-    # residues: later independence counts and the first dependency, the one
-    # reported, do not depend on it.
+    # Independence mod boundaries, degree by degree, on monomial keys: the
+    # boundaries are d of the degree-(d-1) keys (``_d_key``). Element i
+    # carries a tag coordinate tag + i set to 1, above every key, so a
+    # residue left with only tag entries is an explicit vanishing
+    # combination of classes. It still joins the echelon, under a tag
+    # index, so it can only reduce tag entries of later residues: later
+    # independence counts and the first dependency, the one reported, do
+    # not depend on it.
     dependency = None
     independent_count: dict = {}
     by_degree: dict = {}
     for i, d in enumerate(degrees):
         by_degree.setdefault(d, []).append(i)
+    sig = cdga.signature
+    tag = 1 << (len(sig.odd_indices) + _EXPONENT_BITS * len(sig.even_indices))
     for d in sorted(by_degree):
-        index = basis_index(cdga.signature, d)
-        dim = len(index)
         echelon: dict = {}
-        _extend_echelon(echelon, _boundary_vectors(cdga, d))
         if d:
+            cdga._check_window(d - 1)
+            keys = _keys_by_weight(sig, d - 1, (0,) * len(sig)).get(0, ())
+            boundaries = (cdga._d_key(key) for key in keys)
+            _extend_echelon(echelon, ({k: Fraction(v) for k, v in b.items()} for b in boundaries))
             cdga._rank_cache.setdefault(d - 1, len(echelon))
         tagged = (
-            {**{index[mono]: c for mono, c in elems[i].terms.items()}, dim + i: Fraction(1)}
+            {**{_encode(mono): c for mono, c in elems[i].terms.items()}, tag + i: Fraction(1)}
             for i in by_degree[d]
         )
         for i, residue in zip(by_degree[d], _extend_echelon(echelon, tagged)):
-            if min(residue) < dim:
+            if min(residue) < tag:
                 independent_count[d] = independent_count.get(d, 0) + 1
             elif dependency is None:
-                dependency = tuple(sorted((j - dim, v) for j, v in residue.items()))
+                dependency = tuple(sorted((j - tag, v) for j, v in residue.items()))
 
     table = betti(cdga)
     missing = []

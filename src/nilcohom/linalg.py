@@ -26,11 +26,13 @@ the next degree. ``rank_multimodular`` ranks mod p through ``_rank_mod_p``,
 which reduces the rows and hands them to ``_row_pivots``.
 
 Kernel and quotient work on sparse vectors, dicts from index to Fraction.
-``_kernel`` back-substitutes one primitive integer vector per free column,
-in int arithmetic. ``_extend_echelon`` is the one reduce-and-insert routine:
-``_quotient``, which picks cocycles modulo boundaries by index, the
-representatives and class checks in ``cohomology`` and the Lie spans all
-reduce through it. The public ``rank_exact`` and ``quotient_representatives``
+``_kernel`` takes integer rows, as ``_row_pivots`` does, so
+``cohomology.representatives`` hands it one torus-weight block of d built
+from monomial keys, with no matrix; it back-substitutes one primitive
+integer vector per free column, in int arithmetic. ``_extend_echelon`` is
+the one reduce-and-insert routine: ``_quotient``, which picks cocycles
+modulo boundaries by index, the representatives and class checks in
+``cohomology`` and the Lie spans all reduce through it. The public ``rank_exact`` and ``quotient_representatives``
 wrap ``_kernel`` and ``_quotient`` with dense tuples.
 """
 
@@ -375,24 +377,24 @@ def _kernel_of_component(cols, pivots, frozen) -> list:
     return vectors
 
 
-def _kernel(m: SparseExactMatrix) -> tuple:
-    """Sorted pivot columns and a sparse kernel basis of ``m``.
+def _kernel(rows: dict, cols: int) -> tuple:
+    """Sorted pivot columns and a sparse kernel basis of the nonempty integer
+    rows {row: {col: int}} on columns 0 .. ``cols`` - 1, left unmodified.
 
     The basis has one primitive integer vector per free column, ordered by
     free column, as a dict from index to Fraction with positive entry at
     its free column; ``rank_exact`` is this spread into dense tuples.
     """
-    rows = _integer_rows(m)
     pivot_columns = []
     kernel = []
     seen_cols = set()
-    for cols, row_ids in _components(rows):
-        seen_cols.update(cols)
+    for component, row_ids in _components(rows):
+        seen_cols.update(component)
         sub = {r: dict(rows[r]) for r in row_ids}
         pivots, frozen = _eliminate(sub, keep_pivot_rows=True)
         pivot_columns.extend(c for _, c in pivots)
-        kernel.extend(_kernel_of_component(cols, pivots, frozen))
-    for j in range(m.cols):
+        kernel.extend(_kernel_of_component(component, pivots, frozen))
+    for j in range(cols):
         if j not in seen_cols:
             kernel.append((j, {j: Fraction(1)}))
     kernel.sort(key=lambda fv: fv[0])
@@ -405,7 +407,7 @@ def rank_exact(m: SparseExactMatrix) -> RankResult:
     Kernel vectors are primitive integer vectors, one per free column,
     ordered by free column index; the entry at the free column is positive.
     """
-    pivot_columns, vectors = _kernel(m)
+    pivot_columns, vectors = _kernel(_integer_rows(m), m.cols)
     zero = Fraction(0)
     kernel = []
     for vec in vectors:

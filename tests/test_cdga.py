@@ -33,7 +33,6 @@ from nilcohom.algebra import (
     _encode,
     _keys_by_weight,
     basis_dimensions,
-    basis_index,
 )
 from nilcohom.linalg import _integer_rows
 from conftest import random_two_step_cdga, seeded_two_step_cdgas
@@ -296,8 +295,8 @@ def _flattened_blocks(model, n, by_weight):
     ``differential_matrix(n)``; asserts that every basis monomial is a
     source once."""
     sig = model.signature
-    col_of = basis_index(sig, n)
-    row_of = basis_index(sig, n + 1)
+    col_of = {m: i for i, m in enumerate(basis_of_degree(sig, n))}
+    row_of = {m: i for i, m in enumerate(basis_of_degree(sig, n + 1))}
     flat = {}
     sources_seen = 0
     for sources in model._blocks(n, by_weight).values():
@@ -448,7 +447,7 @@ class TestMonomialKeys:
         model = _two_polynomials()
         sig = model.signature
         for n in range(model.truncation):
-            row_of = basis_index(sig, n + 1)
+            row_of = {m: i for i, m in enumerate(basis_of_degree(sig, n + 1))}
             columns = {}
             for col, mono in enumerate(basis_of_degree(sig, n)):
                 for key, val in model._d_key(_encode(mono)).items():

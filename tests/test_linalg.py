@@ -143,7 +143,7 @@ class TestRankExact:
 class TestSparseKernel:
     @given(sparse_rational_matrices())
     def test_rank_exact_is_the_dense_spread(self, m):
-        pivot_columns, vectors = _kernel(m)
+        pivot_columns, vectors = _kernel(_integer_rows(m), m.cols)
         result = rank_exact(m)
         assert result.rank == len(pivot_columns)
         assert result.pivot_columns == tuple(pivot_columns)
@@ -151,7 +151,7 @@ class TestSparseKernel:
 
     @given(sparse_rational_matrices())
     def test_vectors_primitive_integral_positive_at_free_column(self, m):
-        pivot_columns, vectors = _kernel(m)
+        pivot_columns, vectors = _kernel(_integer_rows(m), m.cols)
         pivots = set(pivot_columns)
         assert pivot_columns == sorted(pivots)
         free = [j for j in range(m.cols) if j not in pivots]
@@ -168,7 +168,7 @@ class TestSparseKernel:
 class TestSparseQuotient:
     @given(sparse_rational_matrices(), st.data())
     def test_dense_wrapper_picks_the_sparse_choice(self, m, data):
-        pivot_columns, kernel = _kernel(m)
+        pivot_columns, kernel = _kernel(_integer_rows(m), m.cols)
         # Dependent cocycles: integer combinations of the kernel basis.
         combos = st.lists(st.integers(-2, 2), min_size=len(kernel), max_size=len(kernel))
         cocycles = kernel + [
@@ -392,7 +392,7 @@ class TestPivotRules:
 
     @given(block_structured_matrices())
     def test_kernel_and_rank_pivot_on_the_same_columns(self, m):
-        pivot_columns, _ = _kernel(m)
+        pivot_columns, _ = _kernel(_integer_rows(m), m.cols)
         assert pivot_columns == sorted(c for _, c in _row_pivots(_integer_rows(m)))
 
     def test_count_rule_takes_the_sparsest_column_then_its_shortest_row(self):
