@@ -142,8 +142,8 @@ class _Weights:
 
 
 # ``betti`` ranks by weight only when some degree it ranks has at least this
-# many basis monomials; otherwise each degree is one block, split into
-# components, and the CDGA never computes its lattice. Measured with
+# many basis monomials; otherwise each degree is one block, eliminated as
+# one piece, and the CDGA never computes its lattice. Measured with
 # clearing on a 2-core VM: grouping every model made ``betti`` of X_4 and
 # u_4 (at most 20 monomials a degree) 14% slower, and 5..24% faster on
 # X_6..X_8, u_5, the twists of X_5..X_7 and a small product (64 to 252). A

@@ -51,6 +51,7 @@ from .trc import (
 MAX_GENERATORS = 24
 MAX_TRUNCATION = 40
 FORMAT_ENV = "NILCOHOM_FORMAT"
+FORMATS = ("json", "csv", "md")
 
 R0_NOTE = (
     "X_0 is the free exterior algebra on a and b with zero differential; its "
@@ -124,7 +125,7 @@ def builtin_object(spec: str):
 def _load_document(path: str):
     try:
         text = open(path, encoding="utf-8").read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read {path}: {err}") from None
     result = parse(text)
     if not result.ok:
@@ -371,7 +372,7 @@ def _cmd_verify(args):
     _guard(model, args)
     try:
         lines = open(args.classes, encoding="utf-8").read().splitlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read {args.classes}: {err}") from None
     elems = []
     for line in lines:
@@ -444,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
-        choices=["json", "csv", "md"],
+        choices=FORMATS,
         default=os.environ.get(FORMAT_ENV, "json"),
         help=f"output format (env {FORMAT_ENV} sets the default)",
     )
@@ -524,6 +525,9 @@ def main(argv=None) -> int:
     try:
         if args.jobs is not None and args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
+        if args.format not in FORMATS:
+            # argparse checks --format against its choices, but not the default.
+            raise UsageError(f"{FORMAT_ENV}={args.format!r} is not one of {', '.join(FORMATS)}")
         inputs, outputs, tabular, failed = args.handler(args)
     except DslValidationError as err:
         for diag in err.diagnostics:

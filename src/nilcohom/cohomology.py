@@ -70,12 +70,12 @@ def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None) -> tupl
     """({n: rank d_n}, {n: source monomials}) for the increasing ``degrees``.
 
     Each degree is split by ``CDGA._blocks``. Each block's integer columns
-    of d are assembled, eliminated with the count rule as the rows of the
-    transpose and dropped before the next block. A weight block is
-    eliminated whole: on u_n and X_r it is one connected component of the
-    nonzero pattern. The one block of a degree not split by weight is cut
-    into components first. Each pivot pairs a source with a target key, and
-    the pivot targets of a block are a basis of its rows of d. With
+    of d are assembled, eliminated as one piece with the count rule as the
+    rows of the transpose and dropped before the next block; on u_n and X_r
+    a weight block is one connected component of the nonzero pattern, and
+    the one block of a degree not split by weight may hold several. Each
+    pivot pairs a source with a target key, and the pivot targets of a
+    block are a basis of its rows of d. With
     ``share``, {weight: copies}, only the blocks of those weights are walked
     and ranked, and each counts ``copies`` times, sources and rank; the
     counts are of the sources before clearing.
@@ -113,7 +113,7 @@ def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None) -> tupl
             count += copies * len(keys)
             drop = cleared.pop(weight, None)
             columns = cdga._block_columns([k for k in keys if k not in drop] if drop else keys)
-            pivots = _row_pivots(columns, split=not by_weight)
+            pivots = _row_pivots(columns)
             rank += copies * len(pivots)
             if clears_next:
                 pivot_keys[weight] = {key for _, key in pivots}
@@ -384,10 +384,14 @@ def representatives(cdga: CDGA, n: int) -> list:
     free-column order and merged across blocks in global basis order. Each
     is nonzero at its own free column only, so the quotient by the image of
     d_(n-1) runs on the block's boundaries projected onto the free columns,
-    which is faithful once d_n o d_(n-1) = 0 is checked on them. The ranks
-    of d_n (its pivot count) and of d_(n-1) (the size of the projected
-    boundary echelons) are stored in the CDGA's rank cache for a later
-    ``betti``.
+    which is faithful once d_n o d_(n-1) = 0 is checked on them. One
+    echelon of the projected boundaries decides it, keyed by -j so that
+    each lead is a row's greatest column: the class of free column f is
+    kept exactly when no combination of boundaries has its greatest column
+    at f, that is, when e_f is not in the span of the boundaries and the
+    unit vectors of the free columns below f. The ranks of d_n (its pivot
+    count) and of d_(n-1) (the size of that echelon) are stored in the
+    CDGA's rank cache for a later ``betti``.
     """
     if n not in _degree_range(cdga):
         if cdga.top_degree() is not None and n > cdga.top_degree():
@@ -429,13 +433,12 @@ def representatives(cdga: CDGA, n: int) -> list:
         echelon: dict = {}
         _extend_echelon(
             echelon,
-            ({j: Fraction(v) for j, v in b.items() if j not in pivots} for b in boundaries),
+            ({-j: Fraction(v) for j, v in b.items() if j not in pivots} for b in boundaries),
         )
         rank_below += len(echelon)
         free = [f for f in range(len(keys)) if f not in pivots]
-        units = _extend_echelon(echelon, ({f: Fraction(1)} for f in free))
-        for f, z, residue in zip(free, cocycles, units):
-            if residue:
+        for f, z in zip(free, cocycles):
+            if -f not in echelon:
                 terms = {_decode(sig, keys[j]): v for j, v in z.items()}
                 classes.append((_decode(sig, keys[f]).exponents(), terms))
     cdga._rank_cache.setdefault(n, rank)

@@ -4,9 +4,10 @@ The eliminator clears denominators row-wise with ``_clear_denominators``
 (which changes neither rank nor kernel) and runs one cross-multiplication
 elimination core, ``_eliminate``: exact over the integers with row GCD
 normalization, or modulo a prime for the multimodular rank bounds.
-``_kernel``, ``rank_only`` and ``rank_multimodular`` first split a matrix
-into the connected components of its nonzero pattern and eliminate one
-component at a time. Every elimination pivots by one rule, the column
+Every elimination takes its matrix or block as one piece. A step touches
+only the rows and columns of its own connected component of the nonzero
+pattern, so each component gets the pivots it would get alone; only their
+interleaving differs. Every elimination pivots by one rule, the column
 count: the column with the fewest live rows, lowest column on ties, then
 in it the row with the fewest entries, lowest row id on ties (Markowitz
 1957; Dumas-Villard 2002). It depends only on matrix content, so results,
@@ -16,24 +17,25 @@ keeps the columns in a heap of (live rows, column), so a pivot costs a few
 heap steps instead of a scan of every live column.
 
 ``_row_pivots`` eliminates integer rows and returns the pivots, whose
-number is the rank: ``rank_only`` feeds it the rows of a matrix, split
-into components, and ``cohomology.betti`` the columns of d that
-``CDGA._block_columns`` assembles for one torus-weight block without
-building a matrix, keyed by target monomial. Those blocks are single
-components on the nilmanifold models and are eliminated unsplit, and
-their pivot targets are the rows that clearing drops from the sources of
-the next degree. ``rank_multimodular`` ranks mod p through ``_rank_mod_p``,
-which reduces the rows and hands them to ``_row_pivots``.
+number is the rank: ``rank_only`` feeds it the rows of a matrix, and
+``cohomology.betti`` the columns of d that ``CDGA._block_columns``
+assembles for one torus-weight block without building a matrix, keyed by
+target monomial. Their pivot targets are the rows that clearing drops
+from the sources of the next degree. ``rank_multimodular`` ranks mod p
+through ``_rank_mod_p``, which reduces the rows and hands them to
+``_row_pivots``.
 
 Kernel and quotient work on sparse vectors, dicts from index to Fraction.
 ``_kernel`` takes integer rows, as ``_row_pivots`` does, so
 ``cohomology.representatives`` hands it one torus-weight block of d built
 from monomial keys, with no matrix; it back-substitutes one primitive
-integer vector per free column, in int arithmetic. ``_extend_echelon`` is
-the one reduce-and-insert routine: ``_quotient``, which picks cocycles
-modulo boundaries by index, the representatives and class checks in
-``cohomology`` and the Lie spans all reduce through it. The public ``rank_exact`` and ``quotient_representatives``
-wrap ``_kernel`` and ``_quotient`` with dense tuples.
+integer vector per free column, in int arithmetic, over only the pivot
+rows that the free column reaches. ``_extend_echelon`` is the one
+reduce-and-insert routine: ``_quotient``, which picks cocycles modulo
+boundaries by index, the representatives and class checks in
+``cohomology`` and the Lie spans all reduce through it. The public
+``rank_exact`` and ``quotient_representatives`` wrap ``_kernel`` and
+``_quotient`` with dense tuples.
 """
 
 from __future__ import annotations
@@ -201,50 +203,6 @@ def _integer_rows(m: SparseExactMatrix) -> dict:
     return _clear_denominators(rows)
 
 
-def _components(rows: dict) -> list:
-    """Connected components of the bipartite nonzero pattern, by column.
-
-    Returns a list of (sorted column list, row id list); deterministic order
-    by smallest column. Rank of the matrix is the sum over components, which
-    in graded complexes recovers the fine weight decomposition for free.
-    """
-    parent: dict = {}
-
-    def find(c):
-        root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
-        return root
-
-    for row in rows.values():
-        it = iter(row)
-        first = next(it)
-        if first not in parent:
-            parent[first] = first
-        a = find(first)
-        for c in it:
-            if c not in parent:
-                parent[c] = c
-            b = find(c)
-            if a != b:
-                if b < a:
-                    a, b = b, a
-                parent[b] = a
-    groups: dict = {}
-    for c in parent:
-        groups.setdefault(find(c), set()).add(c)
-    row_groups: dict = {root: [] for root in groups}
-    for r, row in rows.items():
-        root = find(next(iter(row)))
-        row_groups[root].append(r)
-    out = []
-    for root in sorted(groups):
-        out.append((sorted(groups[root]), sorted(row_groups[root])))
-    return out
-
-
 def _normalize_row(row: dict) -> None:
     g = 0
     for v in row.values():
@@ -341,26 +299,50 @@ def _eliminate(rows: dict, keep_pivot_rows: bool, modulus: Optional[int] = None)
     return pivots, frozen
 
 
-def _kernel_of_component(cols, pivots, frozen) -> list:
-    """(free column, primitive kernel vector) pairs, one per free column.
+def _kernel(rows: dict, cols: int) -> tuple:
+    """Sorted pivot columns and a sparse kernel basis of the nonempty integer
+    rows {row: {col: int}} on columns 0 .. ``cols`` - 1, left unmodified.
 
-    Back-substitutes in integers: the vector is kept as y / D with y
-    integral and D = y at the free column, starting from y = 1 there. When
-    the pivot p does not divide s, the sum of the row's other terms, y is
-    scaled by k = |p| / gcd(s, p) first, so y_c = -s / p is an integer prime
-    to k. y ends primitive and positive at the free column: for each prime q
-    of D, the last scaling by a multiple of q left an entry prime to q, and
-    no later factor has q. It is returned as a dict from index to Fraction,
-    sorted by index.
+    The rows are eliminated as one piece. The basis has one primitive
+    integer vector per free column, ordered by free column, as a dict from
+    index to Fraction, sorted by index, with positive entry at its free
+    column; ``rank_exact`` is this spread into dense tuples.
+
+    A frozen pivot row holds its own pivot column, the pivot columns of
+    rows eliminated after it and free columns. So free column f reaches
+    the rows that hold f, then the rows that hold the pivot column of a row
+    reached, and so on; every other row gives 0 at its pivot column, and a
+    zero column reaches none. The vector of f back-substitutes over the
+    rows it reaches only, latest eliminated first, in integers: it is kept
+    as y / D with y integral and D = y at f, starting from y = 1 there.
+    When the pivot p does not divide s, the sum of the row's other terms, y
+    is scaled by k = |p| / gcd(s, p) first, so y_c = -s / p is an integer
+    prime to k. y ends primitive and positive at f: for each prime q of D,
+    the last scaling by a multiple of q left an entry prime to q, and no
+    later factor has q.
     """
-    pivot_cols = {c for _, c in pivots}
-    vectors = []
-    for f in cols:
-        if f in pivot_cols:
+    pivots, frozen = _eliminate({r: dict(row) for r, row in rows.items()}, keep_pivot_rows=True)
+    steps = [(c, frozen[r]) for r, c in pivots]
+    pivot_columns = {c for c, _ in steps}
+    holders: dict = {}
+    for i, (c, row) in enumerate(steps):
+        for j in row:
+            if j != c:
+                holders.setdefault(j, []).append(i)
+    kernel = []
+    for f in range(cols):
+        if f in pivot_columns:
             continue
+        reached = set()
+        stack = [f]
+        while stack:
+            for i in holders.get(stack.pop(), ()):
+                if i not in reached:
+                    reached.add(i)
+                    stack.append(steps[i][0])
         y = {f: 1}
-        for r, c in reversed(pivots):
-            row = frozen[r]
+        for i in sorted(reached, reverse=True):
+            c, row = steps[i]
             s = 0
             for j, v in row.items():
                 if j != c and j in y:
@@ -373,32 +355,8 @@ def _kernel_of_component(cols, pivots, frozen) -> list:
                         y[j] *= k
                     s *= k
                 y[c] = -s // p
-        vectors.append((f, {j: Fraction(y[j]) for j in sorted(y)}))
-    return vectors
-
-
-def _kernel(rows: dict, cols: int) -> tuple:
-    """Sorted pivot columns and a sparse kernel basis of the nonempty integer
-    rows {row: {col: int}} on columns 0 .. ``cols`` - 1, left unmodified.
-
-    The basis has one primitive integer vector per free column, ordered by
-    free column, as a dict from index to Fraction with positive entry at
-    its free column; ``rank_exact`` is this spread into dense tuples.
-    """
-    pivot_columns = []
-    kernel = []
-    seen_cols = set()
-    for component, row_ids in _components(rows):
-        seen_cols.update(component)
-        sub = {r: dict(rows[r]) for r in row_ids}
-        pivots, frozen = _eliminate(sub, keep_pivot_rows=True)
-        pivot_columns.extend(c for _, c in pivots)
-        kernel.extend(_kernel_of_component(component, pivots, frozen))
-    for j in range(cols):
-        if j not in seen_cols:
-            kernel.append((j, {j: Fraction(1)}))
-    kernel.sort(key=lambda fv: fv[0])
-    return sorted(pivot_columns), [v for _, v in kernel]
+        kernel.append({j: Fraction(y[j]) for j in sorted(y)})
+    return sorted(pivot_columns), kernel
 
 
 def rank_exact(m: SparseExactMatrix) -> RankResult:
@@ -422,33 +380,24 @@ def rank_exact(m: SparseExactMatrix) -> RankResult:
     )
 
 
-def _row_pivots(rows: dict, split: bool = True, modulus: Optional[int] = None) -> list:
+def _row_pivots(rows: dict, modulus: Optional[int] = None) -> list:
     """Pivots (row, col) of an elimination of nonempty integer rows {row: {col: int}}.
 
     Their number is the rank: over Z, or over Z/p for the prime ``modulus``
-    on entries already reduced mod p. The rows are eliminated in place by
-    ``_eliminate``. With ``split`` the rows are first cut into the connected
-    components of their nonzero pattern and eliminated one component at a
-    time; without it they are eliminated as one piece. A single row is its
-    own pivot, at its lowest column as the count rule picks, and needs no
-    elimination.
+    on entries already reduced mod p. The rows are eliminated in place, as
+    one piece, by ``_eliminate``. A single row is its own pivot, at its
+    lowest column as the count rule picks, and needs no elimination.
     """
     if len(rows) < 2:
         return [(r, min(row)) for r, row in rows.items()]
-    if not split:
-        return _eliminate(rows, keep_pivot_rows=False, modulus=modulus)[0]
-    pivots = []
-    for _, row_ids in _components(rows):
-        sub = {r: rows[r] for r in row_ids}
-        pivots += _eliminate(sub, keep_pivot_rows=False, modulus=modulus)[0]
-    return pivots
+    return _eliminate(rows, keep_pivot_rows=False, modulus=modulus)[0]
 
 
 def rank_only(m: SparseExactMatrix) -> int:
     """Exact rank without kernel bookkeeping.
 
-    Eliminates by the same rule as ``rank_exact`` but keeps no pivot rows
-    for back-substitution.
+    Eliminates the whole matrix as one piece, by the same rule as
+    ``rank_exact``, but keeps no pivot rows for back-substitution.
     """
     return len(_row_pivots(_integer_rows(m)))
 

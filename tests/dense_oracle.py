@@ -9,7 +9,9 @@ are read off the model under test.
 
 ``count_rule_elimination`` is the reference for the pivot order of the
 sparse core: the same row arithmetic, with each pivot found by a plain scan
-of every live column instead of a heap.
+of every live column instead of a heap. ``components`` cuts sparse rows
+into the connected components of their nonzero pattern, the reference for
+the torus-weight blocks and for a kernel solved one component at a time.
 """
 
 from fractions import Fraction
@@ -169,6 +171,38 @@ def count_rule_elimination(rows, modulus=None):
         pivots.append((r, col))
         frozen[r] = pivot_row
     return pivots, frozen
+
+
+def components(rows):
+    """Connected components of the nonzero pattern of rows {row: {col: value}}.
+
+    Row r and column c are joined when rows[r] has an entry at c. Returns a
+    list of (sorted column list, sorted row id list), ordered by smallest
+    column; empty rows belong to no component.
+    """
+    rows_of = {}
+    for r, row in rows.items():
+        for c in row:
+            rows_of.setdefault(c, []).append(r)
+    seen = set()
+    out = []
+    for start in sorted(rows_of):
+        if start in seen:
+            continue
+        seen.add(start)
+        cols, row_ids, stack = [], set(), [start]
+        while stack:
+            c = stack.pop()
+            cols.append(c)
+            for r in rows_of[c]:
+                if r not in row_ids:
+                    row_ids.add(r)
+                    for j in rows[r]:
+                        if j not in seen:
+                            seen.add(j)
+                            stack.append(j)
+        out.append((sorted(cols), sorted(row_ids)))
+    return out
 
 
 def _words_by_degree(degrees, upto):

@@ -54,6 +54,14 @@ class TestCohomologyCommand:
         report = run_json(capsys, "cohomology", str(path))
         assert report["outputs"]["betti"]["per_degree"] == [1, 1]
 
+    def test_model_file_not_utf8_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.cdga"
+        path.write_bytes("algebra circle\n# \u00e9\ngen a : 1\nd a = 0\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "cohomology", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
     def test_parse_failure_exits_2_with_stderr_diagnostics(self, capsys, tmp_path):
         path = tmp_path / "broken.cdga"
         path.write_text("algebra broken\ngen a : 1\nd a = q\n")
@@ -375,6 +383,16 @@ class TestVerifyCommand:
         assert out == ""
         assert err == "error: element 0 is not homogeneous\n"
 
+    def test_classes_file_not_utf8_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "classes.txt"
+        path.write_bytes(b"a\n\xff\xfe b\n")
+        code, out, err = run_cli(
+            capsys, "verify", "--builtin", "xr:5", "--classes", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
     @pytest.mark.parametrize("jobs", [None, "1", "3"])
     def test_jobs_reach_betti(self, capsys, monkeypatch, jobs):
         from nilcohom import cli
@@ -413,6 +431,17 @@ class TestReportEnvelope:
     def test_format_env_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("NILCOHOM_FORMAT", "csv")
         code, out, err = run_cli(capsys, "cohomology", "--builtin", "torus:1")
+        assert code == 0
+        assert out.startswith("degree,dimension")
+
+    def test_format_env_variable_outside_the_choices_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("NILCOHOM_FORMAT", "xml")
+        code, out, err = run_cli(capsys, "cohomology", "--builtin", "torus:1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: NILCOHOM_FORMAT='xml' is not one of json, csv, md\n"
+        # An explicit --format still wins over the variable.
+        code, out, err = run_cli(capsys, "cohomology", "--builtin", "torus:1", "--format", "csv")
         assert code == 0
         assert out.startswith("degree,dimension")
 

@@ -49,9 +49,9 @@ from nilcohom.cohomology import (
     _weight_shares,
 )
 from nilcohom.dsl import parse, parse_element, render_element, serialize, to_cdga
-from nilcohom.linalg import _components, _integer_rows, _kernel, _quotient, _row_pivots
+from nilcohom.linalg import _integer_rows, _kernel, _quotient, _row_pivots
 from conftest import random_two_step_cdga, seeded_rational_models, seeded_two_step_cdgas
-from dense_oracle import dense_betti
+from dense_oracle import components, dense_betti
 
 X5_CLASSES = [
     "1",
@@ -939,8 +939,8 @@ class TestWeightBlocksAgainstComponents:
             expanded[current[-1]] += len(sources)
             return real_columns(cdga, sources)
 
-        def pivots(rows, split=True):
-            found = real_pivots(rows, split)
+        def pivots(rows):
+            found = real_pivots(rows)
             pivot_rows[current[-1]] += len(found)
             return found
 
@@ -964,7 +964,7 @@ class TestWeightBlocksAgainstComponents:
                 block_of.update((col_of[key], b) for key in keys)
                 assert len(set(keys)) == len(keys), n
             assert len(block_of) == len(col_of), n
-            for cols, _ in _components(_integer_rows(model.differential_matrix(n))):
+            for cols, _ in components(_integer_rows(model.differential_matrix(n))):
                 assert len({block_of[c] for c in cols}) == 1, n
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
@@ -991,13 +991,13 @@ class TestWeightBlocksAgainstComponents:
         ids=lambda m: m.name,
     )
     def test_blocks_equal_components(self, model):
-        # On u_n and X_r a nonzero weight block is exactly one component,
-        # which is why the Betti path ranks it without a union-find split.
+        # On u_n and X_r a nonzero weight block is exactly one component of
+        # the nonzero pattern of d.
         for n in _degree_range(model):
             rows = _integer_rows(model.differential_matrix(n))
             blocks = model._blocks(n, True).values()
             nonzero = [keys for keys in blocks if model._block_columns(keys)]
-            assert len(nonzero) == len(_components(rows)), n
+            assert len(nonzero) == len(components(rows)), n
 
 
 def mirror_indices(model, n: int) -> list:
@@ -1016,7 +1016,7 @@ def weight_block_ranks(model) -> dict:
     weight block of a purely odd model, each ranked on its own: no
     clearing, no orbits."""
     return {
-        (k, w): (len(keys), len(_row_pivots(model._block_columns(keys), split=False)))
+        (k, w): (len(keys), len(_row_pivots(model._block_columns(keys))))
         for k in range(model.top_degree() + 1)
         for w, keys in model._blocks(k, True).items()
     }

@@ -15,8 +15,21 @@ from nilcohom import (
     rank_only,
     upper_tri_model,
 )
-from nilcohom.linalg import _eliminate, _integer_rows, _kernel, _quotient, _row_pivots
-from dense_oracle import count_pivot, count_rule_elimination, dense_rank, dense_rank_mod_p
+from nilcohom.linalg import (
+    _eliminate,
+    _extend_echelon,
+    _integer_rows,
+    _kernel,
+    _quotient,
+    _row_pivots,
+)
+from dense_oracle import (
+    components,
+    count_pivot,
+    count_rule_elimination,
+    dense_rank,
+    dense_rank_mod_p,
+)
 
 
 def random_sparse(rng, rows, cols, density=0.3):
@@ -366,6 +379,86 @@ def block_structured_matrices(draw):
         r0 += h
         c0 += w
     return SparseExactMatrix(rows, cols, entries)
+
+
+def kernel_by_components(rows: dict, cols: int) -> tuple:
+    """(pivot columns, kernel basis) of ``_kernel``, each component of the
+    nonzero pattern eliminated alone, with every frozen row visited latest
+    first for every free column, and the results merged by column."""
+    pivot_columns = []
+    kernel = {j: {j: Fraction(1)} for j in range(cols)}
+    for component, row_ids in components(rows):
+        pivots, frozen = _eliminate({r: dict(rows[r]) for r in row_ids}, keep_pivot_rows=True)
+        pivot_columns += [c for _, c in pivots]
+        for f in component:
+            kernel.pop(f)
+        for f in set(component) - set(pivot_columns):
+            y = {f: 1}
+            for r, c in reversed(pivots):
+                row = frozen[r]
+                s = sum(v * y[j] for j, v in row.items() if j != c and j in y)
+                if s:
+                    if s % row[c]:
+                        k = abs(row[c]) // gcd(s, row[c])
+                        y = {j: v * k for j, v in y.items()}
+                        s *= k
+                    y[c] = -s // row[c]
+            kernel[f] = {j: Fraction(y[j]) for j in sorted(y)}
+    return sorted(pivot_columns), [kernel[f] for f in sorted(kernel)]
+
+
+class TestOnePieceElimination:
+    """``_kernel`` eliminates a matrix as one piece and back-substitutes
+    each free column over the pivot rows it reaches; ``representatives``
+    keeps a free column's class when no boundary has its greatest index
+    there."""
+
+    @given(block_structured_matrices())
+    def test_kernel_equals_the_kernels_of_its_components(self, m):
+        rows = _integer_rows(m)
+        whole = _kernel(rows, m.cols)
+        assert whole == kernel_by_components(rows, m.cols)
+        # Each component solved alone by ``_kernel`` on its own columns,
+        # renumbered in order, and mapped back.
+        pivot_columns = []
+        kernel = {j: {j: Fraction(1)} for j in range(m.cols)}
+        for component, row_ids in components(rows):
+            local = {c: i for i, c in enumerate(component)}
+            sub = {r: {local[c]: v for c, v in rows[r].items()} for r in row_ids}
+            pivots, vectors = _kernel(sub, len(component))
+            pivot_columns += [component[i] for i in pivots]
+            free = [c for i, c in enumerate(component) if i not in set(pivots)]
+            for c in component:
+                kernel.pop(c)
+            for f, vec in zip(free, vectors):
+                kernel[f] = {component[i]: v for i, v in vec.items()}
+        assert whole == (sorted(pivot_columns), [kernel[f] for f in sorted(kernel)])
+
+    @staticmethod
+    def two_pass_greedy(boundaries, free) -> tuple:
+        # The least-index echelon of the boundaries, then every free unit
+        # vector reduced against it in turn, kept when its residue is nonzero.
+        echelon: dict = {}
+        _extend_echelon(echelon, boundaries)
+        rank = len(echelon)
+        units = _extend_echelon(echelon, ({f: Fraction(1)} for f in free))
+        return rank, [f for f, residue in zip(free, units) if residue]
+
+    @given(st.data())
+    def test_greatest_lead_rule_keeps_the_two_pass_choice(self, data):
+        n = data.draw(st.integers(1, 8))
+        column = st.integers(0, n - 1)
+        free = sorted(data.draw(st.sets(column, min_size=1)))
+        vectors = data.draw(
+            st.lists(st.dictionaries(column, NONZERO_RATIONALS, max_size=n), max_size=6)
+        )
+        # Projected onto the free columns, plus dependent combinations.
+        boundaries = [{j: v for j, v in vec.items() if j in free} for vec in vectors]
+        boundaries += [combine((1, -2), boundaries[i : i + 2]) for i in range(len(boundaries) - 1)]
+        echelon: dict = {}
+        _extend_echelon(echelon, ({-j: v for j, v in b.items()} for b in boundaries))
+        kept = [f for f in free if -f not in echelon]
+        assert (len(echelon), kept) == self.two_pass_greedy(boundaries, free)
 
 
 class TestPivotRules:
