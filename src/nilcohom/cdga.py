@@ -26,7 +26,8 @@ by a key-only walk over the generators that adds up packed weights and
 builds no ``Monomial``, and ``_block_columns`` expands d on one block into
 uncached integer columns keyed by target monomial. That is how
 ``cohomology.betti`` ranks a degree, block by block, dropping the sources
-that the pivots of the degree below clear.
+that the pivots of the degree below clear; it stores the ranks and each
+block's Betti number on the CDGA, and ``representatives`` reads them.
 
 A model constructor may attach a symmetry sigma, a signed involution of the
 generators that keeps degrees (``_symmetry``). It is data that is checked,
@@ -166,6 +167,7 @@ class CDGA:
         "_integral",
         "_matrix_cache",
         "_rank_cache",
+        "_ledger",
         "_weights",
         "_symmetry",
     )
@@ -218,6 +220,9 @@ class CDGA:
         self.truncation = truncation
         self._matrix_cache: dict = {}
         self._rank_cache: dict = {}
+        # (generator weights of the split, {degree: {weight: b}}), set by
+        # ``cohomology.betti`` when it ranks the table.
+        self._ledger: Optional[tuple] = None
         self._weights: Optional[_Weights] = None
         # One (index, sign) per generator g, sigma(g) = sign * generators[index];
         # attached by a model constructor, checked by ``_weight_lattice``.
@@ -443,14 +448,15 @@ class CDGA:
         By weight, {packed weight: keys} from the key walk
         ``_keys_by_weight``, which builds no ``Monomial``, and only for the
         weights in the set ``share`` when it is given; otherwise one block
-        {None: keys} in ``basis_of_degree`` order, and ``share`` is ignored.
+        {0: keys} in ``basis_of_degree`` order, the weight of every monomial
+        when every generator weighs 0, and ``share`` is ignored.
         d maps each weight block into the monomials of its own weight one
         degree up. The degree is checked first.
         """
         self._check_window(n)
         if by_weight:
             return _keys_by_weight(self.signature, n, self._weight_lattice().generators, share)
-        return {None: [_encode(mono) for mono in basis_of_degree(self.signature, n)]}
+        return {0: [_encode(mono) for mono in basis_of_degree(self.signature, n)]}
 
     def _block_columns(self, sources) -> dict:
         """The integer columns of d on the monomial keys ``sources``.

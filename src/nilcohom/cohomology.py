@@ -67,7 +67,7 @@ def _degree_range(cdga: CDGA) -> range:
 
 
 def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None) -> tuple:
-    """({n: rank d_n}, {n: source monomials}) for the increasing ``degrees``.
+    """({n: rank d_n}, {n: source monomials}, ledger) for the increasing ``degrees``.
 
     Each degree is split by ``CDGA._blocks``. Each block's integer columns
     of d are assembled, eliminated as one piece with the count rule as the
@@ -75,10 +75,15 @@ def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None) -> tupl
     a weight block is one connected component of the nonzero pattern, and
     the one block of a degree not split by weight may hold several. Each
     pivot pairs a source with a target key, and the pivot targets of a
-    block are a basis of its rows of d. With
-    ``share``, {weight: copies}, only the blocks of those weights are walked
-    and ranked, and each counts ``copies`` times, sources and rank; the
-    counts are of the sources before clearing.
+    block are a basis of its rows of d. With ``share``, {weight:
+    sigma(weight)}, only the blocks of those weights are walked and ranked,
+    and one with sigma(w) != w counts twice, sources and rank; the counts
+    are of the sources before clearing.
+
+    The ledger is {n: {weight: b_(n,w)}} over the blocks with a nonzero
+    Betti number b_(n,w) = dim - rank d_n|w - rank d_(n-1)|w, for each
+    degree n that is 0 or follows a degree ranked here; the block of
+    sigma(w) is entered with the b of w.
 
     Orbits: when the CDGA carries a checked symmetry sigma, the block of
     weight w and the block of sigma(w) have equal ranks and sizes, sigma
@@ -97,29 +102,38 @@ def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None) -> tupl
     of the kept ones and the rank is unchanged; d^2 = 0 is all this needs.
     """
     if share is None and by_weight and cdga._weight_lattice().mirrors is not None:
-        share = {w: copies for w, (_, copies) in _weight_costs(cdga, degrees).items()}
+        share = {w: mirror for w, (_, mirror) in _weight_costs(cdga, degrees).items()}
     ranks: dict = {}
     counts: dict = {}
+    ledger: dict = {}
     pivot_keys: dict = {}
     for n in degrees:
         blocks = cdga._blocks(n, by_weight, share)
-        cleared = pivot_keys if n - 1 in ranks else {}
+        below = n - 1 in ranks
+        cleared = pivot_keys if below else {}
         pivot_keys = {}
         clears_next = n + 1 in degrees
         rank = count = 0
+        row: dict = {}
         for weight in list(blocks):
             keys = blocks.pop(weight)
-            copies = 1 if share is None else share[weight]
+            mirror = weight if share is None else share[weight]
+            copies = 1 if mirror == weight else 2
             count += copies * len(keys)
-            drop = cleared.pop(weight, None)
+            drop = cleared.pop(weight, ())
             columns = cdga._block_columns([k for k in keys if k not in drop] if drop else keys)
             pivots = _row_pivots(columns)
             rank += copies * len(pivots)
+            b = len(keys) - len(pivots) - len(drop)
+            if b:
+                row[weight] = row[mirror] = b
             if clears_next:
                 pivot_keys[weight] = {key for _, key in pivots}
         ranks[n] = rank
         counts[n] = count
-    return ranks, counts
+        if below or n == 0:
+            ledger[n] = row
+    return ranks, counts, ledger
 
 
 # ``betti`` forks only when the degrees left to rank hold this many basis
@@ -166,15 +180,14 @@ def _shares(cost: dict, workers: int) -> list:
 
 
 def _weight_costs(cdga: CDGA, degrees: list) -> dict:
-    """{weight: (cost, copies)} for the torus weights ``_rank_blocks`` ranks in ``degrees``.
+    """{weight: (cost, sigma(weight))} for the torus weights ``_rank_blocks`` ranks in ``degrees``.
 
     A weight costs the sum over ``degrees`` of dim(n, w)^2, counted from the
-    weight-graded generating function without enumerating a basis, and has
-    one copy. With a symmetry sigma only the orbit representatives,
-    w <= sigma(w), are kept, each at its own cost, with 2 copies when
-    w < sigma(w): the cells are counted with the packed weight
-    w + span * sigma(w) of each generator, which carries both weights of
-    every monomial.
+    weight-graded generating function without enumerating a basis, and is
+    its own image. With a symmetry sigma only the orbit representatives,
+    w <= sigma(w), are kept, each at its own cost and with its image: the
+    cells are counted with the packed weight w + span * sigma(w) of each
+    generator, which carries both weights of every monomial.
     """
     lattice = cdga._weight_lattice()
     weights, mirrors, span = lattice.generators, lattice.mirrors, lattice.span
@@ -186,20 +199,20 @@ def _weight_costs(cdga: CDGA, degrees: list) -> dict:
         for weight, count in cells[n].items():
             cost[weight] = cost.get(weight, 0) + count * count
     if mirrors is None:
-        return {weight: (c, 1) for weight, c in cost.items()}
+        return {weight: (c, weight) for weight, c in cost.items()}
     half = span // 2
     representatives = {}
     for pair, c in cost.items():
         weight = (pair + half) % span - half
         mirror = (pair - weight) // span
         if weight <= mirror:
-            representatives[weight] = (c, 1 if weight == mirror else 2)
+            representatives[weight] = (c, mirror)
     return representatives
 
 
 def _weight_shares(cdga: CDGA, degrees: list, workers: int) -> list:
     """The weights of ``_weight_costs``, dealt into ``workers`` shares by
-    ``_shares``, each share as {weight: copies}."""
+    ``_shares``, each share as {weight: sigma(weight)}."""
     costs = _weight_costs(cdga, degrees)
     shares = _shares({weight: c for weight, (c, _) in costs.items()}, workers)
     return [{weight: costs[weight][1] for weight in share} for share in shares]
@@ -210,15 +223,20 @@ def _rank_share(cdga: CDGA, degrees: list, index: int, workers: int, fd: int) ->
 
     Every child deals the same shares (``_weight_shares``) and takes its own.
     Writes one "degree:rank:count" triple per degree to ``fd``: the rank of
-    the share's blocks of d_degree and how many source monomials they hold.
-    Leaves through ``os._exit``, with status 0 only once every triple is
-    written, so no parent cleanup (atexit, buffered output) runs twice.
+    the share's blocks of d_degree and how many source monomials they hold,
+    followed by ":weight:b" for each of the share's ledger entries in that
+    degree. Leaves through ``os._exit``, with status 0 only once every
+    triple is written, so no parent cleanup (atexit, buffered output) runs
+    twice.
     """
     status = 1
     try:
         share = _weight_shares(cdga, degrees, workers)[index]
-        ranks, counts = _rank_blocks(cdga, degrees, True, share)
-        text = " ".join(f"{n}:{ranks[n]}:{counts[n]}" for n in degrees)
+        ranks, counts, ledger = _rank_blocks(cdga, degrees, True, share)
+        text = " ".join(
+            f"{n}:{ranks[n]}:{counts[n]}" + "".join(f":{w}:{b}" for w, b in ledger[n].items())
+            for n in degrees
+        )
         with open(fd, "wb") as pipe:
             pipe.write(text.encode())
         status = 0
@@ -229,10 +247,11 @@ def _rank_share(cdga: CDGA, degrees: list, index: int, workers: int, fd: int) ->
         os._exit(status)
 
 
-def _ranks_in_children(cdga: CDGA, degrees: list, workers: int, dims: list) -> dict:
-    """{degree: rank of d_degree} for ``degrees``, from ``workers`` forked children.
+def _ranks_in_children(cdga: CDGA, degrees: list, workers: int, dims: list) -> tuple:
+    """({degree: rank of d_degree}, ledger) for ``degrees``, from ``workers`` forked children.
 
-    The parent adds up the children's ranks of each degree. Every child is
+    The parent adds up the children's ranks of each degree and joins their
+    ledger entries, as ``_rank_blocks`` returns them. Every child is
     reaped before this returns or raises; children still running when
     something fails are killed first. Raises RuntimeError when a child exits
     nonzero or leaves out a degree, or when the children's source counts of
@@ -243,6 +262,7 @@ def _ranks_in_children(cdga: CDGA, degrees: list, workers: int, dims: list) -> d
     pipes = []
     ranks = dict.fromkeys(degrees, 0)
     counts = dict.fromkeys(degrees, 0)
+    ledger: dict = {n: {} for n in degrees}
     try:
         for index in range(workers):
             read_fd, write_fd = os.pipe()
@@ -262,11 +282,12 @@ def _ranks_in_children(cdga: CDGA, degrees: list, workers: int, dims: list) -> d
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[0]
             triples = [[int(v) for v in t.split(b":")] for t in b"".join(chunks).split()]
-            if code or [n for n, _, _ in triples] != degrees:
+            if code or [t[0] for t in triples] != degrees or any(len(t) % 2 == 0 for t in triples):
                 raise RuntimeError(f"rank worker for degrees {degrees} failed (exit status {code})")
-            for n, rank, count in triples:
+            for n, rank, count, *entries in triples:
                 ranks[n] += rank
                 counts[n] += count
+                ledger[n].update(zip(entries[::2], entries[1::2]))
     finally:
         for fd in pipes:
             os.close(fd)
@@ -281,7 +302,7 @@ def _ranks_in_children(cdga: CDGA, degrees: list, workers: int, dims: list) -> d
             raise RuntimeError(
                 f"rank workers ranked {counts[n]} of the {dims[n]} monomials of degree {n}"
             )
-    return ranks
+    return ranks, ledger
 
 
 @dataclass(frozen=True)
@@ -310,55 +331,57 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
 
     For purely odd signatures the whole table is produced; otherwise degrees
     0 .. truncation-1 are reported and ``truncated_at`` records the window.
+    The first call ranks the CDGA in one pass and stores the ranks in its
+    rank cache and the ledger of the Betti number of every block beside
+    them; every later call, with any ``jobs``, reads the table off the
+    cache and ranks nothing. dim_n is counted from the generator degrees,
+    not enumerated.
+
     When the window reaches the top degree of a purely odd model with
     d_(top-1) = 0, only the degrees n <= (top-1)/2 are ranked: rank d_(top-1-n)
     equals rank d_n by Poincare duality and rank d_top is 0, and these
     mirrored ranks join the rank cache after the ranked ones. Otherwise every
-    degree of the window is ranked. dim_n is counted from the generator
-    degrees, not enumerated.
+    degree of the window is ranked.
 
-    The degrees left to rank go in increasing order through
-    ``_rank_blocks``, one torus-weight block at a time (one block per
-    degree for models under ``_BLOCK_MIN_MONOMIALS``): the block's sources
-    come from a key walk that builds no ``Monomial``, its integer columns
-    are assembled directly from d, ranked by ``_row_pivots`` and dropped
-    before the next block, so no differential matrix is built or cached.
-    Clearing drops from each block's sources the pivot targets of the same
-    weight one degree down, which leaves the rank as it is. A
-    degree whose rank d_(n-1) was already cached, by ``representatives`` or
-    ``verify_classes``, has no pivots below it and is ranked uncleared.
-    When the CDGA carries a symmetry sigma (u_n and the models of
+    The degrees ranked go in increasing order through ``_rank_blocks``,
+    split once by ``CDGA._by_weight`` into torus-weight blocks, or one
+    block per degree for models under ``_BLOCK_MIN_MONOMIALS``: each block's
+    sources come from a key walk that builds no ``Monomial``, its integer
+    columns are assembled directly from d, ranked by ``_row_pivots`` and
+    dropped before the next block, so no differential matrix is built or
+    cached. Clearing drops from each block's sources the pivot targets of
+    the same weight one degree down, which leaves the rank as it is. When
+    the CDGA carries a symmetry sigma (u_n and the models of
     ``split_at_k``), checked exactly on first use, blocks w and sigma(w)
     have equal ranks: only the block of each pair with w <= sigma(w) is
     ranked, and one with w < sigma(w) counts twice.
 
+    The ledger holds, for each degree n, the weights w whose block has
+    b_(n,w) = dim - rank d_n|w - rank d_(n-1)|w > 0, with that b; the one
+    block of an unsplit degree has weight 0. A block of sigma(w) takes the
+    b of w. A mirrored degree top - n takes b_(top-n, w_top-w) = b_(n,w),
+    w_top the weight of the top monomial, by the same duality, and the
+    middle degree of an even top takes its b per weight from the weight's
+    Euler characteristic and the b of every other degree. A negative b
+    raises ``ConsistencyError``. ``representatives`` solves only the blocks
+    the ledger names, split as here.
+
     With ``jobs`` >= 2, ``os.fork`` available, a single running thread,
     blocks by weight and at least ``FORK_MIN_MONOMIALS`` basis monomials in
-    the degrees left to rank, min(jobs, usable CPUs) forked child processes
+    the degrees ranked, min(jobs, usable CPUs) forked child processes
     rank them. Each deals the weights (with sigma, the orbit
     representatives) longest first, by the sum over n of dim(n, w)^2 from
     the weight-graded generating function, takes its own
-    share, ranks it through every degree left, clearing as it goes, and
-    sends back per-degree partial ranks and source counts, which the parent
-    adds up and checks against dim_n. Otherwise, and always with the
-    default ``jobs=None``, the degrees are ranked in this process. Both
-    give the same table and the same rank cache.
+    share, ranks it through every degree, clearing as it goes, and sends
+    back per-degree partial ranks, source counts and ledger entries, which
+    the parent joins and checks against dim_n. Otherwise, and always with
+    the default ``jobs=None``, the degrees are ranked in this process. Both
+    give the same table, the same rank cache and the same ledger.
     """
     degrees = _degree_range(cdga)
-    mirror = _mirror_top(cdga)
-    ranked = degrees if mirror is None else range((mirror - 1) // 2 + 1)
-    todo = [n for n in ranked if n not in cdga._rank_cache]
     dims = basis_dimensions(cdga.signature, degrees[-1] + 1)
-    by_weight = cdga._by_weight([dims[n] for n in todo])
-    workers = _fork_workers(jobs, sum(dims[n] for n in todo)) if by_weight else 0
-    if workers > 1:
-        cdga._rank_cache.update(_ranks_in_children(cdga, todo, workers, dims))
-    else:
-        cdga._rank_cache.update(_rank_blocks(cdga, todo, by_weight)[0])
-    if mirror is not None:
-        for n in ranked:
-            cdga._rank_cache.setdefault(mirror - 1 - n, cdga._rank_cache[n])
-        cdga._rank_cache.setdefault(mirror, 0)
+    if cdga._ledger is None:
+        _rank_table(cdga, degrees, dims, jobs)
     ranks = cdga._rank_cache
     per_degree = [dims[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in degrees]
     top = cdga.top_degree()
@@ -368,17 +391,69 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
     )
 
 
+def _rank_table(cdga: CDGA, degrees: range, dims: list, jobs: Optional[int]) -> None:
+    """Rank every degree of ``betti`` in one pass; fill the rank cache and the ledger."""
+    mirror = _mirror_top(cdga)
+    ranked = list(degrees if mirror is None else range((mirror - 1) // 2 + 1))
+    by_weight = cdga._by_weight([dims[n] for n in ranked])
+    weights = cdga._weight_lattice().generators if by_weight else (0,) * len(cdga.signature)
+    workers = _fork_workers(jobs, sum(dims[n] for n in ranked)) if by_weight else 0
+    if workers > 1:
+        ranks, ledger = _ranks_in_children(cdga, ranked, workers, dims)
+    else:
+        ranks, _, ledger = _rank_blocks(cdga, ranked, by_weight)
+    if mirror is not None:
+        for n in ranked:
+            ranks.setdefault(mirror - 1 - n, ranks[n])
+        ranks.setdefault(mirror, 0)
+        top_weight = sum(weights)
+        for n in ranked:
+            ledger.setdefault(mirror - n, {top_weight - w: b for w, b in ledger[n].items()})
+        if mirror % 2 == 0:
+            ledger[mirror // 2] = _middle_row(cdga, mirror, weights, ledger)
+    for n in degrees:
+        for w, b in ledger[n].items():
+            if b < 0:
+                raise ConsistencyError(
+                    f"the block of weight {w} in degree {n} has Betti number {b}"
+                )
+    cdga._rank_cache.update(ranks)
+    cdga._ledger = (weights, {n: dict(sorted(ledger[n].items())) for n in degrees})
+
+
+def _middle_row(cdga: CDGA, top: int, weights: tuple, ledger: dict) -> dict:
+    """{weight: b_(m,w)} for the middle degree m = top / 2, from every other degree.
+
+    Each weight's complex has Euler characteristic
+    chi_w = sum over n of (-1)^n dim(n, w) = sum over n of (-1)^n b_(n,w),
+    with dim(n, w) counted by ``_weight_dimensions``; b_(m,w) is what the
+    other degrees leave of it.
+    """
+    m = top // 2
+    row: dict = {}
+    for n, cell in enumerate(_weight_dimensions(cdga.signature, top, weights)):
+        sign = -1 if (n - m) % 2 else 1
+        for w, c in cell.items():
+            row[w] = row.get(w, 0) + sign * c
+        if n != m:
+            for w, b in ledger[n].items():
+                row[w] -= sign * b
+    return {w: b for w, b in row.items() if b}
+
+
 def representatives(cdga: CDGA, n: int) -> list:
     """Closed elements whose classes form a basis of H^n; deterministic.
 
-    Degree n is split as ``betti`` splits it: into torus-weight blocks of
-    monomial keys when ``CDGA._by_weight`` says so, otherwise one block.
-    d maps the block of weight w into the keys of weight w one degree up,
-    so each block is solved alone, with d expanded on its keys by
-    ``_d_key``. Its columns and its degree-(n+1) target rows are numbered
-    in lexicographic order, as ``_keys_by_weight`` emits them, and each row
-    is cleared of denominators, so the count rule picks the pivots that it
-    picks on the whole-degree matrix.
+    ``betti(cdga)`` runs first, a cache hit once the table is ranked, and
+    its ledger names the torus-weight blocks of degree n that carry
+    cohomology and how many classes each carries; degree n is split as
+    ``betti`` split it, and only those blocks are walked and solved. d maps
+    the block of weight w into the keys of weight w one degree up, so each
+    block is solved alone, with d expanded on its keys by ``_d_key``. Its
+    columns and its degree-(n+1) target rows are numbered in lexicographic
+    order, as ``_keys_by_weight`` emits them, and each row is cleared of
+    denominators, so the count rule picks the pivots that it picks on the
+    whole-degree matrix.
 
     The classes are primitive integer kernel vectors of d_n, picked in
     free-column order and merged across blocks in global basis order. Each
@@ -389,25 +464,25 @@ def representatives(cdga: CDGA, n: int) -> list:
     each lead is a row's greatest column: the class of free column f is
     kept exactly when no combination of boundaries has its greatest column
     at f, that is, when e_f is not in the span of the boundaries and the
-    unit vectors of the free columns below f. The ranks of d_n (its pivot
-    count) and of d_(n-1) (the size of that echelon) are stored in the
-    CDGA's rank cache for a later ``betti``.
+    unit vectors of the free columns below f. A block whose d^2 check fails,
+    or whose class count differs from its ledger entry, raises
+    ``ConsistencyError``. Nothing is written to the rank cache.
     """
     if n not in _degree_range(cdga):
         if cdga.top_degree() is not None and n > cdga.top_degree():
             return []
         raise ValueError(f"degree {n} outside the computable window")
+    betti(cdga)
+    weights, ledger = cdga._ledger
+    carried = ledger[n]
+    if not carried:
+        return []
     sig = cdga.signature
-    if cdga._by_weight(basis_dimensions(sig, n + 1)):
-        weights = cdga._weight_lattice().generators
-    else:
-        weights = (0,) * len(sig)
     d_key = cdga._d_key
-    sources = _keys_by_weight(sig, n - 1, weights) if n else {}
-    targets = _keys_by_weight(sig, n + 1, weights)
-    rank = rank_below = 0
+    sources = _keys_by_weight(sig, n - 1, weights, carried) if n else {}
+    targets = _keys_by_weight(sig, n + 1, weights, carried)
     classes = []
-    for weight, keys in _keys_by_weight(sig, n, weights).items():
+    for weight, keys in _keys_by_weight(sig, n, weights, carried).items():
         columns = [d_key(key) for key in keys]
         column_of = {key: j for j, key in enumerate(keys)}
         boundaries = []
@@ -428,22 +503,24 @@ def representatives(cdga: CDGA, n: int) -> list:
         pivot_columns, cocycles = _kernel(
             rows if cdga._integral else _clear_denominators(rows), len(keys)
         )
-        rank += len(pivot_columns)
         pivots = set(pivot_columns)
         echelon: dict = {}
         _extend_echelon(
             echelon,
             ({-j: Fraction(v) for j, v in b.items() if j not in pivots} for b in boundaries),
         )
-        rank_below += len(echelon)
         free = [f for f in range(len(keys)) if f not in pivots]
+        found = 0
         for f, z in zip(free, cocycles):
             if -f not in echelon:
                 terms = {_decode(sig, keys[j]): v for j, v in z.items()}
                 classes.append((_decode(sig, keys[f]).exponents(), terms))
-    cdga._rank_cache.setdefault(n, rank)
-    if n:
-        cdga._rank_cache.setdefault(n - 1, rank_below)
+                found += 1
+        if found != carried[weight]:
+            raise ConsistencyError(
+                f"the block of weight {weight} in degree {n} gave {found} classes,"
+                f" its Betti number is {carried[weight]}"
+            )
     classes.sort(key=lambda c: c[0])
     return [Element(sig, terms) for _, terms in classes]
 
@@ -485,9 +562,9 @@ def verify_classes(cdga: CDGA, elems: Sequence[Element]) -> VerifyReport:
 
     ``dependency`` witnesses a vanishing combination of classes as
     ((index, coefficient), ...); an element whose class is zero appears as a
-    single-term dependency. ``missing_degrees`` lists (degree, have, need).
-    The rank of d_(d-1), read off the boundary echelon of each degree d
-    checked, joins the CDGA's rank cache before the Betti table is ranked.
+    single-term dependency. ``missing_degrees`` lists (degree, have, need),
+    with need from ``betti(cdga)``, a cache hit once the table is ranked.
+    Nothing is written to the rank cache.
     """
     degrees = []
     for i, e in enumerate(elems):
@@ -524,7 +601,6 @@ def verify_classes(cdga: CDGA, elems: Sequence[Element]) -> VerifyReport:
             keys = _keys_by_weight(sig, d - 1, (0,) * len(sig)).get(0, ())
             boundaries = (cdga._d_key(key) for key in keys)
             _extend_echelon(echelon, ({k: Fraction(v) for k, v in b.items()} for b in boundaries))
-            cdga._rank_cache.setdefault(d - 1, len(echelon))
         tagged = (
             {**{_encode(mono): c for mono, c in elems[i].terms.items()}, tag + i: Fraction(1)}
             for i in by_degree[d]

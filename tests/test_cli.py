@@ -125,7 +125,7 @@ class TestCohomologyCommand:
 
         def costs(cdga, degrees):
             found = real_costs(cdga, degrees)
-            mirrored.append(sorted(copies for _, copies in found.values()))
+            mirrored.append(sorted(1 + (w != image) for w, (_, image) in found.items()))
             return found
 
         monkeypatch.setattr(cohomology, "_weight_costs", costs)

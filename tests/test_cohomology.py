@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -197,11 +198,27 @@ class TestRepresentativesOfUn:
         assert sum(row) == 5040
         assert betti(model).per_degree == tuple(row[:6]) == (1, 6, 20, 49, 98, 169)
 
-    def test_representatives_seed_the_rank_cache(self):
+    @staticmethod
+    def record_passes(monkeypatch) -> list:
+        """The degree lists ``_rank_blocks`` is called with, in call order."""
+        passes = []
+        real = cohomology._rank_blocks
+
+        def recording(cdga, degrees, *args):
+            passes.append(list(degrees))
+            return real(cdga, degrees, *args)
+
+        monkeypatch.setattr(cohomology, "_rank_blocks", recording)
+        return passes
+
+    def test_representatives_of_every_degree_share_one_pass(self, monkeypatch):
+        passes = self.record_passes(monkeypatch)
         model = upper_tri_model(4)
         degrees = range(model.top_degree() + 1)
         for k in degrees:
             representatives(model, k)
+        # Top degree 6: d_0..d_2 ranked, the rest mirrored.
+        assert passes == [[0, 1, 2]]
         assert model._rank_cache == {
             k: rank_only(model.differential_matrix(k)) for k in degrees
         }
@@ -211,39 +228,39 @@ class TestRepresentativesOfUn:
         "make, degrees",
         [(lambda n=n: upper_tri_model(n), None) for n in range(2, 6)]
         + [(lambda r=r: xr_model(r), None) for r in range(1, 8)]
-        # u_6 from degree 2 on is solved one torus-weight block at a time;
-        # its middle degrees take 0.1-0.2 s each and are left out.
+        # u_6 from degree 2 on is solved one torus-weight block at a time.
         + [(lambda: upper_tri_model(6), range(3, 6))],
         ids=[f"u{n}" for n in range(2, 6)] + [f"xr{r}" for r in range(1, 8)] + ["u6"],
     )
-    def test_representatives_seed_the_rank_below(self, make, degrees):
-        # Each degree on a fresh model, so rank d_(n-1) comes from the
-        # boundary echelon of this call alone.
-        for n in degrees or range(1, make().top_degree() + 1):
+    def test_each_degree_is_ranked_once(self, make, degrees, monkeypatch):
+        # Each degree on a fresh model: the one Betti pass ranks the table,
+        # and the solved blocks add nothing to the rank cache.
+        passes = self.record_passes(monkeypatch)
+        reference = make()
+        expected = {
+            k: rank_only(reference.differential_matrix(k)) for k in _degree_range(reference)
+        }
+        for n in degrees or range(1, reference.top_degree() + 1):
             model = make()
+            passes.clear()
             representatives(model, n)
-            assert model._rank_cache[n - 1] == rank_only(model.differential_matrix(n - 1)), n
+            assert len(passes) == 1 and len(set(passes[0])) == len(passes[0]), n
+            assert model._rank_cache == expected, n
 
-    def test_representatives_and_verify_spare_betti_two_degrees(self, monkeypatch):
-        ranked = []
-        real = cohomology._rank_blocks
-
-        def recording(cdga, degrees, *args):
-            ranked.extend(degrees)
-            return real(cdga, degrees, *args)
-
-        monkeypatch.setattr(cohomology, "_rank_blocks", recording)
+    def test_representatives_and_verify_share_one_pass(self, monkeypatch):
+        passes = self.record_passes(monkeypatch)
         model = upper_tri_model(5)
         report = verify_classes(model, representatives(model, 4))
         assert report.all_closed and report.independent
-        assert sorted(ranked) == [0, 1, 2]
-        assert betti(model) == betti(upper_tri_model(5))
+        table = betti(model)
+        assert passes == [[0, 1, 2, 3, 4]]
+        assert table == betti(upper_tri_model(5))
 
-    def test_verify_seeds_the_rank_below(self, monkeypatch):
+    def test_verify_writes_no_rank(self, monkeypatch):
         monkeypatch.setattr(cohomology, "betti", lambda cdga: BettiStub())
         model = xr_model(5)
         verify_classes(model, x5_class_elements(model)[3:5])
-        assert model._rank_cache == {1: rank_only(model.differential_matrix(1))}
+        assert model._rank_cache == {}
 
     @pytest.mark.slow
     def test_cli_u6_representatives_span(self, capsys):
@@ -370,6 +387,44 @@ class TestBrokenDifferential:
         assert "internal consistency error" in capsys.readouterr().err
 
 
+class TestLedgerChecks:
+    """The ledger of ``betti`` is checked where it is made and where it is
+    used: a negative block Betti number, or a solved block whose class count
+    differs from its ledger entry, is a ConsistencyError (exit code 3)."""
+
+    @pytest.fixture
+    def extra_pivot(self, monkeypatch):
+        # One pivot too many in every block that has one, so a weight block
+        # of u_6 with b = 0 and a nonzero rank comes out at b = -1.
+        real = cohomology._row_pivots
+
+        def padded(rows):
+            pivots = real(rows)
+            return pivots + pivots[:1]
+
+        monkeypatch.setattr(cohomology, "_row_pivots", padded)
+
+    def test_negative_block_betti_raises(self, extra_pivot):
+        model = upper_tri_model(6)
+        with pytest.raises(ConsistencyError, match="has Betti number -"):
+            betti(model)
+        assert model._rank_cache == {} and model._ledger is None
+
+    def test_negative_block_betti_exits_3(self, extra_pivot, capsys):
+        assert main(["cohomology", "--builtin", "upper-tri:6"]) == 3
+        assert "internal consistency error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, k", [(4, 3), (6, 5)])
+    def test_class_count_off_the_ledger_raises(self, n, k):
+        model = upper_tri_model(n)
+        betti(model)
+        row = model._ledger[1][k]
+        weight = next(iter(row))
+        row[weight] += 1
+        with pytest.raises(ConsistencyError, match=f"gave {row[weight] - 1} classes"):
+            representatives(model, k)
+
+
 GOLDEN_REPRESENTATIVES = Path(__file__).parent / "data" / "representatives_golden.json"
 
 
@@ -392,6 +447,19 @@ class TestRepresentativesGolden:
             for k in range(model.top_degree() + 1)
         }
         assert actual == golden
+
+
+class TestRepresentativesPinned:
+    def test_u6_classes_by_digest(self, capsys):
+        # All 720 classes of u_6, with the digest of the CI step. The golden
+        # file's models all take the one-block path; this pin reaches the
+        # weight blocks, the sigma-copies and the mirrored degrees 8..15.
+        args = ["cohomology", "--builtin", "upper-tri:6", "--representatives", "--format", "json"]
+        assert main(args) == 0
+        reps = json.loads(capsys.readouterr().out)["outputs"]["representatives"]
+        assert sum(len(classes) for classes in reps.values()) == 720
+        digest = hashlib.sha256(json.dumps(reps, sort_keys=True).encode()).hexdigest()
+        assert digest == "ad57b2197f5e7629cdb5b1a44fa924ca7ba9dc25dbfe278931ac75a729fb7ffa"
 
 
 class TestVerifyClasses:
@@ -719,11 +787,10 @@ class TestForkedRanks:
         assert betti(upper_tri_model(6), jobs=1000) == betti(upper_tri_model(6))
         assert len(forks) == 2
 
-    def test_cached_ranks_are_not_ranked_again(self, forks, monkeypatch):
+    def test_a_ranked_table_is_not_ranked_again(self, forks, monkeypatch):
         serial = upper_tri_model(6)
         table = betti(serial)
         model = upper_tri_model(6)
-        model._rank_cache.update((n, serial._rank_cache[n]) for n in range(7))
         asked = []
         real = cohomology._ranks_in_children
 
@@ -732,11 +799,36 @@ class TestForkedRanks:
             return real(cdga, degrees, *args)
 
         monkeypatch.setattr(cohomology, "_ranks_in_children", recording)
-        # Only degree 7 is left; its weights are still dealt to two children.
+        # One pass deals every degree ranked to two children; later calls
+        # read the cache and the ledger, with any jobs.
         assert betti(model, jobs=2) == table
-        assert asked == [[7]]
+        assert verify_classes(model, representatives(model, 4)).independent
+        assert betti(model, jobs=2) == table
+        assert asked == [list(range(8))]
         assert len(forks) == 2
         assert list(model._rank_cache.items()) == list(serial._rank_cache.items())
+
+    @pytest.mark.parametrize("name", ["u6", "u6_fiber_k4"])
+    def test_ledger_and_cache_do_not_depend_on_jobs(self, forks, monkeypatch, name):
+        # The fiber of split_at_k(6, 4) is under both gates, so they are
+        # lowered: it is then split by weight, has an even top degree (its
+        # middle row comes from the weights' Euler characteristics) and
+        # carries sigma.
+        if name == "u6":
+            make = lambda: upper_tri_model(6)
+        else:
+            make = lambda: split_at_k(6, 4).fiber
+            monkeypatch.setattr(cohomology, "FORK_MIN_MONOMIALS", 0)
+            monkeypatch.setattr(cdga_module, "_BLOCK_MIN_MONOMIALS", 0)
+        serial, forked = make(), make()
+        assert betti(forked, jobs=2) == betti(serial)
+        assert len(forks) == 2
+        assert forked._ledger[0] != (0,) * len(forked.signature)
+        assert forked._weights.mirrors is not None
+        assert list(forked._rank_cache.items()) == list(serial._rank_cache.items())
+        items = lambda m: [(n, list(row.items())) for n, row in m._ledger[1].items()]
+        assert items(forked) == items(serial)
+        assert forked._ledger[0] == serial._ledger[0]
 
     def test_failing_child_raises_and_leaves_no_zombie(self, forks, monkeypatch):
         def broken(*args):
@@ -858,6 +950,110 @@ class TestKostantOracle:
         assert self.nonzero_blocks(n) == expected
 
 
+def kostant_count(n: int) -> dict:
+    """{(degree, weight vector): 1} with one entry per permutation of n
+    letters: its number of inversions, and e_q - e_p summed over its
+    inversions p < q. Every other (degree, weight) block has b = 0."""
+    count = {}
+    for perm in itertools.permutations(range(n)):
+        weight = [0] * n
+        length = 0
+        for p, q in itertools.combinations(range(n), 2):
+            if perm[p] > perm[q]:
+                weight[p] -= 1
+                weight[q] += 1
+                length += 1
+        count[length, tuple(weight)] = 1
+    assert len(count) == math.factorial(n)
+    return count
+
+
+def kostant_weights(model, n: int) -> dict:
+    """{packed lattice weight: weight vector from the generator names} for
+    every monomial of u_n, one exterior generator at a time. Both are linear
+    in the exponents, so each packed weight must meet one vector only."""
+    packed = model._weight_lattice().generators
+    table = {0: (0,) * n}
+    for g in model.signature.generators:
+        step = kostant_weight(g.name, n)
+        for w, vector in list(table.items()):
+            moved = tuple(a + b for a, b in zip(vector, step))
+            assert table.setdefault(w + packed[g.index], moved) == moved, g.name
+    return table
+
+
+def ledger_by_vector(model, n: int) -> dict:
+    """The ledger of ``betti`` as {(degree, weight vector): b}."""
+    vectors = kostant_weights(model, n)
+    return {(k, vectors[w]): b for k, row in model._ledger[1].items() for w, b in row.items()}
+
+
+class TestKostantLedger:
+    """The ledger of ``betti`` holds b_(n,w) for each block that carries
+    cohomology; by Kostant it is 1 on the block of each permutation, at its
+    length and weight, and 0 elsewhere. The count comes from inversions
+    alone, and the engine never reads it."""
+
+    def test_u6_ledger(self):
+        model = upper_tri_model(6)
+        betti(model)
+        assert model._ledger[0] == model._weight_lattice().generators
+        assert ledger_by_vector(model, 6) == kostant_count(6)
+
+    @pytest.mark.slow
+    def test_u7_ledger(self):
+        model = upper_tri_model(7)
+        assert betti(model).total == 5040
+        assert ledger_by_vector(model, 7) == kostant_count(7)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_block_numbers_of_small_u_n(self, n):
+        # Under _BLOCK_MIN_MONOMIALS the engine's ledger has one block per
+        # degree, so the per-block numbers come from ``CDGA._blocks`` and
+        # ``_row_pivots``, each block ranked on its own.
+        model = upper_tri_model(n)
+        vectors = kostant_weights(model, n)
+        blocks = u_n_weight_blocks(n)
+        found = {}
+        for (k, w), (dim, rank) in blocks.items():
+            b = dim - rank - blocks.get((k - 1, w), (0, 0))[1]
+            if b:
+                found[k, vectors[w]] = b
+        assert found == kostant_count(n)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_even_top_ledger_by_weight(self, n, monkeypatch):
+        # With the gate at 0, u_4 and u_5 are ranked by weight; their top
+        # degrees 6 and 10 are even, so the middle row comes from the
+        # weights' Euler characteristics rather than from a ranked degree.
+        monkeypatch.setattr(cdga_module, "_BLOCK_MIN_MONOMIALS", 0)
+        model = upper_tri_model(n)
+        assert model.top_degree() % 2 == 0
+        betti(model)
+        assert ledger_by_vector(model, n) == kostant_count(n)
+        monkeypatch.undo()
+        for k in range(model.top_degree() + 1):
+            assert len(representatives(model, k)) == sum(model._ledger[1][k].values())
+
+    def test_u6_classes_sit_in_kostant_weights(self):
+        # Each class is weight-homogeneous, and degree n has one class in
+        # the weight of each permutation of length n.
+        model = upper_tri_model(6)
+        sig = model.signature
+        gens = [kostant_weight(g.name, 6) for g in sig.generators]
+        count = kostant_count(6)
+        for k in range(model.top_degree() + 1):
+            weights = []
+            for c in representatives(model, k):
+                found = {
+                    tuple(sum(e * g[q] for e, g in zip(mono.exponents(), gens)) for q in range(6))
+                    for mono in c.terms
+                }
+                assert len(found) == 1, (k, c)
+                weights.extend(found)
+            assert sorted(weights) == sorted(w for length, w in count if length == k), k
+
+
 def _axb_model():
     sig = Signature([("x", 1), ("y", 1)])
     return CDGA(
@@ -900,9 +1096,14 @@ class TestWeightBlocksAgainstComponents:
     def test_block_ranks_match_the_matrix_path(self, model, grouping):
         degrees = list(_degree_range(model))
         expected = {n: rank_only(model.differential_matrix(n)) for n in degrees}
-        ranks, counts = _rank_blocks(model, degrees, self.by_weight(model, degrees))
+        ranks, counts, ledger = _rank_blocks(model, degrees, self.by_weight(model, degrees))
         assert ranks == expected
-        assert counts == {n: len(basis_of_degree(model.signature, n)) for n in degrees}
+        dims = {n: len(basis_of_degree(model.signature, n)) for n in degrees}
+        assert counts == dims
+        # The blocks' Betti numbers add up to each degree's.
+        assert {n: sum(row.values()) for n, row in ledger.items()} == {
+            n: dims[n] - expected[n] - (expected[n - 1] if n else 0) for n in degrees
+        }
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
     def test_cleared_ranks_equal_uncleared_ranks(self, model, grouping):
@@ -947,7 +1148,7 @@ class TestWeightBlocksAgainstComponents:
         monkeypatch.setattr(CDGA, "_blocks", blocks)
         monkeypatch.setattr(CDGA, "_block_columns", columns)
         monkeypatch.setattr(cohomology, "_row_pivots", pivots)
-        ranks, _ = _rank_blocks(model, degrees, by_weight)
+        ranks, _, _ = _rank_blocks(model, degrees, by_weight)
         assert expanded == {n: ranked[n] - (pivot_rows[n - 1] if n else 0) for n in degrees}
         if not orbits:
             dims = basis_dimensions(model.signature, degrees[-1])
