@@ -6,8 +6,9 @@ zero); even-degree generators are polynomial. A monomial stores its odd part
 as a bitmask in signature order and its even part as an exponent tuple, so
 multiplication reduces to a bitmask merge and the Koszul sign to a
 transposition count over set bits. The Betti path packs both parts into one
-int key per monomial (``_encode``, ``_decode``); ``_keys_by_weight`` walks
-such keys without building a ``Monomial``.
+int key per monomial (``_encode``, ``_decode``); ``_keys_by_weight`` lists
+such keys by weight without building a ``Monomial``, joining the keys of two
+halves of the generators so that only the weights it keeps are built.
 
 Coefficients are ``fractions.Fraction`` throughout; no floating point.
 All values are immutable after construction and safe to share.
@@ -444,6 +445,26 @@ def _decode(sig: Signature, key: int) -> Monomial:
     return Monomial(sig, key & ((1 << odd) - 1), evens)
 
 
+def _half_keys(gens: Sequence[GeneratorSpec], units: list, weights: Sequence[int], n: int) -> list:
+    """(key, degree, weight) of every monomial in the generators ``gens`` of
+    degree at most n, in lexicographic order of their exponent vectors.
+
+    Built from the last generator forwards: each step puts the current
+    list, in order, under every exponent the next generator can take, so
+    that generator is the most significant.
+    """
+    entries = [(0, 0, 0)]
+    for g in reversed(gens):
+        degree, unit, weight = g.degree, units[g.index], weights[g.index]
+        top = min(1, n // degree) if g.is_odd else n // degree
+        grown = list(entries)
+        for e in range(1, top + 1):
+            add, up, shift = e * unit, e * degree, e * weight
+            grown += [(k + add, d + up, w + shift) for k, d, w in entries if d + up <= n]
+        entries = grown
+    return entries
+
+
 def _keys_by_weight(sig: Signature, n: int, weights: Sequence[int], keep=None) -> dict:
     """The degree-n monomial keys (see ``_encode``), grouped by weight.
 
@@ -452,40 +473,39 @@ def _keys_by_weight(sig: Signature, n: int, weights: Sequence[int], keep=None) -
     {weight: [key, ...]}: keys in lexicographic order of their exponent
     vectors, weights in the order of their first key, and only the weights
     in ``keep`` when it is given. Builds no ``Monomial`` and caches nothing;
-    ``basis_of_degree`` is this walk with every weight 0.
+    ``basis_of_degree`` is this enumeration with every weight 0.
+
+    Meet in the middle (Horowitz-Sahni 1974): the generators are split into
+    a left and a right half, whose keys occupy disjoint bits, so a key is
+    the sum of a left and a right key. The right half's keys of degree at
+    most n are bucketed by degree, then by weight in the order of their
+    first key; the left half's are taken in lexicographic order, and each
+    is joined to every bucket of the complementary degree whose summed
+    weight is kept. Lexicographic order puts the left exponents first, so
+    the joined keys come out in order, and a weight outside ``keep`` is
+    never materialised.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    degrees = [g.degree for g in sig.generators]
-    odd = [d % 2 == 1 for d in degrees]
+    gens = sig.generators
     units = _key_units(sig)
-    # reach[pos]: the largest degree generators pos.. can still add, capped at
-    # n; any even generator among them can add as much as needed.
-    reach = [0] * (len(degrees) + 1)
-    for pos in range(len(degrees) - 1, -1, -1):
-        reach[pos] = min(n, reach[pos + 1] + degrees[pos]) if odd[pos] else n
+    half = len(gens) // 2
+    right: dict = {}
+    for key, degree, weight in _half_keys(gens[half:], units, weights, n):
+        right.setdefault(degree, {}).setdefault(weight, []).append(key)
     groups: dict = {}
-
-    def rec(pos: int, remaining: int, key: int, weight: int) -> None:
-        if remaining == 0:
+    for lkey, ldegree, lweight in _half_keys(gens[:half], units, weights, n):
+        buckets = right.get(n - ldegree)
+        if buckets is None:
+            continue
+        for rweight, rkeys in buckets.items():
+            weight = lweight + rweight
             keys = groups.get(weight)
-            if keys is not None:
-                keys.append(key)
-            elif keep is None or weight in keep:
-                groups[weight] = [key]
-            return
-        if reach[pos] < remaining:
-            return
-        degree = degrees[pos]
-        if odd[pos]:
-            rec(pos + 1, remaining, key, weight)
-            if degree <= remaining:
-                rec(pos + 1, remaining - degree, key + units[pos], weight + weights[pos])
-            return
-        for e in range(remaining // degree + 1):
-            rec(pos + 1, remaining - e * degree, key + e * units[pos], weight + e * weights[pos])
-
-    rec(0, n, 0, 0)
+            if keys is None:
+                if keep is not None and weight not in keep:
+                    continue
+                groups[weight] = keys = []
+            keys.extend([lkey + r for r in rkeys])
     return groups
 
 
@@ -493,8 +513,8 @@ def basis_of_degree(sig: Signature, n: int) -> tuple:
     """All monomials of total degree exactly n, lexicographic on exponent vectors.
 
     Finite for every fixed n even with polynomial generators. The one group
-    of ``_keys_by_weight`` with every weight 0, as ``Monomial``s; cached on
-    the signature.
+    of ``_keys_by_weight``'s join with every weight 0, as ``Monomial``s;
+    cached on the signature.
     """
     cached = sig._basis_cache.get(n)
     if cached is None:

@@ -22,8 +22,9 @@ looks the target rows up by key and is kept for public callers.
 d preserves a torus weight (Kostant 1961): the weight lattice, computed on
 first use and cached, is the integer kernel of w(g) = w(u) over the terms u
 of every d g. ``_blocks`` splits a degree into the keys of one weight each,
-by a key-only walk over the generators that adds up packed weights and
-builds no ``Monomial``, and ``_block_columns`` expands d on one block into
+by ``algebra._keys_by_weight``, which adds up packed weights, joins the keys
+of two halves of the generators and builds no ``Monomial``, and
+``_block_columns`` expands d on one block into
 uncached integer columns keyed by target monomial. That is how
 ``cohomology.betti`` ranks a degree, block by block, dropping the sources
 that the pivots of the degree below clear; it stores the ranks and each
@@ -267,48 +268,56 @@ class CDGA:
 
     # ---- differential ------------------------------------------------------
 
-    def _removals(self, key: int):
-        """Yield (rest, scale, terms) for each factor of the monomial ``key``
-        whose d is nonzero: ``rest`` is the key with one copy of the factor
-        removed, ``scale`` its exponent, ``terms`` the term list of its d.
+    def _d_key(self, key: int) -> dict:
+        """Graded Leibniz expansion of d on a monomial key; returns {key: coefficient}.
 
-        An odd factor with bit ``low`` leaves key ^ low; an even factor of
-        exponent e leaves the key less its field's unit, and scales by e.
+        Each factor whose d is nonzero is removed once: an odd factor with
+        bit ``low`` leaves rest = key ^ low, an even factor of exponent e
+        leaves the key less its field's unit and scales its terms by e.
+        Each term u of d of the factor multiplies ``rest`` by adding u's
+        key, and its whole sign, the prefix sign of an odd factor included,
+        is the parity of popcount(rest & sign_mask) for u's sign mask (see
+        ``_term_list``). A target whose contributions cancel is dropped.
+        The two loops are written out, not shared through a generator,
+        because this is the inner loop of every d column.
         """
+        acc: dict = {}
+        get = acc.get
+        odd_terms = self._odd_terms
         odd = key & self._odd_bits
         while odd:
             low = odd & -odd
             odd ^= low
-            terms = self._odd_terms[low.bit_length() - 1]
-            if terms:
-                yield key ^ low, 1, terms
+            rest = key ^ low
+            for umask, ukey, coeff, signs in odd_terms[low.bit_length() - 1]:
+                if umask & rest:
+                    continue
+                target = rest + ukey
+                if (rest & signs).bit_count() & 1:
+                    val = get(target, 0) - coeff
+                else:
+                    val = get(target, 0) + coeff
+                if val:
+                    acc[target] = val
+                else:
+                    del acc[target]
         for shift, terms in self._even_terms:
             e = key >> shift & _EXPONENT_FIELD
-            if e:
-                yield key - (1 << shift), e, terms
-
-    def _d_key(self, key: int) -> dict:
-        """Graded Leibniz expansion of d on a monomial key; returns {key: coefficient}.
-
-        Each term u of d of a factor (``_removals``) multiplies the rest of
-        the monomial by adding u's key, and its whole sign, the prefix sign
-        of an odd factor included, is the parity of popcount(rest &
-        sign_mask) for u's sign mask (see ``_term_list``).
-        """
-        acc: dict = {}
-        for rest, scale, terms in self._removals(key):
+            if not e:
+                continue
+            rest = key - (1 << shift)
             for umask, ukey, coeff, signs in terms:
                 if umask & rest:
                     continue
                 target = rest + ukey
                 if (rest & signs).bit_count() & 1:
-                    val = acc.get(target, 0) - scale * coeff
+                    val = get(target, 0) - e * coeff
                 else:
-                    val = acc.get(target, 0) + scale * coeff
+                    val = get(target, 0) + e * coeff
                 if val:
                     acc[target] = val
                 else:
-                    acc.pop(target, None)
+                    del acc[target]
         return acc
 
     def apply_d(self, elem: Element) -> Element:
@@ -445,9 +454,9 @@ class CDGA:
     def _blocks(self, n: int, by_weight: bool, share=None) -> dict:
         """The keys (``algebra._encode``) of the degree-n monomials, by block.
 
-        By weight, {packed weight: keys} from the key walk
-        ``_keys_by_weight``, which builds no ``Monomial``, and only for the
-        weights in the set ``share`` when it is given; otherwise one block
+        By weight, {packed weight: keys} from ``_keys_by_weight``, which
+        builds no ``Monomial``, and only for the weights in the set
+        ``share`` when it is given; otherwise one block
         {0: keys} in ``basis_of_degree`` order, the weight of every monomial
         when every generator weighs 0, and ``share`` is ignored.
         d maps each weight block into the monomials of its own weight one

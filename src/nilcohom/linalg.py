@@ -214,13 +214,6 @@ def _normalize_row(row: dict) -> None:
             row[c] //= g
 
 
-def _discard(col_rows: dict, c: int, r: int) -> None:
-    rs = col_rows[c]
-    rs.discard(r)
-    if not rs:
-        del col_rows[c]
-
-
 def _eliminate(rows: dict, keep_pivot_rows: bool, modulus: Optional[int] = None):
     """Cross-multiplication elimination; returns (pivots, frozen_rows).
 
@@ -235,6 +228,12 @@ def _eliminate(rows: dict, keep_pivot_rows: bool, modulus: Optional[int] = None)
     ``frozen_rows`` maps pivot row id to its content at freeze time (support
     only on its own and later pivot columns plus free columns), empty unless
     requested.
+
+    A column with one live row (an apparent pair, as Ripser calls it: most
+    pivots of the u_n blocks) takes that row without a step: there is no
+    row to pick among and none to eliminate, so only the row's columns are
+    updated. The pivot sequence and the frozen rows are those of the
+    general step.
     """
     col_rows: dict = {}
     for r, row in rows.items():
@@ -254,15 +253,19 @@ def _eliminate(rows: dict, keep_pivot_rows: bool, modulus: Optional[int] = None)
         while c not in col_rows or len(col_rows[c]) != count:
             heappop(heap)
             count, c = heap[0]
-        _, r = min((len(rows[r]), r) for r in col_rows[c])
+        if count == 1:
+            # The only row of its column: there is nothing to eliminate.
+            (r,) = col_rows[c]
+            others = ()
+        else:
+            _, r = min((len(rows[r]), r) for r in col_rows[c])
+            others = [i for i in col_rows[c] if i != r]
         pivot_row = rows[r]
         p = pivot_row[c]
         # Over Z, p*row - a*pivot_row for p = -1 is row + a*pivot_row negated;
         # the sign changes neither support nor rank nor back-substitution.
         fold = modulus is None and p == -1
-        for i in list(col_rows[c]):
-            if i == r:
-                continue
+        for i in others:
             row_i = rows[i]
             a = row_i.pop(c)
             col_rows[c].discard(i)
@@ -285,13 +288,19 @@ def _eliminate(rows: dict, keep_pivot_rows: bool, modulus: Optional[int] = None)
                     row_i[j] = val
                 elif j in row_i:
                     del row_i[j]
-                    _discard(col_rows, j, i)
+                    rs = col_rows[j]
+                    rs.discard(i)
+                    if not rs:
+                        del col_rows[j]
             if modulus is None:
                 _normalize_row(row_i)
         for j in pivot_row:
-            _discard(col_rows, j, r)
-            if j in col_rows:
-                heappush(heap, (len(col_rows[j]), j))
+            rs = col_rows[j]
+            rs.discard(r)
+            if rs:
+                heappush(heap, (len(rs), j))
+            else:
+                del col_rows[j]
         pivots.append((r, c))
         if keep_pivot_rows:
             frozen[r] = pivot_row

@@ -53,8 +53,11 @@ def _d_word(word, degrees, diffs):
     """Differential of one monomial word as {word: coefficient}."""
     out = {}
     for pos, idx in enumerate(word):
+        # The Leibniz sign (-1)^|prefix| times the sign of moving d(idx), of
+        # degree |idx| + 1, to the front, where the word below is sorted:
+        # (-1)^(|idx| * |prefix|) in all.
         prefix_parity = sum(degrees[i] for i in word[:pos]) % 2
-        outer = -1 if prefix_parity else 1
+        outer = -1 if prefix_parity * degrees[idx] % 2 else 1
         rest = word[:pos] + word[pos + 1 :]
         for dword, coeff in diffs[idx].items():
             merged, sign = _sort_word(dword + rest, degrees)

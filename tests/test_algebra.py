@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nilcohom import (
@@ -15,6 +15,16 @@ from nilcohom import (
     mono_mul,
 )
 from nilcohom.algebra import _decode, _keys_by_weight, _weight_dimensions
+from nilcohom.cohomology import _weight_costs
+from nilcohom.models import upper_tri_model
+
+
+def _brute_force_ranges(degrees, n):
+    """Per-generator exponent ranges up to degree n, for ``itertools.product``;
+    skips an example whose product is too long to run in a test."""
+    ranges = [range(2) if d % 2 else range(n // d + 1) for d in degrees]
+    assume(math.prod(map(len, ranges)) <= 100_000)
+    return ranges
 
 
 @pytest.fixture
@@ -194,10 +204,12 @@ class TestBasisOfDegree:
         assert total == 2**k
         assert len(basis_of_degree(sig, k // 2)) == math.comb(k, k // 2)
 
-    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6), st.integers(0, 8))
+    # Up to 9 generators, so the halves of the meet-in-the-middle join meet
+    # an empty half, odd counts and a split between odd and even generators.
+    @given(st.lists(st.integers(1, 4), min_size=0, max_size=9), st.integers(0, 8))
     def test_matches_brute_force_in_lex_order(self, degrees, n):
         sig = Signature([(f"g{i}", d) for i, d in enumerate(degrees)])
-        ranges = [range(2) if d % 2 else range(n // d + 1) for d in degrees]
+        ranges = _brute_force_ranges(degrees, n)
         expected = sorted(
             exps
             for exps in itertools.product(*ranges)
@@ -213,7 +225,7 @@ class TestBasisOfDegree:
         assert odd3._basis_cache == {}
 
     @given(
-        st.lists(st.tuples(st.integers(1, 4), st.integers(-3, 3)), min_size=1, max_size=6),
+        st.lists(st.tuples(st.integers(1, 4), st.integers(-3, 3)), min_size=0, max_size=9),
         st.integers(0, 8),
         st.data(),
     )
@@ -221,7 +233,7 @@ class TestBasisOfDegree:
         degrees = [d for d, _ in gens]
         weights = [w for _, w in gens]
         sig = Signature([(f"g{i}", d) for i, d in enumerate(degrees)])
-        ranges = [range(2) if d % 2 else range(n // d + 1) for d in degrees]
+        ranges = _brute_force_ranges(degrees, n)
         # itertools.product runs in lex order, so each weight's list is in
         # lex order and the dict's keys in the order of their first vector.
         expected: dict = {}
@@ -240,3 +252,23 @@ class TestBasisOfDegree:
             (w, [_decode(sig, key).exponents() for key in keys]) for w, keys in groups.items()
         ] == [(w, v) for w, v in expected.items() if keep is None or w in keep]
         assert _weight_dimensions(sig, n, weights) == counts
+
+    def test_u5_orbit_share_matches_the_product_in_order(self):
+        # The share ``betti`` walks on u_5: the orbit representatives of
+        # sigma, about half of the weights of each degree.
+        model = upper_tri_model(5)
+        sig = model.signature
+        weights = model._weight_lattice().generators
+        degrees = list(range(len(sig) + 1))
+        share = {w: mirror for w, (_, mirror) in _weight_costs(model, degrees).items()}
+        for n in degrees:
+            expected: dict = {}
+            for exps in itertools.product(range(2), repeat=len(sig)):
+                weight = sum(w for e, w in zip(exps, weights) if e)
+                if sum(exps) == n and weight in share:
+                    expected.setdefault(weight, []).append(exps)
+            groups = _keys_by_weight(sig, n, weights, share)
+            assert [
+                (w, [_decode(sig, key).exponents() for key in keys])
+                for w, keys in groups.items()
+            ] == list(expected.items()), n

@@ -214,6 +214,26 @@ def _polynomial_model():
     )
 
 
+def _cancelling_model():
+    """x, y, v odd and z, w even of degree 2: d x = 0, d y = x*y, d v = -x*v,
+    d z = -x*z, d w = x*w. In d(y*v), d(y*z^e) and d(y*w^e) both factors
+    send a term to the same target, so ``_d_key`` adds into an entry or
+    cancels it, from two odd factors or from an odd and an even one."""
+    sig = Signature([("x", 1), ("y", 1), ("v", 1), ("z", 2), ("w", 2)])
+
+    def times_x(name):
+        return elem_mul(Element.generator(sig, "x"), Element.generator(sig, name))
+
+    diffs = {
+        "x": Element.zero(sig),
+        "y": times_x("y"),
+        "v": -times_x("v"),
+        "z": -times_x("z"),
+        "w": times_x("w"),
+    }
+    return CDGA(sig, diffs, truncation=7)
+
+
 def _leibniz_columns(model, n):
     """d on each degree-n basis monomial via d(g*m) = d(g)*m + (-1)^|g| g*d(m).
 
@@ -273,7 +293,8 @@ class TestDifferentialMatrixAgainstOracles:
 
     @pytest.mark.parametrize(
         "model",
-        [borel_twist(xr_model(r), f"x{r}") for r in range(3, 6)] + [_polynomial_model()],
+        [borel_twist(xr_model(r), f"x{r}") for r in range(3, 6)]
+        + [_polynomial_model(), _cancelling_model()],
         ids=lambda m: m.name,
     )
     def test_mixed_parity_matches_leibniz_recursion(self, model):
@@ -453,6 +474,26 @@ class TestMonomialKeys:
                 for key, val in model._d_key(_encode(mono)).items():
                     columns[row_of[_decode(sig, key)], col] = Fraction(val)
             assert columns == model.differential_matrix(n).entries, n
+
+    def test_d_on_keys_adds_and_cancels_like_the_oracle(self):
+        model = _cancelling_model()
+        sig = model.signature
+
+        def d(*names):
+            image = model._d_key(_encode(sig.monomial_of(*names)))
+            return Element(sig, {_decode(sig, key): c for key, c in image.items()})
+
+        def term(coeff, *names):
+            return Element(sig, {sig.monomial_of(*names): coeff})
+
+        assert d("y", "v").is_zero()
+        assert d("y", "z").is_zero()
+        assert d("y", "w") == term(2, "x", "y", "w")
+        assert d("y", "z", "z") == term(-1, "x", "y", "z", "z")
+        for n in range(model.truncation):
+            rows, cols, dense = dense_differential(model, n)
+            expected = {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v}
+            assert model.differential_matrix(n).entries == expected, n
 
     def test_an_exponent_growing_past_half_a_field_decodes_exactly(self):
         model = _growing_model()

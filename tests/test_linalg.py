@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from nilcohom import (
     ConsistencyError,
     SparseExactMatrix,
+    betti,
     quotient_representatives,
     rank_exact,
     rank_multimodular,
     rank_only,
     upper_tri_model,
 )
+from nilcohom import cohomology
 from nilcohom.linalg import (
     _eliminate,
     _extend_echelon,
@@ -517,6 +519,17 @@ class TestPivotRules:
         heap = _eliminate(rows, keep_pivot_rows=True, modulus=p)
         assert heap == scan
 
+    @staticmethod
+    def assert_heap_follows_the_scan(rows):
+        # Exact, and mod a prime on the rows reduced, as ``_rank_mod_p`` does.
+        for p in (None, 1000003):
+            if p is not None:
+                rows = {r: {c: v % p for c, v in row.items() if v % p} for r, row in rows.items()}
+                rows = {r: row for r, row in rows.items() if row}
+            scan = count_rule_elimination(rows, modulus=p)
+            heap = _eliminate({r: dict(row) for r, row in rows.items()}, True, modulus=p)
+            assert heap == scan
+
     def test_count_rule_heap_follows_the_scan_on_larger_matrices(self):
         rng = random.Random(5)
         for _ in range(60):
@@ -525,9 +538,36 @@ class TestPivotRules:
             for r in range(rng.randint(2, 120)):
                 support = rng.sample(range(cols), rng.randint(1, 5))
                 rows[r] = {c: rng.choice([1, -1, 2, -3, 5]) for c in support}
-            scan = count_rule_elimination(rows)
-            heap = _eliminate(rows, keep_pivot_rows=True)
-            assert heap == scan
+            self.assert_heap_follows_the_scan(rows)
+        # Most columns hold one row: each row has up to three private
+        # columns and one to three of a few shared ones, so most pivots are
+        # the only live row of their column.
+        for _ in range(60):
+            shared = rng.randint(1, 10)
+            rows = {}
+            for r in range(rng.randint(2, 120)):
+                support = rng.sample(range(shared), rng.randint(1, min(3, shared)))
+                support += [shared + 3 * r + k for k in range(rng.randint(0, 3))]
+                rows[r] = {c: rng.choice([1, -1, 2, -3, 5]) for c in support}
+            self.assert_heap_follows_the_scan(rows)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_count_rule_heap_follows_the_scan_on_u_n_blocks(self, n, monkeypatch):
+        # The blocks the Betti pass ranks: on u_5 one per ranked degree (226
+        # rows in all), on u_6 one per weight of the orbit share (5259 rows).
+        # Most of their pivots are the only live row of their column.
+        blocks = []
+        real = cohomology._row_pivots
+
+        def record(rows):
+            blocks.append({r: dict(row) for r, row in rows.items()})
+            return real(rows)
+
+        monkeypatch.setattr(cohomology, "_row_pivots", record)
+        betti(upper_tri_model(n))
+        assert sum(map(len, blocks)) > 200 and max(map(len, blocks)) > 20
+        for rows in blocks:
+            self.assert_heap_follows_the_scan(rows)
 
     def test_rank_exact_shows_the_count_rule_pivots(self):
         # The count rule pivots on column 3 here and leaves column 2 free,
