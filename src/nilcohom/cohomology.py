@@ -66,7 +66,18 @@ def _degree_range(cdga: CDGA) -> range:
     return range(cdga.truncation)
 
 
-def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None) -> tuple:
+def _middle(degrees: list, by_weight: bool, top: Optional[int]) -> Optional[int]:
+    """The middle degree m that ``_rank_blocks`` ranks by duality pairs, or None.
+
+    Only for an odd mirror top ``top`` = 2m + 1, degrees split by weight
+    and m the last of ``degrees``, so no degree above m is cleared by it.
+    """
+    if top is None or top % 2 == 0 or not by_weight or degrees[-1] != top // 2:
+        return None
+    return top // 2
+
+
+def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None, top=None) -> tuple:
     """({n: rank d_n}, {n: source monomials}, ledger) for the increasing ``degrees``.
 
     Each degree is split by ``CDGA._blocks``. Each block's integer columns
@@ -94,6 +105,18 @@ def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None) -> tupl
     walked. The representatives do not depend on the degree, so each kept
     pivot set clears a ranked block one degree up.
 
+    Duality pairs: ``top`` is ``_mirror_top``'s top degree or None. When it
+    is odd, 2m + 1, the degrees are split by weight and m is the last of
+    them (``_middle``), d_m on the block of weight w and d_m on the block of
+    its partner t = w_top - sigma(w) are adjoint under the product into the
+    top degree, w_top the weight of the top monomial, and so have equal
+    ranks (sigma(w) = w without a symmetry; t is an orbit representative
+    whenever w is). Every degree's blocks go in increasing weight order, so
+    only the lesser of each pair {w, t} is ranked and the other takes its
+    rank, or 0 when the lesser has no degree-m keys:
+    b_(m,t) = dim(m,t) - rank d_(m-1)|t - rank d_m|w. A weight paired with
+    itself is ranked. A ``share`` must hold both halves of each pair.
+
     Clearing (Chen-Kerber 2011): when d_(n-1) was ranked just before, the
     pivot targets of each of its blocks, degree-n monomials of the block's
     weight, are dropped from that block's sources at degree n before d is
@@ -103,6 +126,8 @@ def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None) -> tupl
     """
     if share is None and by_weight and cdga._weight_lattice().mirrors is not None:
         share = {w: mirror for w, (_, mirror) in _weight_costs(cdga, degrees).items()}
+    middle = _middle(degrees, by_weight, top)
+    top_weight = sum(cdga._weight_lattice().generators) if middle is not None else None
     ranks: dict = {}
     counts: dict = {}
     ledger: dict = {}
@@ -115,20 +140,27 @@ def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None) -> tupl
         clears_next = n + 1 in degrees
         rank = count = 0
         row: dict = {}
-        for weight in list(blocks):
+        halves: dict = {}
+        for weight in sorted(blocks):
             keys = blocks.pop(weight)
             mirror = weight if share is None else share[weight]
             copies = 1 if mirror == weight else 2
             count += copies * len(keys)
             drop = cleared.pop(weight, ())
-            columns = cdga._block_columns([k for k in keys if k not in drop] if drop else keys)
-            pivots = _row_pivots(columns)
-            rank += copies * len(pivots)
-            b = len(keys) - len(pivots) - len(drop)
+            partner = top_weight - mirror if n == middle else weight
+            if partner < weight:
+                # The lesser half came first; one with no keys has rank 0.
+                r = halves.get(partner, 0)
+            else:
+                columns = cdga._block_columns([k for k in keys if k not in drop] if drop else keys)
+                pivots = _row_pivots(columns)
+                r = halves[weight] = len(pivots)
+                if clears_next:
+                    pivot_keys[weight] = {key for _, key in pivots}
+            rank += copies * r
+            b = len(keys) - r - len(drop)
             if b:
                 row[weight] = row[mirror] = b
-            if clears_next:
-                pivot_keys[weight] = {key for _, key in pivots}
         ranks[n] = rank
         counts[n] = count
         if below or n == 0:
@@ -210,18 +242,34 @@ def _weight_costs(cdga: CDGA, degrees: list) -> dict:
     return representatives
 
 
-def _weight_shares(cdga: CDGA, degrees: list, workers: int) -> list:
+def _weight_shares(cdga: CDGA, degrees: list, workers: int, top: Optional[int] = None) -> list:
     """The weights of ``_weight_costs``, dealt into ``workers`` shares by
-    ``_shares``, each share as {weight: sigma(weight)}."""
+    ``_shares``, each share as {weight: sigma(weight)}.
+
+    When ``_rank_blocks`` ranks the middle degree by duality pairs
+    (``_middle``), each pair {w, w_top - sigma(w)} is dealt as one unit,
+    keyed by its lesser weight at the sum of both costs, so every share
+    holds both halves of its pairs.
+    """
     costs = _weight_costs(cdga, degrees)
-    shares = _shares({weight: c for weight, (c, _) in costs.items()}, workers)
-    return [{weight: costs[weight][1] for weight in share} for share in shares]
+    units = {weight: [weight] for weight in costs}
+    if _middle(degrees, True, top) is not None:
+        top_weight = sum(cdga._weight_lattice().generators)
+        for weight, (_, mirror) in costs.items():
+            partner = top_weight - mirror
+            if partner < weight and partner in units:
+                units[partner] += units.pop(weight)
+    shares = _shares({key: sum(costs[w][0] for w in unit) for key, unit in units.items()}, workers)
+    return [{w: costs[w][1] for key in share for w in units[key]} for share in shares]
 
 
-def _rank_share(cdga: CDGA, degrees: list, index: int, workers: int, fd: int) -> None:
+def _rank_share(
+    cdga: CDGA, degrees: list, index: int, workers: int, fd: int, top: Optional[int] = None
+) -> None:
     """In forked child ``index`` of ``workers``: rank its weights through ``degrees``, then exit.
 
-    Every child deals the same shares (``_weight_shares``) and takes its own.
+    Every child deals the same shares (``_weight_shares``) and takes its own;
+    ``top`` is as for ``_rank_blocks``.
     Writes one "degree:rank:count" triple per degree to ``fd``: the rank of
     the share's blocks of d_degree and how many source monomials they hold,
     followed by ":weight:b" for each of the share's ledger entries in that
@@ -231,8 +279,8 @@ def _rank_share(cdga: CDGA, degrees: list, index: int, workers: int, fd: int) ->
     """
     status = 1
     try:
-        share = _weight_shares(cdga, degrees, workers)[index]
-        ranks, counts, ledger = _rank_blocks(cdga, degrees, True, share)
+        share = _weight_shares(cdga, degrees, workers, top)[index]
+        ranks, counts, ledger = _rank_blocks(cdga, degrees, True, share, top)
         text = " ".join(
             f"{n}:{ranks[n]}:{counts[n]}" + "".join(f":{w}:{b}" for w, b in ledger[n].items())
             for n in degrees
@@ -247,7 +295,9 @@ def _rank_share(cdga: CDGA, degrees: list, index: int, workers: int, fd: int) ->
         os._exit(status)
 
 
-def _ranks_in_children(cdga: CDGA, degrees: list, workers: int, dims: list) -> tuple:
+def _ranks_in_children(
+    cdga: CDGA, degrees: list, workers: int, dims: list, top: Optional[int] = None
+) -> tuple:
     """({degree: rank of d_degree}, ledger) for ``degrees``, from ``workers`` forked children.
 
     The parent adds up the children's ranks of each degree and joins their
@@ -256,7 +306,8 @@ def _ranks_in_children(cdga: CDGA, degrees: list, workers: int, dims: list) -> t
     something fails are killed first. Raises RuntimeError when a child exits
     nonzero or leaves out a degree, or when the children's source counts of
     a degree n do not add up to ``dims[n]``, which a share rule that drops
-    or doubles a weight would cause.
+    or doubles a weight would cause. ``top`` goes to every child
+    (``_rank_share``).
     """
     children = []
     pipes = []
@@ -270,7 +321,7 @@ def _ranks_in_children(cdga: CDGA, degrees: list, workers: int, dims: list) -> t
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _rank_share(cdga, degrees, index, workers, write_fd)
+                    _rank_share(cdga, degrees, index, workers, write_fd, top)
             finally:
                 os.close(write_fd)
             children.append((pid, read_fd))
@@ -341,7 +392,10 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
     d_(top-1) = 0, only the degrees n <= (top-1)/2 are ranked: rank d_(top-1-n)
     equals rank d_n by Poincare duality and rank d_top is 0, and these
     mirrored ranks join the rank cache after the ranked ones. Otherwise every
-    degree of the window is ranked.
+    degree of the window is ranked. When that top is odd, 2m + 1, and the
+    degrees are split by weight, d_m is self-dual block by block: the block
+    of weight w and that of w_top - sigma(w) have equal ranks, so only the
+    lesser of each pair is ranked (``_rank_blocks``).
 
     The degrees ranked go in increasing order through ``_rank_blocks``,
     split once by ``CDGA._by_weight`` into torus-weight blocks, or one
@@ -371,10 +425,10 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
     the degrees ranked, min(jobs, usable CPUs) forked child processes
     rank them. Each deals the weights (with sigma, the orbit
     representatives) longest first, by the sum over n of dim(n, w)^2 from
-    the weight-graded generating function, takes its own
-    share, ranks it through every degree, clearing as it goes, and sends
-    back per-degree partial ranks, source counts and ledger entries, which
-    the parent joins and checks against dim_n. Otherwise, and always with
+    the weight-graded generating function, each middle-degree pair as one
+    unit, takes its own share, ranks it through every degree, clearing as
+    it goes, and sends back per-degree partial ranks, source counts and
+    ledger entries, which the parent joins and checks against dim_n. Otherwise, and always with
     the default ``jobs=None``, the degrees are ranked in this process. Both
     give the same table, the same rank cache and the same ledger.
     """
@@ -399,9 +453,9 @@ def _rank_table(cdga: CDGA, degrees: range, dims: list, jobs: Optional[int]) -> 
     weights = cdga._weight_lattice().generators if by_weight else (0,) * len(cdga.signature)
     workers = _fork_workers(jobs, sum(dims[n] for n in ranked)) if by_weight else 0
     if workers > 1:
-        ranks, ledger = _ranks_in_children(cdga, ranked, workers, dims)
+        ranks, ledger = _ranks_in_children(cdga, ranked, workers, dims, mirror)
     else:
-        ranks, _, ledger = _rank_blocks(cdga, ranked, by_weight)
+        ranks, _, ledger = _rank_blocks(cdga, ranked, by_weight, None, mirror)
     if mirror is not None:
         for n in ranked:
             ranks.setdefault(mirror - 1 - n, ranks[n])
@@ -564,6 +618,16 @@ def verify_classes(cdga: CDGA, elems: Sequence[Element]) -> VerifyReport:
     ((index, coefficient), ...); an element whose class is zero appears as a
     single-term dependency. ``missing_degrees`` lists (degree, have, need),
     with need from ``betti(cdga)``, a cache hit once the table is ranked.
+
+    Independence is decided degree by degree. When every element of a
+    degree is weight-homogeneous under the generator weights of ``betti``'s
+    ledger, as the classes of ``representatives`` are, d keeps weights, so
+    the elements of weight w are independent mod boundaries exactly when
+    they raise the integer rank of the boundaries of weight w by their
+    number (``_independent_by_block``). A degree with an element that spans
+    several weights, or with a block that falls short, runs the
+    whole-degree ``Fraction`` echelon instead (``_independent_in_degree``),
+    which finds the ``dependency`` witness; both give the same report.
     Nothing is written to the rank cache.
     """
     degrees = []
@@ -579,39 +643,25 @@ def verify_classes(cdga: CDGA, elems: Sequence[Element]) -> VerifyReport:
         i for i, e in enumerate(elems) if not cdga.apply_d(e).is_zero()
     )
 
-    # Independence mod boundaries, degree by degree, on monomial keys: the
-    # boundaries are d of the degree-(d-1) keys (``_d_key``). Element i
-    # carries a tag coordinate tag + i set to 1, above every key, so a
-    # residue left with only tag entries is an explicit vanishing
-    # combination of classes. It still joins the echelon, under a tag
-    # index, so it can only reduce tag entries of later residues: later
-    # independence counts and the first dependency, the one reported, do
-    # not depend on it.
     dependency = None
     independent_count: dict = {}
     by_degree: dict = {}
     for i, d in enumerate(degrees):
         by_degree.setdefault(d, []).append(i)
-    sig = cdga.signature
-    tag = 1 << (len(sig.odd_indices) + _EXPONENT_BITS * len(sig.even_indices))
+    table = betti(cdga)
+    weights = cdga._ledger[0]
     for d in sorted(by_degree):
-        echelon: dict = {}
         if d:
             cdga._check_window(d - 1)
-            keys = _keys_by_weight(sig, d - 1, (0,) * len(sig)).get(0, ())
-            boundaries = (cdga._d_key(key) for key in keys)
-            _extend_echelon(echelon, ({k: Fraction(v) for k, v in b.items()} for b in boundaries))
-        tagged = (
-            {**{_encode(mono): c for mono, c in elems[i].terms.items()}, tag + i: Fraction(1)}
-            for i in by_degree[d]
-        )
-        for i, residue in zip(by_degree[d], _extend_echelon(echelon, tagged)):
-            if min(residue) < tag:
-                independent_count[d] = independent_count.get(d, 0) + 1
-            elif dependency is None:
-                dependency = tuple(sorted((j - tag, v) for j, v in residue.items()))
+        members = [elems[i] for i in by_degree[d]]
+        if _independent_by_block(cdga, d, members, weights):
+            independent_count[d] = len(members)
+            continue
+        count, found = _independent_in_degree(cdga, d, elems, by_degree[d])
+        independent_count[d] = count
+        if dependency is None:
+            dependency = found
 
-    table = betti(cdga)
     missing = []
     for d in _degree_range(cdga):
         have = independent_count.get(d, 0)
@@ -627,6 +677,71 @@ def verify_classes(cdga: CDGA, elems: Sequence[Element]) -> VerifyReport:
         dependency=dependency,
         missing_degrees=tuple(missing),
     )
+
+
+def _independent_by_block(cdga: CDGA, d: int, elems: list, weights: tuple) -> bool:
+    """Whether the degree-d ``elems`` are weight-homogeneous under the
+    generator ``weights`` and independent modulo boundaries, block by block.
+
+    For each weight w of the elements, B_w is the nonzero integer columns
+    of d on the degree-(d-1) keys of weight w (``_keys_by_weight`` kept to
+    the elements' weights, ``CDGA._block_columns``) and Z_w the elements of
+    weight w with denominators cleared; both are rows keyed by monomial.
+    The elements of weight w are independent mod boundaries exactly when
+    rank(B_w with Z_w) - rank(B_w) is their number, both ranks by
+    ``_row_pivots``. False as soon as an element spans several weights or
+    a block falls short.
+    """
+    blocks: dict = {}
+    for e in elems:
+        found = {
+            sum(weights[i] * k for i, k in enumerate(mono.exponents()) if k) for mono in e.terms
+        }
+        if len(found) != 1:
+            return False
+        blocks.setdefault(found.pop(), []).append({_encode(m): c for m, c in e.terms.items()})
+    sources = _keys_by_weight(cdga.signature, d - 1, weights, blocks) if d else {}
+    for weight, zs in blocks.items():
+        keys = sources.get(weight, ())
+        rows = cdga._block_columns(keys)
+        rank = len(_row_pivots({j: dict(column) for j, column in rows.items()}))
+        rows.update(_clear_denominators(dict(enumerate(zs, len(keys)))))
+        if len(_row_pivots(rows)) - rank < len(zs):
+            return False
+    return True
+
+
+def _independent_in_degree(cdga: CDGA, d: int, elems: Sequence, indices: list) -> tuple:
+    """(number of independent classes, first dependency or None) of the
+    elements ``elems[i]``, i in ``indices``, all of degree d, by one
+    ``Fraction`` echelon of the whole degree.
+
+    The boundaries are d of the degree-(d-1) keys (``_d_key``). Element i
+    carries a tag coordinate tag + i set to 1, above every key, so a
+    residue left with only tag entries is an explicit vanishing combination
+    of classes. It still joins the echelon, under a tag index, so it can
+    only reduce tag entries of later residues: later independence counts
+    and the first dependency, the one reported, do not depend on it.
+    """
+    sig = cdga.signature
+    tag = 1 << (len(sig.odd_indices) + _EXPONENT_BITS * len(sig.even_indices))
+    echelon: dict = {}
+    if d:
+        keys = _keys_by_weight(sig, d - 1, (0,) * len(sig)).get(0, ())
+        boundaries = (cdga._d_key(key) for key in keys)
+        _extend_echelon(echelon, ({k: Fraction(v) for k, v in b.items()} for b in boundaries))
+    tagged = (
+        {**{_encode(mono): c for mono, c in elems[i].terms.items()}, tag + i: Fraction(1)}
+        for i in indices
+    )
+    count = 0
+    dependency = None
+    for residue in _extend_echelon(echelon, tagged):
+        if min(residue) < tag:
+            count += 1
+        elif dependency is None:
+            dependency = tuple(sorted((j - tag, v) for j, v in residue.items()))
+    return count, dependency
 
 
 def tensor_product(a: CDGA, b: CDGA, name: Optional[str] = None) -> CDGA:

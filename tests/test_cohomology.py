@@ -6,6 +6,8 @@ import math
 import os
 import random
 import threading
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from nilcohom import (
     Element,
     Signature,
     SparseExactMatrix,
+    VerifyReport,
     basis_of_degree,
     betti,
     borel_twist,
@@ -35,6 +38,7 @@ from nilcohom import (
 )
 from nilcohom import cohomology
 from nilcohom.algebra import (
+    _EXPONENT_BITS,
     _encode,
     _keys_by_weight,
     _weight_dimensions,
@@ -50,7 +54,7 @@ from nilcohom.cohomology import (
     _weight_shares,
 )
 from nilcohom.dsl import parse, parse_element, render_element, serialize, to_cdga
-from nilcohom.linalg import _integer_rows, _kernel, _quotient, _row_pivots
+from nilcohom.linalg import _extend_echelon, _integer_rows, _kernel, _quotient, _row_pivots
 from conftest import random_two_step_cdga, seeded_rational_models, seeded_two_step_cdgas
 from dense_oracle import components, dense_betti
 
@@ -257,7 +261,13 @@ class TestRepresentativesOfUn:
         assert table == betti(upper_tri_model(5))
 
     def test_verify_writes_no_rank(self, monkeypatch):
-        monkeypatch.setattr(cohomology, "betti", lambda cdga: BettiStub())
+        def stub(cdga):
+            # The ledger's generator weights, all 0 as for an unsplit model,
+            # are all verify reads of it; no block is ranked.
+            cdga._ledger = ((0,) * len(cdga.signature), {})
+            return BettiStub()
+
+        monkeypatch.setattr(cohomology, "betti", stub)
         model = xr_model(5)
         verify_classes(model, x5_class_elements(model)[3:5])
         assert model._rank_cache == {}
@@ -830,6 +840,27 @@ class TestForkedRanks:
         assert items(forked) == items(serial)
         assert forked._ledger[0] == serial._ledger[0]
 
+    def test_u6_middle_pairs_do_not_depend_on_jobs(self, forks, monkeypatch):
+        # Degree 7 of u_6, the middle of top degree 15, is ranked by duality
+        # pairs in this process and in each child, on both halves of every
+        # pair the child is dealt.
+        real = cohomology._rank_blocks
+        tops = []
+
+        def paired(cdga, degrees, by_weight, share=None, top=None):
+            if top != 15:
+                raise AssertionError(f"ranked without the mirror top: {top}")
+            tops.append(top)
+            return real(cdga, degrees, by_weight, share, top)
+
+        monkeypatch.setattr(cohomology, "_rank_blocks", paired)
+        serial, forked = upper_tri_model(6), upper_tri_model(6)
+        assert betti(forked, jobs=2) == betti(serial, jobs=1)
+        assert len(forks) == 2 and tops == [15]
+        assert list(forked._rank_cache.items()) == list(serial._rank_cache.items())
+        items = lambda m: [(n, list(row.items())) for n, row in m._ledger[1].items()]
+        assert items(forked) == items(serial)
+
     def test_failing_child_raises_and_leaves_no_zombie(self, forks, monkeypatch):
         def broken(*args):
             raise ZeroDivisionError("injected")
@@ -853,8 +884,8 @@ class TestForkedRanks:
     def test_a_child_that_skips_a_weight_raises(self, forks, monkeypatch):
         real = cohomology._rank_blocks
 
-        def skipping(cdga, degrees, by_weight, share=None):
-            return real(cdga, degrees, by_weight, dict(sorted(share.items())[1:]))
+        def skipping(cdga, degrees, by_weight, share=None, top=None):
+            return real(cdga, degrees, by_weight, dict(sorted(share.items())[1:]), top)
 
         monkeypatch.setattr(cohomology, "_rank_blocks", skipping)
         model = upper_tri_model(6)
@@ -1506,3 +1537,306 @@ class TestWeightedEulerCharacteristic:
             fresh = CDGA(model.signature, model.differentials, model.truncation)
             chi = euler_characteristics(self.lattice_counts(model))
             assert betti(fresh).total >= sum(map(abs, chi.values())), model.name
+
+
+def middle_pairs(model, m: int) -> dict:
+    """{weight: (sigma(weight), partner)} over the degree-m weight blocks of a
+    purely odd model. sigma(w) is the weight of the sigma-image of a key of
+    the block, from the images of its generators (w itself without a
+    symmetry), and the partner is w_top - sigma(w), w_top the weight of the
+    top monomial."""
+    lattice = model._weight_lattice()
+    top_weight = sum(lattice.generators)
+    images = lattice.generators if lattice.mirrors is None else lattice.mirrors
+    pairs = {}
+    for w, keys in model._blocks(m, True).items():
+        image = sum(images[p] for p in range(len(images)) if keys[0] >> p & 1)
+        pairs[w] = (image, top_weight - image)
+    return pairs
+
+
+class TestMiddleDegreePairs:
+    """In the middle degree m of an odd mirror top 2m + 1, d_m on the block
+    of weight w and on the block of w_top - sigma(w) are adjoint under the
+    product into the top degree, so ``_rank_blocks`` ranks the lesser of
+    each pair and gives the other its rank. The oracle is the unpaired
+    ranking, which ranks every middle block by ``_row_pivots``."""
+
+    MODELS = {
+        **{f"u{n}": (lambda n=n: upper_tri_model(n)) for n in range(3, 7)},
+        "u7_fiber_k3": lambda: split_at_k(7, 3).fiber,
+        "xr9": lambda: xr_model(9),
+    }
+
+    @staticmethod
+    def paired_pass(model, degrees, monkeypatch) -> tuple:
+        """(``_rank_blocks`` with the mirror top, the number of middle blocks
+        it expanded d on)."""
+        current, expanded = [], []
+        real_blocks, real_columns = CDGA._blocks, CDGA._block_columns
+
+        def blocks(cdga, n, *args):
+            current.append(n)
+            return real_blocks(cdga, n, *args)
+
+        def columns(cdga, sources):
+            expanded.append(current[-1])
+            return real_columns(cdga, sources)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CDGA, "_blocks", blocks)
+            patch.setattr(CDGA, "_block_columns", columns)
+            result = _rank_blocks(model, degrees, True, None, _mirror_top(model))
+        return result, expanded.count(degrees[-1])
+
+    def check(self, make, monkeypatch) -> dict:
+        model = make()
+        top = _mirror_top(model)
+        degrees = list(range((top - 1) // 2 + 1))
+        paired, expanded = self.paired_pass(model, degrees, monkeypatch)
+        assert paired == _rank_blocks(make(), degrees, True)
+        pairs = middle_pairs(model, degrees[-1])
+        walked = {w: partner for w, (image, partner) in pairs.items() if w <= image}
+        if top % 2:
+            assert expanded == sum(partner >= w for w, partner in walked.items())
+        else:
+            assert expanded == len(walked)
+        return walked
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_pairs_match_the_unpaired_ranking(self, name, monkeypatch):
+        walked = self.check(self.MODELS[name], monkeypatch)
+        if name in ("u6", "u7_fiber_k3", "xr9"):
+            # Some pairs have both halves, and some greater halves have a
+            # lesser partner with no keys.
+            assert any(p < w and p in walked for w, p in walked.items())
+            assert any(p < w and p not in walked for w, p in walked.items())
+
+    @pytest.mark.slow
+    def test_u7_pairs_match_the_unpaired_ranking(self, monkeypatch):
+        self.check(lambda: upper_tri_model(7), monkeypatch)
+
+    def test_only_an_odd_last_middle_degree_pairs(self):
+        assert cohomology._middle([0, 1, 2, 3, 4, 5, 6, 7], True, 15) == 7
+        assert cohomology._middle([0, 1, 2, 3, 4, 5, 6, 7], False, 15) is None
+        assert cohomology._middle([0, 1, 2, 3, 4, 5, 6], True, 15) is None
+        assert cohomology._middle([0, 1, 2], True, 6) is None
+        assert cohomology._middle([0, 1, 2], True, None) is None
+
+    def test_shares_keep_both_halves_of_each_pair(self):
+        model = upper_tri_model(6)
+        degrees = list(range(8))
+        top_weight = sum(model._weight_lattice().generators)
+        unpaired = _weight_shares(model, degrees, 2)
+        shares = _weight_shares(model, degrees, 2, 15)
+        assert sorted(w for share in shares for w in share) == sorted(
+            w for share in unpaired for w in share
+        )
+        dealt = {w for share in shares for w in share}
+        split = kept = 0
+        for plain, share in zip(unpaired, shares):
+            for w, image in share.items():
+                partner = top_weight - image
+                assert partner in share or partner not in dealt, w
+                kept += partner != w and partner in share
+            split += sum(
+                top_weight - image in dealt and top_weight - image not in plain
+                for image in plain.values()
+            )
+        # Dealt by cost alone, some pairs would be split.
+        assert kept and split
+
+
+@functools.lru_cache(maxsize=None)
+def seeded_rational_models_once() -> tuple:
+    return tuple(seeded_rational_models())
+
+
+def fresh(model):
+    """The same CDGA rebuilt, with empty caches."""
+    return CDGA(model.signature, model.differentials, model.truncation, model.name)
+
+
+class TestVerifyByBlock:
+    """``verify_classes`` counts independent classes block by block in
+    integers when every element of a degree is weight-homogeneous, and
+    otherwise, or on a deficit, reduces the whole degree as before. The
+    reference is that whole-degree path for every degree; the reports must
+    agree byte for byte, ``dependency`` included."""
+
+    MODELS = {
+        "u4": lambda: upper_tri_model(4),
+        "u5": lambda: upper_tri_model(5),
+        "xr5": lambda: xr_model(5),
+    }
+
+    @staticmethod
+    def classes(model) -> list:
+        return [c for k in _degree_range(model) for c in representatives(model, k)]
+
+    def check_classes(self, make):
+        elems = self.classes(make())
+        report = verify_classes(make(), elems)
+        assert report.ok
+        assert report.to_json_dict() == verify_by_whole_degrees(make(), elems).to_json_dict()
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_classes_of_every_degree(self, name, grouping):
+        self.check_classes(self.MODELS[name])
+
+    def test_classes_of_every_degree_of_u6(self):
+        # u_6 is split by weight either way.
+        self.check_classes(lambda: upper_tri_model(6))
+
+    def test_reference_class_file(self, grouping):
+        text = (Path(__file__).parent / "data" / "x5_classes.txt").read_text()
+        exprs = [line.split("#", 1)[0].strip() for line in text.splitlines()]
+        elems = [parse_element(xr_model(5).signature, e) for e in exprs if e]
+        report = verify_classes(xr_model(5), elems)
+        assert report.ok
+        assert report.to_json_dict() == verify_by_whole_degrees(xr_model(5), elems).to_json_dict()
+
+    SEEDED = {
+        "xr5": lambda: xr_model(5),
+        "u5": lambda: upper_tri_model(5),
+        "xr3_twist": lambda: borel_twist(xr_model(3), "x3"),
+        **{f"rational{i}": (lambda i=i: fresh(seeded_rational_models_once()[i])) for i in (0, 5, 10, 12)},
+    }
+
+    @pytest.mark.parametrize("name", SEEDED)
+    def test_seeded_inputs(self, name, grouping, monkeypatch):
+        make = self.SEEDED[name]
+        model = make()
+        assert name != "rational5" or not model._integral
+        classes = self.classes(model)
+        fallbacks = []
+        real = cohomology._independent_in_degree
+        monkeypatch.setattr(
+            cohomology,
+            "_independent_in_degree",
+            lambda cdga, d, *args: fallbacks.append(d) or real(cdga, d, *args),
+        )
+        blocks = 0
+        for seed in range(12):
+            elems = mixed_inputs(model, classes, random.Random(seed))
+            report = verify_classes(make(), elems)
+            assert report.to_json_dict() == verify_by_whole_degrees(make(), elems).to_json_dict()
+            blocks += len({e.homogeneous_degree() for e in elems}) - len(fallbacks)
+        # Both paths were taken.
+        assert blocks and fallbacks
+
+    def test_fallback_only_for_a_deficit_or_several_weights(self, monkeypatch):
+        monkeypatch.setattr(cdga_module, "_BLOCK_MIN_MONOMIALS", 0)
+        model = xr_model(5)
+        classes = self.classes(model)
+        weights = model._ledger[0]
+        weight = lambda e: {
+            sum(weights[i] * k for i, k in enumerate(mono.exponents())) for mono in e.terms
+        }
+        fallbacks = []
+        real = cohomology._independent_in_degree
+        monkeypatch.setattr(
+            cohomology,
+            "_independent_in_degree",
+            lambda cdga, d, *args: fallbacks.append(d) or real(cdga, d, *args),
+        )
+
+        def run(elems) -> list:
+            fallbacks.clear()
+            report = verify_classes(xr_model(5), elems)
+            assert report.to_json_dict() == verify_by_whole_degrees(xr_model(5), elems).to_json_dict()
+            return list(fallbacks)
+
+        by_degree = {}
+        for c in classes:
+            by_degree.setdefault(c.homogeneous_degree(), []).append(c)
+        sig = model.signature
+        x3 = Element.generator(sig, "x3")
+        boundary = model.apply_d(Element.from_monomial(sig.monomial_of("x1", "x2")))
+        first, second = by_degree[2][:2]
+        assert weight(first) != weight(second) and len(weight(x3)) == 1
+        assert run(classes) == []
+        assert run(classes + [x3]) == []  # not closed, but independent
+        assert run(classes + [by_degree[3][0].scale(2)]) == [3]
+        assert run(classes + [boundary]) == [boundary.homogeneous_degree()]
+        assert run([first + second, second]) == [2]  # several weights, independent
+
+
+def mixed_inputs(model, classes: list, rng: random.Random) -> list:
+    """A shuffled list from ``classes``: scalar multiples with Fraction
+    coefficients, classes plus a boundary, boundaries alone, non-closed
+    monomials and sums of two classes of one degree (or a class and its
+    multiple), some classes dropped.
+    Zero elements are left out, as ``verify_classes`` refuses them."""
+    sig = model.signature
+    by_degree: dict = {}
+    for c in classes:
+        by_degree.setdefault(c.homogeneous_degree(), []).append(c)
+    out = []
+    for d, c in ((d, c) for d, cs in by_degree.items() for c in cs):
+        below = basis_of_degree(sig, d - 1) if d else ()
+        boundary = model.apply_d(Element.from_monomial(rng.choice(below))) if below else c.scale(0)
+        same = by_degree[d]
+        kinds = [
+            c.scale(Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2, 5]))),
+            c + boundary,
+            boundary.scale(rng.choice([1, Fraction(-1, 3)])),
+            Element.from_monomial(rng.choice(basis_of_degree(sig, d)), Fraction(2, 3)),
+            c + rng.choice(same).scale(rng.choice([2, Fraction(1, 2)])),
+            c.scale(0),
+        ]
+        out.append(kinds[rng.randrange(len(kinds))])
+        if rng.random() < 0.8:
+            out.append(c)
+    out = [e for e in out if not e.is_zero()]
+    rng.shuffle(out)
+    return out
+
+
+def verify_by_whole_degrees(cdga, elems) -> VerifyReport:
+    """``verify_classes`` with every degree reduced as one tagged ``Fraction``
+    echelon of all its boundaries, d of the degree-(d-1) basis in basis
+    order, elements after them: the reference for the block path."""
+    sig = cdga.signature
+    tag = 1 << (len(sig.odd_indices) + _EXPONENT_BITS * len(sig.even_indices))
+    by_degree: dict = {}
+    for i, e in enumerate(elems):
+        by_degree.setdefault(e.homogeneous_degree(), []).append(i)
+    dependency = None
+    have: dict = {}
+    for d in sorted(by_degree):
+        echelon: dict = {}
+        if d:
+            boundaries = (
+                cdga.apply_d(Element.from_monomial(mono)) for mono in basis_of_degree(sig, d - 1)
+            )
+            _extend_echelon(echelon, ({_encode(m): c for m, c in b.terms.items()} for b in boundaries))
+        tagged = (
+            {**{_encode(m): c for m, c in elems[i].terms.items()}, tag + i: Fraction(1)}
+            for i in by_degree[d]
+        )
+        for residue in _extend_echelon(echelon, tagged):
+            if min(residue) < tag:
+                have[d] = have.get(d, 0) + 1
+            elif dependency is None:
+                dependency = tuple(sorted((j - tag, v) for j, v in residue.items()))
+    non_closed = tuple(i for i, e in enumerate(elems) if not cdga.apply_d(e).is_zero())
+    table = betti(cdga)
+    missing = tuple(
+        (d, have.get(d, 0), table.b(d))
+        for d in _degree_range(cdga)
+        if have.get(d, 0) < table.b(d)
+    )
+    return VerifyReport(not non_closed, dependency is None, not missing, non_closed, dependency, missing)
+
+
+@pytest.mark.slow
+def test_all_u7_classes_verify_within_a_minute():
+    model = upper_tri_model(7)
+    elems = [c for k in range(22) for c in representatives(model, k)]
+    assert len(elems) == 5040
+    start = time.perf_counter()
+    report = verify_classes(upper_tri_model(7), elems)
+    elapsed = time.perf_counter() - start
+    assert report.ok
+    assert elapsed < 60, f"{elapsed:.1f} s"
