@@ -13,11 +13,12 @@ bits, one fixed-width exponent field per even generator above it), with int
 coefficients where they are integral and a Koszul sign mask per term. d acts
 on keys alone: ``_d_key`` is the one Leibniz expansion, which multiplies by
 adding keys and lowers an exponent by subtracting its field's unit, with one
-popcount per term for its sign. It serves ``apply_d`` (hence the d^2 check),
-which encodes and decodes at the ``Monomial`` edge, ``_block_columns``,
-``cohomology.representatives`` and ``verify_classes``, which expand it on
-keys themselves, and the cached Fraction ``differential_matrix``, which
-looks the target rows up by key and is kept for public callers.
+popcount per term for its sign. It serves the d^2 check, which expands it
+on the keys of each term list, ``apply_d``, which encodes and decodes at
+the ``Monomial`` edge, ``_block_columns``, ``cohomology.representatives``
+and ``verify_classes``, which expand it on keys themselves, and the
+cached Fraction ``differential_matrix``, which looks the target rows up by
+key and is kept for public callers.
 
 d preserves a torus weight (Kostant 1961): the weight lattice, computed on
 first use and cached, is the integer kernel of w(g) = w(u) over the terms u
@@ -233,10 +234,29 @@ class CDGA:
             raise DifferentialError(f"d^2 != 0: {violation}", violation)
 
     def _d_squared_violation(self) -> Optional[DSquaredViolation]:
-        for g in self.signature.generators:
-            residue = self.apply_d(self._diff[g.index])
-            if not residue.is_zero():
-                return DSquaredViolation(g.name, residue)
+        """The first generator g, in signature order, with d(d g) != 0.
+
+        d is expanded by ``_d_key`` on the keys of the term list of d g,
+        with int coefficients where d is integral; the residue ``Element``
+        is built, by ``apply_d``, only for the generator that fails.
+        """
+        sig = self.signature
+        terms_of = dict(zip(sig.odd_indices, self._odd_terms))
+        # ``_even_terms`` lists only the even generators that d does not kill.
+        evens = [i for i in sig.even_indices if self._diff[i].terms]
+        terms_of.update(zip(evens, (terms for _, terms in self._even_terms)))
+        d_key = self._d_key
+        for g in sig.generators:
+            acc: dict = {}
+            for _, key, coeff, _ in terms_of.get(g.index, ()):
+                for target, val in d_key(key).items():
+                    s = acc.get(target, 0) + coeff * val
+                    if s:
+                        acc[target] = s
+                    else:
+                        del acc[target]
+            if acc:
+                return DSquaredViolation(g.name, self.apply_d(self._diff[g.index]))
         return None
 
     # ---- basic queries ---------------------------------------------------

@@ -10,7 +10,8 @@ and the differential-to-bracket rule reading the same constants back off.
 Since d^2 = 0 on the cochains exactly when the bracket satisfies Jacobi,
 construction builds the cochain CDGA of every presentation, nilpotent or
 not, and lets the CDGA's own d^2 check decide; so downstream consumers can
-rely on a legal bracket.
+rely on a legal bracket. The lower central series is computed on first use,
+in integers, and cached: ``center`` never needs it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 
 from .algebra import Element, Monomial, Signature, _signed_sum
 from .cdga import CDGA, DifferentialError
-from .linalg import SparseExactMatrix, rank_exact
+from .linalg import SparseExactMatrix, _clear_denominators, _eliminate, rank_exact
 from .models import _pairs
 
 
@@ -32,7 +33,7 @@ class JacobiError(ValueError):
 class LiePresentation:
     """Ordered basis with rational structure constants, antisymmetric by construction."""
 
-    __slots__ = ("basis", "brackets", "name", "degrees", "_nilpotent", "_lcs")
+    __slots__ = ("basis", "brackets", "name", "degrees", "_lcs")
 
     def __init__(
         self,
@@ -61,8 +62,8 @@ class LiePresentation:
                 clean[(i, j)] = entry
         self.brackets = clean
         self._check_jacobi()
-        self._lcs = self._lower_central_series()
-        self._nilpotent = self._lcs[-1] == 0
+        # The lower central series, computed on first use by ``_series``.
+        self._lcs: Optional[tuple] = None
 
     # ---- bracket -----------------------------------------------------------
 
@@ -108,35 +109,54 @@ class LiePresentation:
 
     # ---- series and flags ----------------------------------------------------
 
-    def _span_basis(self, vectors: Sequence[dict]) -> list:
-        """Echelon basis of the span of sparse coordinate vectors."""
-        from .linalg import _extend_echelon
-
-        echelon: dict = {}
-        _extend_echelon(
-            echelon, ({k: Fraction(v) for k, v in vec.items() if v} for vec in vectors)
-        )
-        return [echelon[k] for k in sorted(echelon)]
-
     def _lower_central_series(self) -> tuple:
-        dims = [len(self.basis)]
-        current = [{i: Fraction(1)} for i in range(len(self.basis))]
+        """Dimensions of L, [L,L], [L,[L,L]], ... until the series stops.
+
+        Each step brackets every basis element with every row of the
+        current basis, as integer rows with denominators cleared, and
+        eliminates them; the pivot rows, frozen, are the next basis.
+        """
+        n = len(self.basis)
+        # ad[i][j] = [X_i, X_j] as {k: c}, c an int where integral.
+        ad: list = [{} for _ in range(n)]
+        for (i, j), entry in self.brackets.items():
+            value = {k: c.numerator if c.denominator == 1 else c for k, c in entry.items()}
+            ad[i][j] = value
+            ad[j][i] = {k: -c for k, c in value.items()}
+        dims = [n]
+        current = [{i: 1} for i in range(n)]
         while True:
-            produced = []
-            for i in range(len(self.basis)):
+            rows = {}
+            for ad_i in ad:
                 for v in current:
-                    w = self.bracket({i: Fraction(1)}, v)
+                    w: dict = {}
+                    for j, a in v.items():
+                        if j not in ad_i:
+                            continue
+                        for k, c in ad_i[j].items():
+                            s = w.get(k, 0) + a * c
+                            if s:
+                                w[k] = s
+                            else:
+                                del w[k]
                     if w:
-                        produced.append(w)
-            current = self._span_basis(produced)
+                        rows[len(rows)] = w
+            _, frozen = _eliminate(_clear_denominators(rows), keep_pivot_rows=True)
+            current = list(frozen.values())
             dims.append(len(current))
             if not current or dims[-1] == dims[-2]:
                 break
         return tuple(dims)
 
+    def _series(self) -> tuple:
+        """The lower central series, computed on first use and cached."""
+        if self._lcs is None:
+            self._lcs = self._lower_central_series()
+        return self._lcs
+
     @property
     def is_nilpotent(self) -> bool:
-        return self._nilpotent
+        return self._series()[-1] == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LiePresentation):
@@ -229,13 +249,13 @@ def center(L: LiePresentation) -> CenterReport:
 
 def lower_central_series(L: LiePresentation) -> tuple:
     """Dimensions of L, [L,L], [L,[L,L]], ... down to 0 (nilpotent case)."""
-    return L._lcs
+    return L._series()
 
 
 def nilpotency_class(L: LiePresentation) -> int:
     if not L.is_nilpotent:
         raise ValueError("not nilpotent")
-    return len(L._lcs) - 1
+    return len(L._series()) - 1
 
 
 def _dual_name_down(name: str) -> str:

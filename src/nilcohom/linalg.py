@@ -23,7 +23,8 @@ assembles for one torus-weight block without building a matrix, keyed by
 target monomial. Their pivot targets are the rows that clearing drops
 from the sources of the next degree. ``rank_multimodular`` ranks mod p
 through ``_rank_mod_p``, which reduces the rows and hands them to
-``_row_pivots``.
+``_row_pivots``. ``lie`` keeps the frozen pivot rows of ``_eliminate`` as
+the next term of a lower central series.
 
 Kernel and quotient work on sparse vectors, dicts from index to Fraction.
 ``_kernel`` takes integer rows, as ``_row_pivots`` does, so
@@ -32,10 +33,10 @@ from monomial keys, with no matrix; it back-substitutes one primitive
 integer vector per free column, in int arithmetic, over only the pivot
 rows that the free column reaches. ``_extend_echelon`` is the one
 reduce-and-insert routine: ``_quotient``, which picks cocycles modulo
-boundaries by index, the representatives and class checks in
-``cohomology`` and the Lie spans all reduce through it. The public
-``rank_exact`` and ``quotient_representatives`` wrap ``_kernel`` and
-``_quotient`` with dense tuples.
+boundaries by index, and the representatives and class checks in
+``cohomology`` reduce through it. The public ``rank_exact`` and
+``quotient_representatives`` wrap ``_kernel`` and ``_quotient`` with
+dense tuples.
 """
 
 from __future__ import annotations

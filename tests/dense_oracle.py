@@ -12,6 +12,9 @@ sparse core: the same row arithmetic, with each pivot found by a plain scan
 of every live column instead of a heap. ``components`` cuts sparse rows
 into the connected components of their nonzero pattern, the reference for
 the torus-weight blocks and for a kernel solved one component at a time.
+``lower_central_series`` is the reference for a Lie presentation's series:
+brackets of Fraction dicts read off the structure constants, reduced to an
+echelon basis of their span.
 """
 
 from fractions import Fraction
@@ -255,3 +258,53 @@ def dense_betti(cdga):
     return tuple(
         len(by_degree[n]) - ranks[n] - (ranks[n - 1] if n else 0) for n in range(top + 1)
     )
+
+
+def lower_central_series(presentation):
+    """Dimensions of L, [L,L], [L,[L,L]], ... from the structure constants alone.
+
+    Each step brackets every basis element with every vector of an echelon
+    basis of the current term, on Fraction dicts, and reduces the products
+    to an echelon basis of their span (lead = least index, scaled to 1).
+    It stops when a term is zero or has the dimension of the one before.
+    """
+    n = len(presentation.basis)
+    brackets = presentation.brackets
+
+    def bracket(i, v):
+        out = {}
+        for j, a in v.items():
+            if i < j:
+                entry, sign = brackets.get((i, j), {}), 1
+            elif i > j:
+                entry, sign = brackets.get((j, i), {}), -1
+            else:
+                continue
+            for k, c in entry.items():
+                out[k] = out.get(k, Fraction(0)) + sign * a * Fraction(c)
+        return {k: x for k, x in out.items() if x}
+
+    dims = [n]
+    current = [{i: Fraction(1)} for i in range(n)]
+    while True:
+        echelon = {}
+        for i in range(n):
+            for v in current:
+                w = bracket(i, v)
+                while w:
+                    lead = min(w)
+                    if lead not in echelon:
+                        echelon[lead] = {k: x / w[lead] for k, x in w.items()}
+                        break
+                    factor = w[lead]
+                    for k, x in echelon[lead].items():
+                        y = w.get(k, 0) - factor * x
+                        if y:
+                            w[k] = y
+                        else:
+                            w.pop(k, None)
+        current = [echelon[k] for k in sorted(echelon)]
+        dims.append(len(current))
+        if not current or dims[-1] == dims[-2]:
+            break
+    return tuple(dims)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nilcohom import (
     CDGA,
     DifferentialError,
+    DSquaredViolation,
     Element,
     Signature,
     SparseExactMatrix,
@@ -232,6 +233,87 @@ def _cancelling_model():
         "w": times_x("w"),
     }
     return CDGA(sig, diffs, truncation=7)
+
+
+def _apply_d_violation(model):
+    """The d^2 check as an ``apply_d`` loop over the generators: the reference
+    for ``CDGA._d_squared_violation``."""
+    for g in model.signature.generators:
+        residue = model.apply_d(model.d_of(g.name))
+        if not residue.is_zero():
+            return DSquaredViolation(g.name, residue)
+    return None
+
+
+def _broken_odd(coeff):
+    """Cochains of [e1, e2] = coeff * e3, [e1, e3] = e1 on g0, g1, g2, all odd
+    of degree 1: d(d g2) = coeff * g0 g1 g2 != 0."""
+    sig = Signature([("g0", 1), ("g1", 1), ("g2", 1)])
+    return sig, {
+        "g0": Element(sig, {sig.monomial_of("g0", "g2"): -1}),
+        "g1": Element.zero(sig),
+        "g2": Element(sig, {sig.monomial_of("g0", "g1"): -coeff}),
+    }
+
+
+def _broken_square():
+    """x, y odd of degrees 1 and 3, u and v even of degrees 2 and 4:
+    d u = y, d v = u^2 x, so d(d v) = 2 u y x, from a term with exponent 2."""
+    sig = Signature([("x", 1), ("y", 3), ("u", 2), ("v", 4)])
+    return sig, {
+        "x": Element.zero(sig),
+        "y": Element.zero(sig),
+        "u": Element.generator(sig, "y"),
+        "v": Element(sig, {sig.monomial_of("u", "u", "x"): 1}),
+    }
+
+
+class TestDSquaredOnKeys:
+    @pytest.mark.parametrize(
+        "candidate",
+        [lambda: _broken_odd(1), lambda: _broken_odd(Fraction(1, 2)), _broken_square],
+        ids=["integral-odd", "fraction", "square"],
+    )
+    def test_failure_matches_the_apply_d_loop(self, candidate, monkeypatch):
+        sig, diffs = candidate()
+        with pytest.raises(DifferentialError) as new:
+            CDGA(sig, diffs)
+        monkeypatch.setattr(CDGA, "_d_squared_violation", _apply_d_violation)
+        with pytest.raises(DifferentialError) as old:
+            CDGA(sig, diffs)
+        assert str(new.value) == str(old.value)
+        assert new.value.violation.generator == old.value.violation.generator
+        assert new.value.violation.residue == old.value.violation.residue
+        assert not new.value.violation.residue.is_zero()
+
+    def test_fraction_residue(self):
+        sig, diffs = _broken_odd(Fraction(1, 2))
+        with pytest.raises(DifferentialError) as err:
+            CDGA(sig, diffs)
+        assert err.value.violation.generator == "g2"
+        expected = Element(sig, {sig.monomial_of("g0", "g1", "g2"): Fraction(-1, 2)})
+        assert err.value.violation.residue == expected
+
+    def test_square_residue(self):
+        sig, diffs = _broken_square()
+        with pytest.raises(DifferentialError) as err:
+            CDGA(sig, diffs)
+        assert err.value.violation.generator == "v"
+        expected = elem_mul(
+            elem_mul(Element.generator(sig, "u"), Element.generator(sig, "y")),
+            Element.generator(sig, "x"),
+        ).scale(2)
+        assert err.value.violation.residue == expected
+
+    @pytest.mark.parametrize(
+        "model",
+        [_cancelling_model, _polynomial_model, lambda: upper_tri_model(5)]
+        + [lambda model=model: model for model in seeded_two_step_cdgas()],
+    )
+    def test_legal_models_pass_both_checks(self, model):
+        model = model()
+        assert _apply_d_violation(model) is None
+        assert model._d_squared_violation() is None
 
 
 def _leibniz_columns(model, n):

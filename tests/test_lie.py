@@ -23,6 +23,7 @@ from nilcohom import (
     xr_model,
 )
 from conftest import seeded_two_step_cdgas
+from dense_oracle import lower_central_series as oracle_series
 
 
 class TestUnPresentation:
@@ -224,6 +225,117 @@ class TestLowerCentralSeries:
         assert not L.is_nilpotent
         with pytest.raises(ValueError):
             chevalley_eilenberg(L)
+
+
+def _solvable() -> LiePresentation:
+    """The 2-dimensional non-abelian Lie algebra, [X, Y] = Y."""
+    return LiePresentation(["X", "Y"], {(0, 1): {1: 1}}, name="solvable2")
+
+
+def _sl2() -> LiePresentation:
+    """sl_2: [h, e] = 2e, [h, f] = -2f, [e, f] = h."""
+    return LiePresentation(
+        ["h", "e", "f"], {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}, name="sl2"
+    )
+
+
+def _halved(L: LiePresentation) -> LiePresentation:
+    """L with every structure constant halved; Jacobi is quadratic in them."""
+    brackets = {ij: {k: c / 2 for k, c in entry.items()} for ij, entry in L.brackets.items()}
+    return LiePresentation(L.basis, brackets, name=f"{L.name}_halved")
+
+
+def _series_presentations() -> list:
+    out = [u_n_presentation(n) for n in range(2, 13)]
+    out += [abelian_presentation(k) for k in range(1, 6)]
+    out += [dual_homotopy_lie(xr_model(r)) for r in range(1, 10)]
+    out += [_halved(u_n_presentation(5)), _halved(dual_homotopy_lie(xr_model(4)))]
+    out.append(
+        LiePresentation(
+            ["Z1", "Z2", "Z3"],
+            {
+                (0, 1): {0: Fraction(1, 2), 2: Fraction(1, 2)},
+                (1, 2): {0: Fraction(1, 2), 2: Fraction(1, 2)},
+            },
+            name="rotated_u3",
+        )
+    )
+    out += [
+        dual_homotopy_lie(model)
+        for model in seeded_two_step_cdgas()
+        if any(c.denominator != 1 for d in model.differentials.values() for c in d.terms.values())
+    ]
+    return out
+
+
+class TestSeriesOracle:
+    @pytest.mark.parametrize("L", _series_presentations(), ids=lambda L: L.name)
+    def test_series_matches_the_fraction_loop(self, L):
+        expected = oracle_series(L)
+        assert expected[-1] == 0
+        assert lower_central_series(L) == expected
+        assert L.is_nilpotent
+        assert nilpotency_class(L) == len(expected) - 1
+
+    def test_fraction_constants_are_covered(self):
+        fractional = [
+            L
+            for L in _series_presentations()
+            if any(c.denominator != 1 for e in L.brackets.values() for c in e.values())
+        ]
+        assert len(fractional) >= 4
+
+    @pytest.mark.parametrize(
+        "L, series", [(_solvable(), (2, 1, 1)), (_sl2(), (3, 3))], ids=["solvable2", "sl2"]
+    )
+    def test_non_nilpotent_series(self, L, series):
+        assert oracle_series(L) == series
+        assert lower_central_series(L) == series
+        assert not L.is_nilpotent
+        with pytest.raises(ValueError):
+            nilpotency_class(L)
+        with pytest.raises(ValueError):
+            chevalley_eilenberg(L)
+
+
+class TestSeriesLaziness:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Names of the presentations whose series gets computed, in order."""
+        seen = []
+        compute = LiePresentation._lower_central_series
+
+        def counted(L):
+            seen.append(L.name)
+            return compute(L)
+
+        monkeypatch.setattr(LiePresentation, "_lower_central_series", counted)
+        return seen
+
+    def test_center_never_computes_the_series(self, calls):
+        L = u_n_presentation(12)
+        assert center(L).descriptions == ("X_12_1",)
+        assert calls == []
+
+    def test_series_is_computed_once(self, calls):
+        L = u_n_presentation(12)
+        series = lower_central_series(L)
+        assert series == (66, 55, 45, 36, 28, 21, 15, 10, 6, 3, 1, 0)
+        assert calls == ["u12"]
+        assert lower_central_series(L) == series
+        assert L.is_nilpotent
+        assert nilpotency_class(L) == 11
+        chevalley_eilenberg(L)
+        assert calls == ["u12"]
+
+    def test_chevalley_eilenberg_computes_the_series(self, calls):
+        chevalley_eilenberg(u_n_presentation(4))
+        assert calls == ["u4"]
+
+    def test_broken_bracket_fails_at_construction(self, calls):
+        with pytest.raises(JacobiError, match=r"^Jacobi fails on triple \('e1', 'e2', 'e3'\)$"):
+            LiePresentation(["e1", "e2", "e3"], {(0, 1): {2: 1}, (0, 2): {0: 1}})
+        assert calls == []
 
 
 class TestChevalleyEilenberg:
