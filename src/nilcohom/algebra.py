@@ -16,6 +16,7 @@ All values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -23,6 +24,15 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 Scalar = Union[int, Fraction]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+def _integer(value, what: str, name: str) -> int:
+    """``value`` as an int by ``operator.index``, which refuses floats,
+    strings and fractions; ValueError naming the generator otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"generator {name!r} has {what} {value!r}, not an integer") from None
 
 
 class SignatureMismatchError(ValueError):
@@ -70,7 +80,7 @@ class Signature:
                 name, degree = g
             if not isinstance(name, str) or not _NAME_RE.match(name):
                 raise ValueError(f"invalid generator name {name!r}")
-            degree = int(degree)
+            degree = _integer(degree, "degree", name)
             if degree < 1:
                 raise ValueError(f"generator {name!r} has degree {degree} < 1")
             specs.append(GeneratorSpec(name, degree, pos))
@@ -146,12 +156,12 @@ class Signature:
         mask = 0
         evens = [0] * len(self.even_indices)
         for idx, e in enumerate(exponents):
-            e = int(e)
+            g = self.generators[idx]
+            e = _integer(e, "exponent", g.name)
             if e < 0:
                 raise ValueError("negative exponent")
             if e == 0:
                 continue
-            g = self.generators[idx]
             if g.is_odd:
                 if e > 1:
                     raise ValueError(f"odd generator {g.name!r} with exponent {e}")

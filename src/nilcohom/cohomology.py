@@ -619,15 +619,9 @@ def verify_classes(cdga: CDGA, elems: Sequence[Element]) -> VerifyReport:
     single-term dependency. ``missing_degrees`` lists (degree, have, need),
     with need from ``betti(cdga)``, a cache hit once the table is ranked.
 
-    Independence is decided degree by degree. When every element of a
-    degree is weight-homogeneous under the generator weights of ``betti``'s
-    ledger, as the classes of ``representatives`` are, d keeps weights, so
-    the elements of weight w are independent mod boundaries exactly when
-    they raise the integer rank of the boundaries of weight w by their
-    number (``_independent_by_block``). A degree with an element that spans
-    several weights, or with a block that falls short, runs the
-    whole-degree ``Fraction`` echelon instead (``_independent_in_degree``),
-    which finds the ``dependency`` witness; both give the same report.
+    Independence is decided degree by degree, one weight block at a time
+    (``_independent_in_degree``), and the blocks give the same report as
+    one echelon of the whole degree.
     Nothing is written to the rank cache.
     """
     degrees = []
@@ -649,14 +643,9 @@ def verify_classes(cdga: CDGA, elems: Sequence[Element]) -> VerifyReport:
     for i, d in enumerate(degrees):
         by_degree.setdefault(d, []).append(i)
     table = betti(cdga)
-    weights = cdga._ledger[0]
     for d in sorted(by_degree):
         if d:
             cdga._check_window(d - 1)
-        members = [elems[i] for i in by_degree[d]]
-        if _independent_by_block(cdga, d, members, weights):
-            independent_count[d] = len(members)
-            continue
         count, found = _independent_in_degree(cdga, d, elems, by_degree[d])
         independent_count[d] = count
         if dependency is None:
@@ -679,69 +668,57 @@ def verify_classes(cdga: CDGA, elems: Sequence[Element]) -> VerifyReport:
     )
 
 
-def _independent_by_block(cdga: CDGA, d: int, elems: list, weights: tuple) -> bool:
-    """Whether the degree-d ``elems`` are weight-homogeneous under the
-    generator ``weights`` and independent modulo boundaries, block by block.
-
-    For each weight w of the elements, B_w is the nonzero integer columns
-    of d on the degree-(d-1) keys of weight w (``_keys_by_weight`` kept to
-    the elements' weights, ``CDGA._block_columns``) and Z_w the elements of
-    weight w with denominators cleared; both are rows keyed by monomial.
-    The elements of weight w are independent mod boundaries exactly when
-    rank(B_w with Z_w) - rank(B_w) is their number, both ranks by
-    ``_row_pivots``. False as soon as an element spans several weights or
-    a block falls short.
-    """
-    blocks: dict = {}
-    for e in elems:
-        found = {
-            sum(weights[i] * k for i, k in enumerate(mono.exponents()) if k) for mono in e.terms
-        }
-        if len(found) != 1:
-            return False
-        blocks.setdefault(found.pop(), []).append({_encode(m): c for m, c in e.terms.items()})
-    sources = _keys_by_weight(cdga.signature, d - 1, weights, blocks) if d else {}
-    for weight, zs in blocks.items():
-        keys = sources.get(weight, ())
-        rows = cdga._block_columns(keys)
-        rank = len(_row_pivots({j: dict(column) for j, column in rows.items()}))
-        rows.update(_clear_denominators(dict(enumerate(zs, len(keys)))))
-        if len(_row_pivots(rows)) - rank < len(zs):
-            return False
-    return True
-
-
 def _independent_in_degree(cdga: CDGA, d: int, elems: Sequence, indices: list) -> tuple:
     """(number of independent classes, first dependency or None) of the
     elements ``elems[i]``, i in ``indices``, all of degree d, by one
-    ``Fraction`` echelon of the whole degree.
+    ``Fraction`` echelon per weight block.
 
-    The boundaries are d of the degree-(d-1) keys (``_d_key``). Element i
-    carries a tag coordinate tag + i set to 1, above every key, so a
-    residue left with only tag entries is an explicit vanishing combination
-    of classes. It still joins the echelon, under a tag index, so it can
-    only reduce tag entries of later residues: later independence counts
-    and the first dependency, the one reported, do not depend on it.
+    The blocks group the elements by weight under the generator weights of
+    ``betti``'s ledger, or, when an element spans several weights, under
+    all-zero weights, which make the degree one block. A block's echelon
+    takes d of its degree-(d-1) keys (``_d_key``) in lexicographic order,
+    then its elements. Element i carries a tag coordinate tag + i set to 1,
+    above every key, so a residue left with only tag entries is an explicit
+    vanishing combination of classes; it still joins the echelon, under a
+    tag, so it only reduces tags of later residues. The dependency reported
+    is the one of least index.
+
+    d keeps weights, so the blocks are direct summands: a residue of weight
+    w only meets rows led by a key of weight w or a tag of its own block,
+    and each residue is the one a single echelon of the whole degree would
+    leave.
     """
     sig = cdga.signature
+    weights = cdga._ledger[0]
+    blocks: dict = {}
+    for i in indices:
+        found = {
+            sum(weights[g] * k for g, k in enumerate(mono.exponents()) if k)
+            for mono in elems[i].terms
+        }
+        if len(found) != 1:
+            weights = (0,) * len(sig)
+            blocks = {0: indices}
+            break
+        blocks.setdefault(found.pop(), []).append(i)
+    sources = _keys_by_weight(sig, d - 1, weights, blocks) if d else {}
     tag = 1 << (len(sig.odd_indices) + _EXPONENT_BITS * len(sig.even_indices))
-    echelon: dict = {}
-    if d:
-        keys = _keys_by_weight(sig, d - 1, (0,) * len(sig)).get(0, ())
-        boundaries = (cdga._d_key(key) for key in keys)
+    dependent: dict = {}
+    for weight, members in blocks.items():
+        echelon: dict = {}
+        boundaries = (cdga._d_key(key) for key in sources.get(weight, ()))
         _extend_echelon(echelon, ({k: Fraction(v) for k, v in b.items()} for b in boundaries))
-    tagged = (
-        {**{_encode(mono): c for mono, c in elems[i].terms.items()}, tag + i: Fraction(1)}
-        for i in indices
-    )
-    count = 0
-    dependency = None
-    for residue in _extend_echelon(echelon, tagged):
-        if min(residue) < tag:
-            count += 1
-        elif dependency is None:
-            dependency = tuple(sorted((j - tag, v) for j, v in residue.items()))
-    return count, dependency
+        tagged = (
+            {**{_encode(mono): c for mono, c in elems[i].terms.items()}, tag + i: Fraction(1)}
+            for i in members
+        )
+        for i, residue in zip(members, _extend_echelon(echelon, tagged)):
+            if min(residue) >= tag:
+                dependent[i] = residue
+    if not dependent:
+        return len(indices), None
+    first = dependent[min(dependent)]
+    return len(indices) - len(dependent), tuple(sorted((j - tag, v) for j, v in first.items()))
 
 
 def tensor_product(a: CDGA, b: CDGA, name: Optional[str] = None) -> CDGA:

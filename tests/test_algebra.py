@@ -47,6 +47,16 @@ class TestSignature:
         with pytest.raises(ValueError):
             Signature([("a", 1), ("a", 2)])
 
+    @pytest.mark.parametrize("degree", [1.9, 2.0, "3", Fraction(2), None])
+    def test_rejects_a_degree_that_is_not_an_integer(self, degree):
+        with pytest.raises(ValueError, match="generator 'y' has degree"):
+            Signature([("x", 1), ("y", degree)])
+
+    @pytest.mark.parametrize("exponent", [1.7, 1.0, "1", Fraction(1)])
+    def test_monomial_rejects_an_exponent_that_is_not_an_integer(self, odd3, exponent):
+        with pytest.raises(ValueError, match="generator 'x' has exponent"):
+            odd3.monomial([exponent, 1, 0])
+
     def test_index_is_position(self, odd3):
         assert [g.index for g in odd3.generators] == [0, 1, 2]
 

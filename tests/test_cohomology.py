@@ -1658,11 +1658,11 @@ def fresh(model):
 
 
 class TestVerifyByBlock:
-    """``verify_classes`` counts independent classes block by block in
-    integers when every element of a degree is weight-homogeneous, and
-    otherwise, or on a deficit, reduces the whole degree as before. The
-    reference is that whole-degree path for every degree; the reports must
-    agree byte for byte, ``dependency`` included."""
+    """``verify_classes`` reduces each degree one weight block at a time:
+    the elements' blocks under the ledger's generator weights, or, when an
+    element spans several weights, the whole degree as one block of weight
+    0. The reference is one tagged echelon of the whole degree for every
+    degree; the reports must agree byte for byte, ``dependency`` included."""
 
     MODELS = {
         "u4": lambda: upper_tri_model(4),
@@ -1709,43 +1709,44 @@ class TestVerifyByBlock:
         model = make()
         assert name != "rational5" or not model._integral
         classes = self.classes(model)
-        fallbacks = []
-        real = cohomology._independent_in_degree
-        monkeypatch.setattr(
-            cohomology,
-            "_independent_in_degree",
-            lambda cdga, d, *args: fallbacks.append(d) or real(cdga, d, *args),
-        )
-        blocks = 0
+        ledger = tuple(model._ledger[0])
+        zero = (0,) * len(ledger)
+        calls = record_splits(monkeypatch)
+        seen = set()
         for seed in range(12):
             elems = mixed_inputs(model, classes, random.Random(seed))
-            report = verify_classes(make(), elems)
+            by_degree: dict = {}
+            for e in elems:
+                by_degree.setdefault(e.homogeneous_degree(), []).append(e)
+            calls.clear()
+            report = verify_classes(model, elems)
+            # Each degree above 0 is split once: by the ledger's weights, or
+            # as one block of weight 0 when an element spans several.
+            assert calls == [
+                (d, zero if any(len(term_weights(e, ledger)) > 1 for e in es) else ledger)
+                for d, es in sorted(by_degree.items())
+                if d
+            ]
+            seen.update(weights for _, weights in calls)
             assert report.to_json_dict() == verify_by_whole_degrees(make(), elems).to_json_dict()
-            blocks += len({e.homogeneous_degree() for e in elems}) - len(fallbacks)
-        # Both paths were taken.
-        assert blocks and fallbacks
+        # Both splits were taken; they coincide when the ledger's weights are 0.
+        assert seen == {ledger, zero}
 
-    def test_fallback_only_for_a_deficit_or_several_weights(self, monkeypatch):
+    def test_whole_degree_only_for_several_weights(self, monkeypatch):
         monkeypatch.setattr(cdga_module, "_BLOCK_MIN_MONOMIALS", 0)
         model = xr_model(5)
         classes = self.classes(model)
-        weights = model._ledger[0]
-        weight = lambda e: {
-            sum(weights[i] * k for i, k in enumerate(mono.exponents())) for mono in e.terms
-        }
-        fallbacks = []
-        real = cohomology._independent_in_degree
-        monkeypatch.setattr(
-            cohomology,
-            "_independent_in_degree",
-            lambda cdga, d, *args: fallbacks.append(d) or real(cdga, d, *args),
-        )
+        weights = tuple(model._ledger[0])
+        calls = record_splits(monkeypatch)
 
         def run(elems) -> list:
-            fallbacks.clear()
-            report = verify_classes(xr_model(5), elems)
+            """The degrees reduced as one block of weight 0."""
+            calls.clear()
+            report = verify_classes(model, elems)
+            assert {w for _, w in calls} <= {weights, (0,) * len(weights)}
+            whole = [d for d, w in calls if w != weights]
             assert report.to_json_dict() == verify_by_whole_degrees(xr_model(5), elems).to_json_dict()
-            return list(fallbacks)
+            return whole
 
         by_degree = {}
         for c in classes:
@@ -1754,12 +1755,49 @@ class TestVerifyByBlock:
         x3 = Element.generator(sig, "x3")
         boundary = model.apply_d(Element.from_monomial(sig.monomial_of("x1", "x2")))
         first, second = by_degree[2][:2]
-        assert weight(first) != weight(second) and len(weight(x3)) == 1
+        assert term_weights(first, weights) != term_weights(second, weights)
+        assert len(term_weights(x3, weights)) == 1
         assert run(classes) == []
         assert run(classes + [x3]) == []  # not closed, but independent
-        assert run(classes + [by_degree[3][0].scale(2)]) == [3]
-        assert run(classes + [boundary]) == [boundary.homogeneous_degree()]
+        # A deficit stays in its block.
+        assert run(classes + [by_degree[3][0].scale(2)]) == []
+        assert run(classes + [boundary]) == []
         assert run([first + second, second]) == [2]  # several weights, independent
+
+    def test_a_doubled_class_stays_in_its_block(self, monkeypatch):
+        # A dependent element is reduced in its own block; it must not make
+        # its degree one block under all-zero weights.
+        model = upper_tri_model(6)
+        classes = self.classes(model)
+        weights = tuple(model._ledger[0])
+        assert any(weights)
+        i = next(i for i, c in enumerate(classes) if c.homogeneous_degree() == 8)
+        elems = classes + [classes[i].scale(2)]
+        calls = record_splits(monkeypatch)
+        report = verify_classes(model, elems)
+        assert [w for d, w in calls if d == 8] == [weights]
+        assert report.dependency == ((i, -2), (len(classes), 1))
+        assert report.to_json_dict() == verify_by_whole_degrees(upper_tri_model(6), elems).to_json_dict()
+
+
+def term_weights(e, weights) -> set:
+    """The weights of the terms of ``e`` under the generator ``weights``."""
+    return {sum(w * k for w, k in zip(weights, mono.exponents())) for mono in e.terms}
+
+
+def record_splits(monkeypatch) -> list:
+    """Record (degree, generator weights) of every ``_keys_by_weight`` call
+    made through ``cohomology``, one per degree above 0 that
+    ``verify_classes`` reduces once the CDGA is ranked; returns the list."""
+    calls = []
+    real = cohomology._keys_by_weight
+
+    def spy(sig, n, weights, keep=None):
+        calls.append((n + 1, tuple(weights)))
+        return real(sig, n, weights, keep)
+
+    monkeypatch.setattr(cohomology, "_keys_by_weight", spy)
+    return calls
 
 
 def mixed_inputs(model, classes: list, rng: random.Random) -> list:
@@ -1840,3 +1878,12 @@ def test_all_u7_classes_verify_within_a_minute():
     elapsed = time.perf_counter() - start
     assert report.ok
     assert elapsed < 60, f"{elapsed:.1f} s"
+    # A doubled degree-8 class is found dependent in its own block; the
+    # model is ranked by now.
+    i = next(i for i, c in enumerate(elems) if c.homogeneous_degree() == 8)
+    start = time.perf_counter()
+    report = verify_classes(model, elems + [elems[i].scale(2)])
+    elapsed = time.perf_counter() - start
+    assert not report.independent
+    assert report.dependency == ((i, -2), (5040, 1))
+    assert elapsed < 10, f"{elapsed:.1f} s"
