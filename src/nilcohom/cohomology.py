@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import marshal
 import os
 import sys
 from dataclasses import dataclass
@@ -269,24 +270,17 @@ def _rank_share(
     """In forked child ``index`` of ``workers``: rank its weights through ``degrees``, then exit.
 
     Every child deals the same shares (``_weight_shares``) and takes its own;
-    ``top`` is as for ``_rank_blocks``.
-    Writes one "degree:rank:count" triple per degree to ``fd``: the rank of
-    the share's blocks of d_degree and how many source monomials they hold,
-    followed by ":weight:b" for each of the share's ledger entries in that
-    degree. Leaves through ``os._exit``, with status 0 only once every
-    triple is written, so no parent cleanup (atexit, buffered output) runs
-    twice.
+    ``top`` is as for ``_rank_blocks``. Writes the share's ``_rank_blocks``
+    result, (ranks, counts, ledger), to ``fd`` with ``marshal``. Leaves
+    through ``os._exit``, with status 0 only once the reply is written, so
+    no parent cleanup (atexit, buffered output) runs twice.
     """
     status = 1
     try:
         share = _weight_shares(cdga, degrees, workers, top)[index]
-        ranks, counts, ledger = _rank_blocks(cdga, degrees, True, share, top)
-        text = " ".join(
-            f"{n}:{ranks[n]}:{counts[n]}" + "".join(f":{w}:{b}" for w, b in ledger[n].items())
-            for n in degrees
-        )
+        reply = marshal.dumps(_rank_blocks(cdga, degrees, True, share, top))
         with open(fd, "wb") as pipe:
-            pipe.write(text.encode())
+            pipe.write(reply)
         status = 0
     except Exception:
         sys.excepthook(*sys.exc_info())
@@ -295,19 +289,15 @@ def _rank_share(
         os._exit(status)
 
 
-def _ranks_in_children(
-    cdga: CDGA, degrees: list, workers: int, dims: list, top: Optional[int] = None
-) -> tuple:
-    """({degree: rank of d_degree}, ledger) for ``degrees``, from ``workers`` forked children.
+def _ranks_in_children(cdga: CDGA, degrees: list, workers: int, top: Optional[int] = None) -> tuple:
+    """``_rank_blocks``'s (ranks, counts, ledger) for ``degrees``, from ``workers`` forked children.
 
-    The parent adds up the children's ranks of each degree and joins their
-    ledger entries, as ``_rank_blocks`` returns them. Every child is
-    reaped before this returns or raises; children still running when
-    something fails are killed first. Raises RuntimeError when a child exits
-    nonzero or leaves out a degree, or when the children's source counts of
-    a degree n do not add up to ``dims[n]``, which a share rule that drops
-    or doubles a weight would cause. ``top`` goes to every child
-    (``_rank_share``).
+    The parent adds up the children's ranks and source counts of each
+    degree and joins their ledger entries. Every child is reaped before
+    this returns or raises; children still running when something fails
+    are killed first. Raises ConsistencyError when a child exits nonzero
+    or its reply does not unmarshal or leaves out a degree. ``top`` goes to
+    every child (``_rank_share``).
     """
     children = []
     pipes = []
@@ -332,13 +322,19 @@ def _ranks_in_children(
                 chunks.append(chunk)
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[0]
-            triples = [[int(v) for v in t.split(b":")] for t in b"".join(chunks).split()]
-            if code or [t[0] for t in triples] != degrees or any(len(t) % 2 == 0 for t in triples):
-                raise RuntimeError(f"rank worker for degrees {degrees} failed (exit status {code})")
-            for n, rank, count, *entries in triples:
-                ranks[n] += rank
-                counts[n] += count
-                ledger[n].update(zip(entries[::2], entries[1::2]))
+            failed = ConsistencyError(
+                f"rank worker for degrees {degrees} failed (exit status {code})"
+            )
+            if code:
+                raise failed
+            try:
+                part_ranks, part_counts, part_ledger = marshal.loads(b"".join(chunks))
+                for n in degrees:
+                    ranks[n] += part_ranks[n]
+                    counts[n] += part_counts[n]
+                    ledger[n].update(part_ledger[n])
+            except (EOFError, ValueError, TypeError, KeyError) as err:
+                raise failed from err
     finally:
         for fd in pipes:
             os.close(fd)
@@ -348,12 +344,7 @@ def _ranks_in_children(
             for pid, _ in children:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    for n in degrees:
-        if counts[n] != dims[n]:
-            raise RuntimeError(
-                f"rank workers ranked {counts[n]} of the {dims[n]} monomials of degree {n}"
-            )
-    return ranks, ledger
+    return ranks, counts, ledger
 
 
 @dataclass(frozen=True)
@@ -427,10 +418,11 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
     representatives) longest first, by the sum over n of dim(n, w)^2 from
     the weight-graded generating function, each middle-degree pair as one
     unit, takes its own share, ranks it through every degree, clearing as
-    it goes, and sends back per-degree partial ranks, source counts and
-    ledger entries, which the parent joins and checks against dim_n. Otherwise, and always with
-    the default ``jobs=None``, the degrees are ranked in this process. Both
-    give the same table, the same rank cache and the same ledger.
+    it goes, and sends back its ``_rank_blocks`` result, which the parent
+    sums. Otherwise, and always with the default ``jobs=None``, the degrees
+    are ranked in this process. Both give the same table, rank cache and
+    ledger, and both must rank dim_n source monomials in each degree n, or
+    ``ConsistencyError`` is raised and nothing is cached.
     """
     degrees = _degree_range(cdga)
     dims = basis_dimensions(cdga.signature, degrees[-1] + 1)
@@ -453,9 +445,12 @@ def _rank_table(cdga: CDGA, degrees: range, dims: list, jobs: Optional[int]) -> 
     weights = cdga._weight_lattice().generators if by_weight else (0,) * len(cdga.signature)
     workers = _fork_workers(jobs, sum(dims[n] for n in ranked)) if by_weight else 0
     if workers > 1:
-        ranks, ledger = _ranks_in_children(cdga, ranked, workers, dims, mirror)
+        ranks, counts, ledger = _ranks_in_children(cdga, ranked, workers, mirror)
     else:
-        ranks, _, ledger = _rank_blocks(cdga, ranked, by_weight, None, mirror)
+        ranks, counts, ledger = _rank_blocks(cdga, ranked, by_weight, None, mirror)
+    for n in ranked:
+        if counts[n] != dims[n]:
+            raise ConsistencyError(f"ranked {counts[n]} of the {dims[n]} monomials of degree {n}")
     if mirror is not None:
         for n in ranked:
             ranks.setdefault(mirror - 1 - n, ranks[n])

@@ -280,6 +280,7 @@ def parse(text: str) -> ParseResult:
     doc = SourceDocument(text=text)
     declared: dict = {}
     lie_index: dict = {}
+    bracketed: set = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(raw, lineno)
@@ -304,6 +305,8 @@ def parse(text: str) -> ParseResult:
             lp.expect_end()
             if doc.algebra is None:
                 lp.error("syntax", "'truncate' before 'algebra' header", head)
+            elif doc.algebra.truncate is not None:
+                lp.error("syntax", "second truncate line", head)
             elif value is not None:
                 if value < 1:
                     lp.error("bad-degree", "truncation must be >= 1", head)
@@ -436,9 +439,10 @@ def parse(text: str) -> ParseResult:
             if i > j:
                 i, j = j, i
                 value = {k: -c for k, c in value.items()}
-            if (i, j) in doc.lie.brackets:
+            if (i, j) in bracketed:
                 lp.error("duplicate-bracket", f"bracket ({a}, {b}) already given", a_tok)
                 continue
+            bracketed.add((i, j))
             value = {k: c for k, c in value.items() if c}
             if value:
                 doc.lie.brackets[(i, j)] = value

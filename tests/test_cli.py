@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -136,6 +137,41 @@ class TestCohomologyCommand:
         assert len(checks) == 1
         if jobs == "1":
             assert len(mirrored) == 1 and 1 in mirrored[0] and 2 in mirrored[0]
+
+    def test_a_doubled_weight_in_two_rank_workers_exits_3(self, capsys, monkeypatch):
+        from nilcohom import cohomology
+
+        real = cohomology._shares
+
+        def doubling(cost, workers):
+            shares = real(cost, workers)
+            shares[1].append(shares[0][0])
+            return shares
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(cohomology, "_shares", doubling)
+        code, out, err = run_cli(capsys, "cohomology", "--builtin", "upper-tri:6", "--jobs", "2")
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("internal consistency error: ") and "monomials of degree" in err
+
+    def test_a_dropped_representative_in_one_process_exits_3(self, capsys, monkeypatch):
+        from nilcohom import cohomology
+
+        real = cohomology._weight_costs
+
+        def dropping(cdga, degrees):
+            costs = real(cdga, degrees)
+            del costs[max(costs, key=lambda w: costs[w][0])]
+            return costs
+
+        monkeypatch.setattr(cohomology, "_weight_costs", dropping)
+        code, out, err = run_cli(capsys, "cohomology", "--builtin", "upper-tri:6", "--jobs", "1")
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("internal consistency error: ") and "monomials of degree" in err
 
     def test_an_exponent_past_the_key_limit_exits_2(self, capsys, monkeypatch, tmp_path):
         # The text format has no power syntax, so the limit is lowered to 4

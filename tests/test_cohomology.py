@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import marshal
 import math
 import os
 import random
@@ -909,6 +910,43 @@ class TestForkedRanks:
             betti(upper_tri_model(6), jobs=2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize(
+        "reply",
+        [b"not marshal", b"garbage", b"0:1:2", marshal.dumps(({}, {}, {}))],
+        ids=["unknown-type", "short", "null", "no-degrees"],
+    )
+    def test_a_malformed_reply_raises(self, forks, monkeypatch, reply):
+        # The child exits 0, but its reply is not a (ranks, counts, ledger)
+        # triple over every degree.
+        def garbled(cdga, degrees, index, workers, fd, top=None):
+            os.write(fd, reply)
+            os._exit(0)
+
+        monkeypatch.setattr(cohomology, "_rank_share", garbled)
+        model = upper_tri_model(6)
+        with pytest.raises(ConsistencyError, match="exit status 0"):
+            betti(model, jobs=2)
+        assert len(forks) == 2
+        assert model._rank_cache == {} and model._ledger is None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_serial_pass_that_drops_a_representative_raises(self, no_fork, monkeypatch):
+        # Without the count check the table would total 980, not 6! = 720.
+        real = cohomology._weight_costs
+
+        def dropping(cdga, degrees):
+            costs = real(cdga, degrees)
+            del costs[max(costs, key=lambda w: costs[w][0])]
+            return costs
+
+        monkeypatch.setattr(cohomology, "_weight_costs", dropping)
+        model = upper_tri_model(6)
+        with pytest.raises(ConsistencyError, match="monomials of degree"):
+            betti(model, jobs=1)
+        assert model._rank_cache == {}
+        assert model._ledger is None
 
     def test_shares_are_longest_first(self):
         cost = {0: 1, 1: 15, 2: 8, 3: 9, 4: 2}

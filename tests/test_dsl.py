@@ -122,6 +122,12 @@ class TestParse:
             to_cdga(result.document)
         assert err.value.diagnostics[0].code == "missing-differential"
 
+    def test_a_second_truncate_line_is_rejected(self):
+        text = "algebra t\ntruncate 5\ngen a : 2\n  truncate 7\nd a = 0\n"
+        (diag,) = parse(text).diagnostics
+        assert (diag.code, diag.message) == ("syntax", "second truncate line")
+        assert (diag.line, diag.column, diag.token) == (4, 3, "truncate")
+
     def test_diagnostics_are_position_accurate(self):
         text = "algebra t\ngen a : 1\nd a = 0\nd zz = a\n"
         result = parse(text)
@@ -162,6 +168,13 @@ class TestLieBlocks:
         with pytest.raises(DslValidationError) as err:
             to_lie(result.document)
         assert err.value.diagnostics[0].code == "jacobi"
+
+    @pytest.mark.parametrize("first", ["0", "A - A"])
+    def test_a_repeated_bracket_pair_is_rejected(self, first):
+        # Whatever the first value, zero included, the pair was given.
+        text = f"lie t\nbasis A B C\nbracket A B = {first}\nbracket B A = C\n"
+        (diag,) = parse(text).diagnostics
+        assert (diag.code, diag.line, diag.column, diag.token) == ("duplicate-bracket", 4, 9, "B")
 
     def test_omitted_brackets_default_to_zero(self):
         result = parse("lie t\nbasis A B C\n")
