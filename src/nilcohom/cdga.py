@@ -41,9 +41,8 @@ intertwines d on them, so ``betti`` ranks one block of each pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .algebra import (
     _EXPONENT_FIELD,
@@ -59,8 +58,7 @@ from .algebra import (
 from .linalg import SparseExactMatrix, _clear_denominators, _kernel
 
 
-@dataclass(frozen=True)
-class DSquaredViolation:
+class DSquaredViolation(NamedTuple):
     """First generator whose d(d(g)) is nonzero, with the residue element."""
 
     generator: str

@@ -271,6 +271,10 @@ def _cmd_trc(args):
             )
         else:
             lo, hi = args.ratio_range
+            if lo < 2:
+                raise UsageError(f"--ratio-range needs LO >= 2, got LO={lo}")
+            if lo > hi:
+                raise UsageError(f"--ratio-range needs LO <= HI, got LO={lo}, HI={hi}")
             entries = [e.to_json_dict() for e in ratio_table(range(lo, hi + 1))]
             outputs = {"ratio_table": entries}
             tabular = (

@@ -5,9 +5,8 @@ from __future__ import annotations
 import marshal
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import (
     _EXPONENT_BITS,
@@ -347,8 +346,7 @@ def _ranks_in_children(cdga: CDGA, degrees: list, workers: int, top: Optional[in
     return ranks, counts, ledger
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(NamedTuple):
     """Per-degree cohomology dimensions; total is their sum."""
 
     per_degree: tuple
@@ -574,8 +572,7 @@ def representatives(cdga: CDGA, n: int) -> list:
     return [Element(sig, terms) for _, terms in classes]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of checking a proposed list of cohomology generators."""
 
     all_closed: bool

@@ -32,9 +32,8 @@ d-squared validation, so a file can parse cleanly yet fail validation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Element, Signature
 from .cdga import CDGA, DifferentialError
@@ -45,8 +44,7 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"\d+\Z")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One problem, anchored at a 1-based (line, column) span."""
 
     code: str
@@ -67,15 +65,13 @@ class DslValidationError(ValueError):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     line: int
     column: int
 
 
-@dataclass(frozen=True)
-class TermAst:
+class TermAst(NamedTuple):
     coefficient: Fraction
     names: tuple
     name_tokens: tuple
@@ -83,35 +79,61 @@ class TermAst:
     column: int
 
 
-@dataclass(frozen=True)
-class ExprAst:
+class ExprAst(NamedTuple):
     terms: tuple  # of TermAst; empty means literal 0
 
 
-@dataclass
-class AlgebraDecl:
-    name: str
-    generators: list = field(default_factory=list)  # (name, degree, token)
-    differentials: dict = field(default_factory=dict)  # name -> (ExprAst, token)
-    truncate: Optional[int] = None
+class _Builder:
+    """Mutable parse state, compared by value and left unhashable."""
+
+    __hash__ = None
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass
-class LieDecl:
-    name: str
-    basis: list = field(default_factory=list)
-    brackets: dict = field(default_factory=dict)  # (i, j) i<j -> dict k -> Fraction
+class AlgebraDecl(_Builder):
+    def __init__(
+        self,
+        name: str,
+        generators: Optional[list] = None,
+        differentials: Optional[dict] = None,
+        truncate: Optional[int] = None,
+    ):
+        self.name = name
+        self.generators = [] if generators is None else generators  # (name, degree, token)
+        # name -> (ExprAst, token)
+        self.differentials = {} if differentials is None else differentials
+        self.truncate = truncate
 
 
-@dataclass
-class SourceDocument:
-    text: str
-    algebra: Optional[AlgebraDecl] = None
-    lie: Optional[LieDecl] = None
+class LieDecl(_Builder):
+    def __init__(self, name: str, basis: Optional[list] = None, brackets: Optional[dict] = None):
+        self.name = name
+        self.basis = [] if basis is None else basis
+        # (i, j) i<j -> dict k -> Fraction
+        self.brackets = {} if brackets is None else brackets
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class SourceDocument(_Builder):
+    def __init__(
+        self,
+        text: str,
+        algebra: Optional[AlgebraDecl] = None,
+        lie: Optional[LieDecl] = None,
+    ):
+        self.text = text
+        self.algebra = algebra
+        self.lie = lie
+
+
+class ParseResult(NamedTuple):
     document: Optional[SourceDocument]
     diagnostics: tuple
 

@@ -16,9 +16,8 @@ in integers, and cached: ``center`` never needs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import Element, Monomial, Signature, _signed_sum
 from .cdga import CDGA, DifferentialError
@@ -215,8 +214,7 @@ def abelian_presentation(k: int, prefix: str = "X") -> LiePresentation:
     return LiePresentation([f"{prefix}{i}" for i in range(1, k + 1)], {}, name=f"abelian{k}")
 
 
-@dataclass(frozen=True)
-class CenterReport:
+class CenterReport(NamedTuple):
     """Exact center: kernel of the stacked adjoint action."""
 
     dimension: int

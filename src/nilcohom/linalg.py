@@ -41,11 +41,10 @@ dense tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 Vector = tuple  # tuple of Fraction
 
@@ -151,8 +150,7 @@ class SparseExactMatrix:
         return f"SparseExactMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(NamedTuple):
     """Exact rank with a kernel basis; rank + len(kernel_basis) == cols."""
 
     rank: int
@@ -160,8 +158,7 @@ class RankResult:
     pivot_columns: tuple
 
 
-@dataclass(frozen=True)
-class MultimodularCertificate:
+class MultimodularCertificate(NamedTuple):
     """Lower-bound certificate from ranks modulo primes.
 
     ``bound`` never exceeds the exact rank. ``confirmed`` is set only when

@@ -10,9 +10,8 @@ twist generators "t", "t1".."tr".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Element, Monomial, Signature
 from .cdga import CDGA, default_truncation
@@ -96,8 +95,7 @@ def upper_tri_model(n: int) -> CDGA:
     return _tri_cdga(n, _pairs(n), None, name=f"u{n}")
 
 
-@dataclass(frozen=True)
-class FibrationTriple:
+class FibrationTriple(NamedTuple):
     """Base -> total -> fiber with generator assignments.
 
     Base generators are a subset of the total signature with identical
@@ -230,8 +228,7 @@ def borel_twist(
     return CDGA(sig, diffs, truncation=truncation, name=f"{c.name}_twist_{gen_name}")
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """Linear constraints on twisting every degree-1 generator by degree-2
     polynomial generators t1..tr.
 

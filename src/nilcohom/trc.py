@@ -9,10 +9,9 @@ tolerance enters anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, prod
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .cohomology import betti
 from .models import d_formula, xr_model
@@ -50,8 +49,7 @@ def default_k(n: int) -> int:
     return ceil(n / 2) + 1
 
 
-@dataclass(frozen=True)
-class TrcCertificate:
+class TrcCertificate(NamedTuple):
     """Exact comparison record for one (n, k)."""
 
     n: int
@@ -106,8 +104,7 @@ def trc_inequality(n: int, k: int) -> TrcCertificate:
     )
 
 
-@dataclass(frozen=True)
-class RatioEntry:
+class RatioEntry(NamedTuple):
     n: int
     k: int
     d_nk: int
@@ -128,25 +125,26 @@ def decimal_string(value: Fraction) -> str:
     """Exact decimal rendering; defined when the reduced denominator is 2^a 5^b.
 
     The ratios n!/2^d always qualify. No rounding: every digit is exact.
+    With digits = max(a, b), the fractional part (num mod den) / den has the
+    digits (num mod den) * 5^(digits-b) * 2^(digits-a): a power of 5 and a
+    shift, with no division by 10^digits.
     """
     num, den = value.numerator, value.denominator
     sign = "-" if num < 0 else ""
     num = abs(num)
-    a = b = 0
-    rest = den
-    while rest % 2 == 0:
-        rest //= 2
-        a += 1
+    a = (den & -den).bit_length() - 1
+    rest = den >> a
+    b = 0
     while rest % 5 == 0:
         rest //= 5
         b += 1
     if rest != 1:
         raise ValueError("fraction has no finite decimal expansion")
     digits = max(a, b)
-    scaled = num * 10**digits // den
-    whole, frac = divmod(scaled, 10**digits)
-    if digits == 0 or frac == 0:
+    whole, rem = divmod(num, den)
+    if rem == 0:
         return f"{sign}{whole}"
+    frac = rem * 5 ** (digits - b) << (digits - a)
     return f"{sign}{whole}." + str(frac).rjust(digits, "0").rstrip("0")
 
 
@@ -167,8 +165,7 @@ def ratio_table(
     return out
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Exact crossover scan for k = ceil(n/2)+1 over 2 <= n <= n_max."""
 
     n_max: int
@@ -195,8 +192,7 @@ def scan_minimal_counterexample(n_max: int = 60) -> ScanResult:
     return ScanResult(n_max=n_max, minimal_n=minimal, verdicts=tuple(verdicts))
 
 
-@dataclass(frozen=True)
-class XrCertificate:
+class XrCertificate(NamedTuple):
     """Total Betti number of a fiber-rank-r total space against 2^r."""
 
     fiber_rank: int

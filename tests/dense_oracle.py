@@ -14,7 +14,9 @@ into the connected components of their nonzero pattern, the reference for
 the torus-weight blocks and for a kernel solved one component at a time.
 ``lower_central_series`` is the reference for a Lie presentation's series:
 brackets of Fraction dicts read off the structure constants, reduced to an
-echelon basis of their span.
+echelon basis of their span. ``decimal_string`` is the reference for the
+exact ratio rendering: it finds the powers of 2 and 5 in the denominator one
+factor at a time and divides ``num * 10**digits`` by the denominator.
 """
 
 from fractions import Fraction
@@ -308,3 +310,26 @@ def lower_central_series(presentation):
         if not current or dims[-1] == dims[-2]:
             break
     return tuple(dims)
+
+
+def decimal_string(value):
+    """Exact decimal of a Fraction whose reduced denominator is 2^a 5^b."""
+    num, den = value.numerator, value.denominator
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    a = b = 0
+    rest = den
+    while rest % 2 == 0:
+        rest //= 2
+        a += 1
+    while rest % 5 == 0:
+        rest //= 5
+        b += 1
+    if rest != 1:
+        raise ValueError("fraction has no finite decimal expansion")
+    digits = max(a, b)
+    scaled = num * 10**digits // den
+    whole, frac = divmod(scaled, 10**digits)
+    if digits == 0 or frac == 0:
+        return f"{sign}{whole}"
+    return f"{sign}{whole}." + str(frac).rjust(digits, "0").rstrip("0")

@@ -294,6 +294,21 @@ class TestTrcCommand:
         decimals = [e["ratio_decimal"] for e in report["outputs"]["ratio_table"]]
         assert decimals == ["15", "11.25"]
 
+    @pytest.mark.parametrize(
+        "bounds, detail",
+        [
+            (("5", "3"), "LO <= HI, got LO=5, HI=3"),
+            (("4", "3"), "LO <= HI, got LO=4, HI=3"),
+            (("0", "3"), "LO >= 2, got LO=0"),
+        ],
+        ids=["lo-above-hi", "lo-one-above-hi", "lo-below-2"],
+    )
+    def test_ratio_range_bounds_exit_2(self, capsys, bounds, detail):
+        code, out, err = run_cli(capsys, "trc", "--ratio-range", *bounds)
+        assert code == 2
+        assert out == ""
+        assert f"--ratio-range needs {detail}" in err
+
     def test_mutually_exclusive_modes(self, capsys):
         code, out, err = run_cli(capsys, "trc", "--n", "5", "--k", "4", "--scan-min")
         assert code == 2
@@ -511,6 +526,16 @@ class TestEntryPoint:
             "import sys, nilcohom.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_import_loads_no_dataclasses(self):
+        # The records are NamedTuples: no dataclasses, and so no inspect, at start.
+        probe = (
+            "import sys, nilcohom, nilcohom.cli, nilcohom.dsl; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
         )
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from nilcohom import (
 from nilcohom.cohomology import betti, tensor_product
 from nilcohom.models import xr_model
 from nilcohom.trc import XrCertificate, default_k
+import dense_oracle
 
 # Every shape of two to four X_r factors with at most 10 generators (r + 2 per
 # factor), so each folded tensor model has at most 2^10 monomials.
@@ -112,6 +114,60 @@ class TestRatioTable:
         assert decimal_string(Fraction(7)) == "7"
         with pytest.raises(ValueError):
             decimal_string(Fraction(1, 3))
+
+
+def _rendered(render, value):
+    """The decimal string, or the ValueError's message when rendering refuses."""
+    try:
+        return render(value)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+class TestDecimalAgainstReference:
+    """``decimal_string`` against the halving renderer in ``dense_oracle``."""
+
+    @pytest.mark.slow
+    def test_ratio_table_2_to_400(self):
+        # n >= 216 passes the 4300-digit int-to-str limit: both must refuse
+        # with CPython's own message.
+        refused = 0
+        for entry in ratio_table(range(2, 401)):
+            got = _rendered(decimal_string, entry.ratio)
+            assert got == _rendered(dense_oracle.decimal_string, entry.ratio), entry.n
+            refused += isinstance(got, tuple)
+        assert refused == 185
+        assert "integer string conversion" in _rendered(decimal_string, entry.ratio)[1]
+
+    def test_seeded_fractions_over_2a_5b(self):
+        rng = random.Random(20)
+        values = [Fraction(0), Fraction(10**40), Fraction(-3)]
+        for _ in range(3000):
+            den = 2 ** rng.randrange(0, 90) * 5 ** rng.randrange(0, 60)
+            kind = rng.randrange(4)
+            if kind == 0:
+                num = rng.randrange(-(10**30), 10**30)
+            elif kind == 1:
+                num = rng.randrange(-50, 51) * den  # integral value
+            elif kind == 2:
+                num = rng.randrange(-(10**3), 10**3)
+            else:
+                num = rng.randrange(-(2**400), 2**400)
+            values.append(Fraction(num, den))
+        assert any(v == 0 for v in values) and any(v < 0 for v in values)
+        assert any(v.denominator == 1 and v for v in values)
+        for value in values:
+            assert decimal_string(value) == dense_oracle.decimal_string(value), value
+
+    @pytest.mark.parametrize(
+        "den", [3, 6, 7, 15, 2**10 * 3, 5**7 * 11, 2**5 * 5**5 * 13, 10**9 + 7]
+    )
+    def test_other_prime_in_denominator_refused(self, den):
+        for num in (1, -1, den + 1):
+            value = Fraction(num, den)
+            expected = ("ValueError", "fraction has no finite decimal expansion")
+            assert _rendered(dense_oracle.decimal_string, value) == expected
+            assert _rendered(decimal_string, value) == expected
 
 
 class TestScan:
