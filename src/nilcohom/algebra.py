@@ -9,9 +9,11 @@ transposition count over set bits. The Betti path packs both parts into one
 int key per monomial (``_encode``, ``_decode``); ``_keys_by_weight`` lists
 such keys by weight without building a ``Monomial``, joining the keys of two
 halves of the generators so that only the weights it keeps are built.
+``basis_of_degree`` decodes that walk, with every weight 0, on each call.
 
 Coefficients are ``fractions.Fraction`` throughout; no floating point.
-All values are immutable after construction and safe to share.
+All values are immutable after construction and safe to share: a signature
+caches nothing, so no monomial it makes is kept alive by the signature.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ class Signature:
         "_odd_degrees",
         "_even_degrees",
         "_hash",
-        "_basis_cache",
     )
 
     def __init__(self, generators: Iterable[Union[GeneratorSpec, tuple]]):
@@ -99,7 +100,6 @@ class Signature:
         self._odd_degrees = tuple(specs[i].degree for i in self.odd_indices)
         self._even_degrees = tuple(specs[i].degree for i in self.even_indices)
         self._hash = hash(tuple((g.name, g.degree) for g in specs))
-        self._basis_cache: dict = {}
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -524,13 +524,10 @@ def basis_of_degree(sig: Signature, n: int) -> tuple:
 
     Finite for every fixed n even with polynomial generators. The one group
     of ``_keys_by_weight``'s join with every weight 0, as ``Monomial``s;
-    cached on the signature.
+    not cached, so each call builds a new tuple.
     """
-    cached = sig._basis_cache.get(n)
-    if cached is None:
-        keys = _keys_by_weight(sig, n, (0,) * len(sig.generators)).get(0, ())
-        cached = sig._basis_cache[n] = tuple(_decode(sig, key) for key in keys)
-    return cached
+    keys = _keys_by_weight(sig, n, (0,) * len(sig.generators)).get(0, ())
+    return tuple(_decode(sig, key) for key in keys)
 
 
 def basis_dimensions(sig: Signature, upto: int) -> list:

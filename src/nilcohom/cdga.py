@@ -17,8 +17,9 @@ popcount per term for its sign. It serves the d^2 check, which expands it
 on the keys of each term list, ``apply_d``, which encodes and decodes at
 the ``Monomial`` edge, ``_block_columns``, ``cohomology.representatives``
 and ``verify_classes``, which expand it on keys themselves, and the
-cached Fraction ``differential_matrix``, which looks the target rows up by
-key and is kept for public callers.
+Fraction ``differential_matrix``, which numbers the keys of the weight-0
+walk of its two degrees, looks the target rows up by key, builds a new
+matrix on each call and is kept for public callers.
 
 d preserves a torus weight (Kostant 1961): the weight lattice, computed on
 first use and cached, is the integer kernel of w(g) = w(u) over the terms u
@@ -165,7 +166,6 @@ class CDGA:
         "_odd_terms",
         "_even_terms",
         "_integral",
-        "_matrix_cache",
         "_rank_cache",
         "_ledger",
         "_weights",
@@ -218,7 +218,6 @@ class CDGA:
         if truncation is None and not signature.is_purely_odd:
             truncation = default_truncation(signature)
         self.truncation = truncation
-        self._matrix_cache: dict = {}
         self._rank_cache: dict = {}
         # (generator weights of the split, {degree: {weight: b}}), set by
         # ``cohomology.betti`` when it ranks the table.
@@ -367,27 +366,24 @@ class CDGA:
     def differential_matrix(self, n: int) -> SparseExactMatrix:
         """Matrix of d from the degree-n basis to the degree-(n+1) basis.
 
-        Column j holds the expansion of d applied to the j-th basis monomial,
-        in the order of ``_d_key`` on its key; target rows are looked up by
-        key. Deterministic given the canonical basis order. Entries are
-        Fractions; the matrix is cached on the CDGA. No engine path builds
-        it: ``betti``, ``representatives`` and ``verify_classes`` expand
-        ``_d_key`` on monomial keys instead.
+        Rows and columns are numbered in ``basis_of_degree`` order, read as
+        keys off ``_keys_by_weight`` with every weight 0. Column j holds the
+        expansion of ``_d_key`` on the j-th source key, in its order; target
+        rows are looked up by key. Entries are Fractions; each call builds a
+        new matrix. No engine path builds it: ``betti``, ``representatives``
+        and ``verify_classes`` expand ``_d_key`` on monomial keys instead.
         """
-        cached = self._matrix_cache.get(n)
-        if cached is None:
-            self._check_window(n)
-            source = basis_of_degree(self.signature, n)
-            target = basis_of_degree(self.signature, n + 1)
-            row_of = {_encode(mono): i for i, mono in enumerate(target)}
-            entries = {}
-            for col, mono in enumerate(source):
-                for key, val in self._d_key(_encode(mono)).items():
-                    entries[row_of[key], col] = Fraction(val)
-            cached = self._matrix_cache[n] = SparseExactMatrix._trusted(
-                len(target), len(source), entries
-            )
-        return cached
+        self._check_window(n)
+        sig = self.signature
+        zeros = (0,) * len(sig.generators)
+        source = _keys_by_weight(sig, n, zeros).get(0, ())
+        target = _keys_by_weight(sig, n + 1, zeros).get(0, ())
+        row_of = {key: i for i, key in enumerate(target)}
+        entries = {}
+        for col, key in enumerate(source):
+            for image, val in self._d_key(key).items():
+                entries[row_of[image], col] = Fraction(val)
+        return SparseExactMatrix._trusted(len(target), len(source), entries)
 
     def _weight_lattice(self) -> _Weights:
         """The torus weights that d preserves, computed on first use and cached.

@@ -210,6 +210,8 @@ def _cmd_cohomology(args):
 
 
 def _cmd_table1(args):
+    if args.max_r < 1:
+        raise UsageError(f"--max-r needs R >= 1, got R={args.max_r}")
     if args.max_r > 9 and not args.unsafe_large:
         raise UsageError("--max-r above 9 needs --unsafe-large")
     rows = []
@@ -254,6 +256,8 @@ def _cmd_trc(args):
             outputs = {"certificate": cert.to_json_dict()}
             tabular = (["field", "value"], sorted(outputs["certificate"].items()))
         elif args.scan_min:
+            if args.max_n < 2:
+                raise UsageError(f"--max-n needs N >= 2, got N={args.max_n}")
             scan = scan_minimal_counterexample(args.max_n)
             outputs = {"scan": scan.to_json_dict()}
             tabular = (["n", "inequality_holds"], [list(v) for v in scan.verdicts])

@@ -267,11 +267,13 @@ class _LineParser:
         else:
             self.error("syntax", "expected term", tok)
             return None
-        nxt = self.peek()
-        if nxt is not None and nxt.text == "*":
+        while self.peek() is not None and self.peek().text == "*":
             self.next()
-            if not self._parse_factors(factors):
+            name_tok = self.next()
+            if name_tok is None or not _NAME_RE.match(name_tok.text):
+                self.error("syntax", "expected generator name after '*'", name_tok)
                 return None
+            factors.append(name_tok)
         return TermAst(
             coeff,
             tuple(t.text for t in factors),
@@ -279,21 +281,6 @@ class _LineParser:
             tok.line,
             tok.column,
         )
-
-    def _parse_factors(self, factors: list) -> bool:
-        name_tok = self.next()
-        if name_tok is None or not _NAME_RE.match(name_tok.text):
-            self.error("syntax", "expected generator name after '*'", name_tok)
-            return False
-        factors.append(name_tok)
-        while self.peek() is not None and self.peek().text == "*":
-            self.next()
-            name_tok = self.next()
-            if name_tok is None or not _NAME_RE.match(name_tok.text):
-                self.error("syntax", "expected generator name after '*'", name_tok)
-                return False
-            factors.append(name_tok)
-        return True
 
 
 def parse(text: str) -> ParseResult:

@@ -27,21 +27,22 @@ def factorial_iterative(n: int) -> int:
     return out
 
 
+def _prod_range(lo: int, hi: int) -> int:
+    """The product lo * (lo + 1) * ... * hi, split in halves; 1 when lo > hi."""
+    if hi - lo < 8:
+        out = 1
+        for i in range(lo, hi + 1):
+            out *= i
+        return out
+    mid = (lo + hi) // 2
+    return _prod_range(lo, mid) * _prod_range(mid + 1, hi)
+
+
 def factorial_split(n: int) -> int:
     """Divide-and-conquer product; the independent cross-check of the iterative path."""
     if n < 0:
         raise ValueError("need n >= 0")
-
-    def prod_range(lo: int, hi: int) -> int:
-        if hi - lo < 8:
-            out = 1
-            for i in range(lo, hi + 1):
-                out *= i
-            return out
-        mid = (lo + hi) // 2
-        return prod_range(lo, mid) * prod_range(mid + 1, hi)
-
-    return prod_range(2, n) if n >= 2 else 1
+    return _prod_range(2, n) if n >= 2 else 1
 
 
 def default_k(n: int) -> int:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from nilcohom import CDGA, Element, Signature, basis_of_degree, rank_exact, xr_model
-from nilcohom import cdga
+from nilcohom import algebra, cdga
 from nilcohom.algebra import transport
 
 settings.register_profile("suite", deadline=None, max_examples=50)
@@ -23,6 +23,21 @@ def grouping(request, monkeypatch):
     if request.param == "every-degree":
         monkeypatch.setattr(cdga, "_BLOCK_MIN_MONOMIALS", 0)
     return request.param
+
+
+def refuse(*args):
+    """A stand-in for a function that the path under test must not call."""
+    raise AssertionError("called a function that this path must not call")
+
+
+@pytest.fixture
+def no_basis_or_matrix(monkeypatch):
+    """``basis_of_degree``, by either module's name for it, and
+    ``CDGA.differential_matrix`` raise while the test runs, so a path that
+    enumerates a ``Monomial`` basis or builds a matrix fails."""
+    monkeypatch.setattr(algebra, "basis_of_degree", refuse)
+    monkeypatch.setattr(cdga, "basis_of_degree", refuse)
+    monkeypatch.setattr(cdga.CDGA, "differential_matrix", refuse)
 
 
 def random_two_step_cdga(rng: random.Random, closed: int, upper: int) -> CDGA:

@@ -235,9 +235,9 @@ CONSTRUCTED_MODELS = [
 
 @pytest.mark.parametrize("model", CONSTRUCTED_MODELS, ids=lambda m: m.name)
 def test_criterion_9_d_squared_matrix_products(model):
-    top = model.top_degree()
-    for n in range(top):
-        assert (model.differential_matrix(n + 1) @ model.differential_matrix(n)).is_zero()
+    d = [model.differential_matrix(n) for n in range(model.top_degree() + 1)]
+    for n in range(len(d) - 1):
+        assert (d[n + 1] @ d[n]).is_zero()
 
 
 @pytest.mark.parametrize("model", CONSTRUCTED_MODELS, ids=lambda m: m.name)

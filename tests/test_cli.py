@@ -221,6 +221,13 @@ class TestTable1Command:
         report = run_json(capsys, "table1", "--max-r", "3")
         assert [row["r"] for row in report["outputs"]["rows"]] == [1, 2, 3]
 
+    @pytest.mark.parametrize("max_r", ["0", "-2"])
+    def test_an_empty_range_exits_2(self, capsys, max_r):
+        code, out, err = run_cli(capsys, "table1", "--max-r", max_r)
+        assert code == 2
+        assert out == ""
+        assert f"--max-r needs R >= 1, got R={max_r}" in err
+
 
 class TestTrcCommand:
     def test_certificate_49_26(self, capsys):
@@ -233,6 +240,17 @@ class TestTrcCommand:
     def test_scan_min(self, capsys):
         report = run_json(capsys, "trc", "--scan-min", "--max-n", "40")
         assert report["outputs"]["scan"]["minimal_n"] == 26
+
+    @pytest.mark.parametrize("max_n", ["1", "0", "-5"])
+    def test_scan_min_empty_range_exits_2(self, capsys, max_n):
+        code, out, err = run_cli(capsys, "trc", "--scan-min", "--max-n", max_n)
+        assert code == 2
+        assert out == ""
+        assert f"--max-n needs N >= 2, got N={max_n}" in err
+
+    def test_scan_min_of_one_n(self, capsys):
+        report = run_json(capsys, "trc", "--scan-min", "--max-n", "2")
+        assert report["outputs"]["scan"] == {"minimal_n": None, "n_max": 2, "true_at": []}
 
     def test_xr_certificate(self, capsys):
         report = run_json(capsys, "trc", "--xr", "5")

@@ -56,7 +56,7 @@ from nilcohom.cohomology import (
 )
 from nilcohom.dsl import parse, parse_element, render_element, serialize, to_cdga
 from nilcohom.linalg import _extend_echelon, _integer_rows, _kernel, _quotient, _row_pivots
-from conftest import random_two_step_cdga, seeded_rational_models, seeded_two_step_cdgas
+from conftest import random_two_step_cdga, refuse, seeded_rational_models, seeded_two_step_cdgas
 from dense_oracle import components, dense_betti
 
 X5_CLASSES = [
@@ -125,14 +125,13 @@ class TestBetti:
         assert table.truncated_at == 5
         assert len(table.per_degree) == 5
 
-    def test_purely_odd_dims_enumerate_only_the_lower_half(self):
+    def test_purely_odd_dims_enumerate_only_the_lower_half(self, no_basis_or_matrix):
         model = upper_tri_model(6)
-        betti(model)
         # Ranks of d_0..d_7 walk the keys of their source degrees 0..7,
-        # which caches no basis; targets are keyed as d reaches them, and
+        # which builds no Monomial; targets are keyed as d reaches them, and
         # dim_n is counted. The d_14 = 0 gate walks the keys of degree 14,
         # so no basis is enumerated at all.
-        assert model.signature._basis_cache == {}
+        assert betti(model).total == 720
 
     def test_json_shape(self, x5):
         d = betti(x5).to_json_dict()
@@ -671,10 +670,10 @@ class TestPoincareMirroredRanks:
             n: rank_only(model.differential_matrix(n)) for n in range(model.top_degree() + 1)
         }
 
-    def test_betti_builds_no_matrix(self):
+    def test_betti_builds_no_matrix(self, monkeypatch):
+        monkeypatch.setattr(CDGA, "differential_matrix", refuse)
         model = upper_tri_model(5)
         betti(model)
-        assert model._matrix_cache == {}
         assert set(model._rank_cache) == set(range(model.top_degree() + 1))
 
     def test_non_unimodular_takes_the_full_path(self):
@@ -1848,16 +1847,17 @@ def mixed_inputs(model, classes: list, rng: random.Random) -> list:
     by_degree: dict = {}
     for c in classes:
         by_degree.setdefault(c.homogeneous_degree(), []).append(c)
+    bases = {n: basis_of_degree(sig, n) for d in by_degree for n in (d - 1, d) if n >= 0}
     out = []
     for d, c in ((d, c) for d, cs in by_degree.items() for c in cs):
-        below = basis_of_degree(sig, d - 1) if d else ()
+        below = bases[d - 1] if d else ()
         boundary = model.apply_d(Element.from_monomial(rng.choice(below))) if below else c.scale(0)
         same = by_degree[d]
         kinds = [
             c.scale(Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2, 5]))),
             c + boundary,
             boundary.scale(rng.choice([1, Fraction(-1, 3)])),
-            Element.from_monomial(rng.choice(basis_of_degree(sig, d)), Fraction(2, 3)),
+            Element.from_monomial(rng.choice(bases[d]), Fraction(2, 3)),
             c + rng.choice(same).scale(rng.choice([2, Fraction(1, 2)])),
             c.scale(0),
         ]

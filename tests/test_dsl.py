@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcohom import (
+    Signature,
     borel_twist,
     chevalley_eilenberg,
     degree_shift,
@@ -295,6 +296,42 @@ class TestParseElement:
     def test_unknown_name_raises(self, x5):
         with pytest.raises(DslValidationError):
             parse_element(x5.signature, "a*q")
+
+
+FACTOR_DOCUMENT = (
+    "algebra A\ngen a : 1\ngen b : 1\ngen c : 1\ngen x : 2\n"
+    "d a = 0\nd b = 0\nd c = 0\nd x = {}\n"
+)
+NO_NAME = "expected generator name after '*'"
+
+
+class TestFactorDiagnostics:
+    """A '*' must be followed by a generator name; the diagnostic points at
+    what follows it, or just past the line's end when nothing does."""
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            ("a *", [("syntax", NO_NAME, 9, 10, "")]),
+            ("a * 2", [("syntax", NO_NAME, 9, 11, "2")]),
+            (
+                "2 * * a",
+                [
+                    ("syntax", NO_NAME, 9, 11, "*"),
+                    ("syntax", "unexpected trailing input", 9, 13, "a"),
+                ],
+            ),
+        ],
+    )
+    def test_document(self, body, expected):
+        result = parse(FACTOR_DOCUMENT.format(body))
+        assert list(result.diagnostics) == expected
+
+    def test_element(self):
+        sig = Signature([("a", 1), ("b", 1)])
+        with pytest.raises(DslValidationError) as err:
+            parse_element(sig, "a*b*")
+        assert list(err.value.diagnostics) == [("syntax", NO_NAME, 1, 5, "")]
 
 
 class TestFuzz:
