@@ -18,7 +18,7 @@ import time
 
 from . import __version__
 from .cdga import CDGA, DifferentialError, TruncationError
-from .cohomology import betti, representatives, verify_classes
+from .cohomology import betti, representatives, tensor_product, verify_classes
 from .dsl import (
     DslValidationError,
     parse,
@@ -103,8 +103,6 @@ def builtin_object(spec: str):
             return borel_twist(xr_model(r), f"x{r}")
         if family == "xr-product":
             rs = _ints(params)
-            from .cohomology import tensor_product
-
             if len(rs) < 2:
                 raise UsageError("xr-product needs at least two ranks")
             model = xr_model(rs[0])
@@ -133,29 +131,20 @@ def _load_document(path: str):
     return result.document
 
 
-def _resolve_cdga(args) -> CDGA:
+def _resolve(args, lie: bool = False):
+    """The algebra, or with ``lie`` the Lie presentation, named by --builtin
+    or read from the file argument."""
     if args.builtin and args.file:
         raise UsageError("give either --builtin or a file, not both")
     if args.builtin:
         obj = builtin_object(args.builtin)
-        if not isinstance(obj, CDGA):
-            raise UsageError(f"builtin {args.builtin!r} is not an algebra")
+        if isinstance(obj, CDGA) == lie:
+            kind = "a Lie presentation" if lie else "an algebra"
+            raise UsageError(f"builtin {args.builtin!r} is not {kind}")
         return obj
     if args.file:
-        return to_cdga(_load_document(args.file))
-    raise UsageError("need --builtin NAME or a file argument")
-
-
-def _resolve_lie(args):
-    if args.builtin and args.file:
-        raise UsageError("give either --builtin or a file, not both")
-    if args.builtin:
-        obj = builtin_object(args.builtin)
-        if isinstance(obj, CDGA):
-            raise UsageError(f"builtin {args.builtin!r} is not a Lie presentation")
-        return obj
-    if args.file:
-        return to_lie(_load_document(args.file))
+        document = _load_document(args.file)
+        return to_lie(document) if lie else to_cdga(document)
     raise UsageError("need --builtin NAME or a file argument")
 
 
@@ -179,7 +168,7 @@ def _guard(cdga: CDGA, args) -> None:
 
 
 def _cmd_cohomology(args):
-    model = _resolve_cdga(args)
+    model = _resolve(args)
     if args.truncate is not None:
         if args.truncate < 1:
             raise UsageError("truncation must be >= 1")
@@ -326,7 +315,7 @@ def _cmd_split(args):
 
 
 def _cmd_obstruction(args):
-    model = _resolve_cdga(args)
+    model = _resolve(args)
     fiber = args.fiber_gens.split(",") if args.fiber_gens else [
         g.name for g in model.signature.generators if g.degree == 1
     ]
@@ -344,7 +333,7 @@ def _cmd_obstruction(args):
 
 
 def _cmd_center(args):
-    L = _resolve_lie(args)
+    L = _resolve(args, lie=True)
     report = center(L)
     outputs = {"name": L.name, "center": report.to_json_dict()}
     tabular = (["center basis"], [[d] for d in report.descriptions] or [["(trivial)"]])
@@ -376,7 +365,7 @@ def _cmd_shift(args):
 
 
 def _cmd_verify(args):
-    model = _resolve_cdga(args)
+    model = _resolve(args)
     _guard(model, args)
     try:
         lines = open(args.classes, encoding="utf-8").read().splitlines()

@@ -256,14 +256,6 @@ def nilpotency_class(L: LiePresentation) -> int:
     return len(L._series()) - 1
 
 
-def _dual_name_down(name: str) -> str:
-    return name.lower()
-
-
-def _dual_name_up(name: str) -> str:
-    return name.upper()
-
-
 def chevalley_eilenberg(L: LiePresentation, name: Optional[str] = None) -> CDGA:
     """Cochain CDGA of a nilpotent presentation: one odd degree-1 generator
     per basis element, differential dual to the bracket.
@@ -275,7 +267,7 @@ def chevalley_eilenberg(L: LiePresentation, name: Optional[str] = None) -> CDGA:
     """
     if not L.is_nilpotent:
         raise ValueError("presentation is not nilpotent")
-    lowered = [_dual_name_down(b) for b in L.basis]
+    lowered = [b.lower() for b in L.basis]
     gen_names = lowered if len(set(lowered)) == len(lowered) else list(L.basis)
     return _cochains(L, gen_names, name or f"{L.name}_cochains")
 
@@ -322,7 +314,7 @@ def dual_homotopy_lie(c: CDGA, name: Optional[str] = None) -> LiePresentation:
             j = (mask ^ low).bit_length() - 1
             ij = (sig.odd_indices[i], sig.odd_indices[j])
             brackets.setdefault(ij, {})[g.index] = -coeff
-    upper = [_dual_name_up(g.name) for g in sig.generators]
+    upper = [g.name.upper() for g in sig.generators]
     basis = upper if len(set(upper)) == len(upper) else list(sig.names)
     return LiePresentation(
         basis,

@@ -10,7 +10,6 @@ twist generators "t", "t1".."tr".
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import Element, Monomial, Signature
@@ -263,71 +262,54 @@ def principal_obstruction(
     The closedness of the putative base generators is derived, not assumed.
     Constraints come from expanding d^2(h) for each degree-1 generator h whose
     differential is quadratic in degree-1 generators: each term x_i x_j of
-    d(h) contributes lambda_i x_j - lambda_j x_i.
+    d(h) contributes lambda_i x_j - lambda_j x_i. Those on the coefficients of
+    t_s never mix with those of another t, so one block, with a column per
+    degree-1 generator, is solved once: its kernel, once per t_s, is the
+    solution space, and (g, t_s) is free when g's coordinate is nonzero
+    somewhere on it.
     """
     if r < 1:
         raise ValueError("need torus rank r >= 1")
     sig = c.signature
     deg1 = [g for g in sig.generators if g.degree == 1]
-    deg1_index = {g.index: pos for pos, g in enumerate(deg1)}
+    col = {g.index: pos for pos, g in enumerate(deg1)}
     for name in fiber_gens:
         g = sig.generator(name)
         if g.degree % 2 == 0:
             raise ValueError(f"fiber generator {name!r} has even degree")
-    t_names = tuple(f"t{s}" for s in range(1, r + 1))
-    unknowns = [(g.name, t) for g in deg1 for t in t_names]
-    col = {key: idx for idx, key in enumerate(unknowns)}
 
-    # Constraint rows are indexed by (h, t_s, x_u): the coefficient of
-    # t_s * x_u in d^2(h) must vanish. The system is identical for every s.
+    # Rows are indexed by (h, x_u): the coefficient of t * x_u in d^2(h) must
+    # vanish. d(h) has degree 2, so each odd factor below has degree 1.
     entries: dict = {}
-    row_keys: dict = {}
-
-    def row_of(key) -> int:
-        if key not in row_keys:
-            row_keys[key] = len(row_keys)
-        return row_keys[key]
-
+    rows: dict = {}
     for h in deg1:
-        dh = c.d_of(h.name)
-        for mono, coeff in dh.terms.items():
+        for mono, coeff in c.d_of(h.name).terms.items():
             if mono.odd_mask.bit_count() != 2 or any(mono.even_exps):
                 raise ValueError(
                     f"differential of {h.name!r} is not quadratic in degree-1 generators"
                 )
             mask = mono.odd_mask
             low = mask & -mask
-            i_idx = sig.odd_indices[low.bit_length() - 1]
-            j_idx = sig.odd_indices[(mask ^ low).bit_length() - 1]
-            if i_idx not in deg1_index or j_idx not in deg1_index:
-                raise ValueError(
-                    f"differential of {h.name!r} involves generators above degree 1"
-                )
-            gi = sig.generators[i_idx].name
-            gj = sig.generators[j_idx].name
-            for t in t_names:
-                # + coeff * lambda_i x_j  - coeff * lambda_j x_i
-                ri = row_of((h.name, t, gj))
-                key = (ri, col[(gi, t)])
-                entries[key] = entries.get(key, Fraction(0)) + coeff
-                rj = row_of((h.name, t, gi))
-                key = (rj, col[(gj, t)])
-                entries[key] = entries.get(key, Fraction(0)) - coeff
-    entries = {k: v for k, v in entries.items() if v}
-    matrix = SparseExactMatrix(max(len(row_keys), 1), len(unknowns), entries)
-    result = rank_exact(matrix)
+            i = col[sig.odd_indices[low.bit_length() - 1]]
+            j = col[sig.odd_indices[(mask ^ low).bit_length() - 1]]
+            # + coeff * lambda_i x_j  - coeff * lambda_j x_i
+            key = (rows.setdefault((h.index, j), len(rows)), i)
+            entries[key] = entries.get(key, 0) + coeff
+            key = (rows.setdefault((h.index, i), len(rows)), j)
+            entries[key] = entries.get(key, 0) - coeff
+    matrix = SparseExactMatrix(max(len(rows), 1), len(deg1), entries)
+    kernel = rank_exact(matrix).kernel_basis
+    t_names = tuple(f"t{s}" for s in range(1, r + 1))
     forced = []
     free = []
-    for key, idx in col.items():
-        if any(vec[idx] for vec in result.kernel_basis):
-            free.append(key)
-        else:
-            forced.append(key)
+    for pos, g in enumerate(deg1):
+        side = free if any(vec[pos] for vec in kernel) else forced
+        side.extend((g.name, t) for t in t_names)
     return ObstructionReport(
         rank=r,
-        ansatz_dimension=len(unknowns),
+        ansatz_dimension=len(deg1) * r,
         forced_zero=tuple(forced),
         free=tuple(free),
-        solution_dimension=len(result.kernel_basis),
+        solution_dimension=len(kernel) * r,
         fiber_generators=tuple(fiber_gens),
     )

@@ -17,11 +17,17 @@ brackets of Fraction dicts read off the structure constants, reduced to an
 echelon basis of their span. ``decimal_string`` is the reference for the
 exact ratio rendering: it finds the powers of 2 and 5 in the denominator one
 factor at a time and divides ``num * 10**digits`` by the denominator.
+``obstruction_by_copies`` is the reference for the principal-twist
+obstruction: it shares the rank core, but builds and eliminates one copy of
+the constraint block per torus generator.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import gcd
+
+from nilcohom.linalg import SparseExactMatrix, rank_exact
+from nilcohom.models import ObstructionReport
 
 
 def _sort_word(word, degrees):
@@ -333,3 +339,81 @@ def decimal_string(value):
     if digits == 0 or frac == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}." + str(frac).rjust(digits, "0").rstrip("0")
+
+
+def obstruction_by_copies(c, fiber_gens, r):
+    """The principal-twist obstruction solved as r identical copies.
+
+    Unknowns are every pair (g, t_s) of a degree-1 generator and a torus
+    generator, so the system has r copies of the one-t block; it is
+    eliminated whole and each unknown is looked up in every dense kernel
+    vector. Forced and free pairs read off the kernel's support, so the
+    report must equal ``models.principal_obstruction``'s, which solves one
+    block once.
+    """
+    if r < 1:
+        raise ValueError("need torus rank r >= 1")
+    sig = c.signature
+    deg1 = [g for g in sig.generators if g.degree == 1]
+    deg1_index = {g.index: pos for pos, g in enumerate(deg1)}
+    for name in fiber_gens:
+        g = sig.generator(name)
+        if g.degree % 2 == 0:
+            raise ValueError(f"fiber generator {name!r} has even degree")
+    t_names = tuple(f"t{s}" for s in range(1, r + 1))
+    unknowns = [(g.name, t) for g in deg1 for t in t_names]
+    col = {key: idx for idx, key in enumerate(unknowns)}
+
+    # Constraint rows are indexed by (h, t_s, x_u): the coefficient of
+    # t_s * x_u in d^2(h) must vanish. The system is identical for every s.
+    entries: dict = {}
+    row_keys: dict = {}
+
+    def row_of(key) -> int:
+        if key not in row_keys:
+            row_keys[key] = len(row_keys)
+        return row_keys[key]
+
+    for h in deg1:
+        dh = c.d_of(h.name)
+        for mono, coeff in dh.terms.items():
+            if mono.odd_mask.bit_count() != 2 or any(mono.even_exps):
+                raise ValueError(
+                    f"differential of {h.name!r} is not quadratic in degree-1 generators"
+                )
+            mask = mono.odd_mask
+            low = mask & -mask
+            i_idx = sig.odd_indices[low.bit_length() - 1]
+            j_idx = sig.odd_indices[(mask ^ low).bit_length() - 1]
+            if i_idx not in deg1_index or j_idx not in deg1_index:
+                raise ValueError(
+                    f"differential of {h.name!r} involves generators above degree 1"
+                )
+            gi = sig.generators[i_idx].name
+            gj = sig.generators[j_idx].name
+            for t in t_names:
+                # + coeff * lambda_i x_j  - coeff * lambda_j x_i
+                ri = row_of((h.name, t, gj))
+                key = (ri, col[(gi, t)])
+                entries[key] = entries.get(key, Fraction(0)) + coeff
+                rj = row_of((h.name, t, gi))
+                key = (rj, col[(gj, t)])
+                entries[key] = entries.get(key, Fraction(0)) - coeff
+    entries = {k: v for k, v in entries.items() if v}
+    matrix = SparseExactMatrix(max(len(row_keys), 1), len(unknowns), entries)
+    result = rank_exact(matrix)
+    forced = []
+    free = []
+    for key, idx in col.items():
+        if any(vec[idx] for vec in result.kernel_basis):
+            free.append(key)
+        else:
+            forced.append(key)
+    return ObstructionReport(
+        rank=r,
+        ansatz_dimension=len(unknowns),
+        forced_zero=tuple(forced),
+        free=tuple(free),
+        solution_dimension=len(result.kernel_basis),
+        fiber_generators=tuple(fiber_gens),
+    )

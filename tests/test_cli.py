@@ -16,6 +16,9 @@ SCHEMA = json.loads(
 )
 
 
+BOTH_SOURCES = "give either --builtin or a file, not both"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -84,6 +87,26 @@ class TestCohomologyCommand:
         code, out, err = run_cli(capsys, "cohomology", "--builtin", "xr-product:9,9,9")
         assert code == 2
         assert "ceiling" in err or "--unsafe-large" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cohomology", "--builtin", "xr:3", "m.cdga"], BOTH_SOURCES),
+            (["center", "--builtin", "xr-dual:3", "m.cdga"], BOTH_SOURCES),
+            (["cohomology"], "need --builtin NAME or a file argument"),
+            (["center"], "need --builtin NAME or a file argument"),
+            (["center", "--builtin", "xr:3"], "builtin 'xr:3' is not a Lie presentation"),
+            (
+                ["cohomology", "--builtin", "upper-tri-lie:3"],
+                "builtin 'upper-tri-lie:3' is not an algebra",
+            ),
+        ],
+    )
+    def test_model_source_errors_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_usage_error_on_unknown_builtin(self, capsys):
         code, out, err = run_cli(capsys, "cohomology", "--builtin", "nope:3")

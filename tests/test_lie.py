@@ -410,9 +410,19 @@ class TestDualHomotopyLie:
     def test_rejects_non_quadratic(self):
         from nilcohom import borel_twist
 
-        twisted = borel_twist(xr_model(2), "x2")
-        with pytest.raises(ValueError):
-            dual_homotopy_lie(twisted)
+        for r in (2, 3):
+            twisted = borel_twist(xr_model(r), f"x{r}")
+            with pytest.raises(ValueError, match=r"^dualization needs a purely odd signature$"):
+                dual_homotopy_lie(twisted)
+
+    def test_rejects_a_quartic_differential(self):
+        from nilcohom import CDGA, Element, Signature
+
+        sig = Signature([("a", 1), ("b", 1), ("c", 1), ("e", 1), ("g", 3)])
+        diffs = {name: Element.zero(sig) for name in "abce"}
+        diffs["g"] = Element(sig, {sig.monomial_of("a", "b", "c", "e"): 1})
+        with pytest.raises(ValueError, match=r"^differential of 'g' is not purely quadratic$"):
+            dual_homotopy_lie(CDGA(sig, diffs))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_betti_of_cochains_counts_cohomology(self, n):

@@ -1,5 +1,6 @@
 import pytest
 
+from dense_oracle import obstruction_by_copies
 from nilcohom import (
     Element,
     betti,
@@ -13,6 +14,8 @@ from nilcohom import (
     upper_tri_model,
     xr_model,
 )
+from nilcohom import models
+from nilcohom.linalg import rank_exact
 
 
 class TestUpperTriModel:
@@ -230,6 +233,19 @@ class TestBorelTwist:
         assert twisted.d_of("s").is_zero()
 
 
+OBSTRUCTION_MODELS = {
+    **{f"X{r}": lambda r=r: xr_model(r) for r in range(10)},
+    **{f"u{n}": lambda n=n: upper_tri_model(n) for n in range(2, 7)},
+    **{f"torus{k}": lambda k=k: torus_model(k) for k in range(1, 5)},
+    **{
+        f"split{n}_4_{part}": lambda n=n, part=part: getattr(split_at_k(n, 4), part)
+        for n in (6, 7)
+        for part in ("base", "total", "fiber")
+    },
+    "u4_shift1": lambda: degree_shift(upper_tri_model(4), 1),
+}
+
+
 class TestPrincipalObstruction:
     def test_x5_rank_one_forcing(self, x5):
         report = principal_obstruction(x5, ["x1", "x2", "x3", "x4", "x5"], 1)
@@ -262,3 +278,51 @@ class TestPrincipalObstruction:
         report = principal_obstruction(x5, ["x5"], 3)
         assert len(report.forced_zero) + len(report.free) == report.ansatz_dimension
         assert report.ansatz_dimension == 7 * 3
+
+    @pytest.mark.parametrize("name", sorted(OBSTRUCTION_MODELS))
+    def test_matches_the_r_copy_reference(self, name):
+        model = OBSTRUCTION_MODELS[name]()
+        deg1 = [g.name for g in model.signature.generators if g.degree == 1]
+        for r in range(1, 5):
+            for fiber in ([], deg1):
+                expected = obstruction_by_copies(model, fiber, r)
+                assert principal_obstruction(model, fiber, r) == expected, (r, fiber)
+
+    def test_twist_is_refused_like_the_reference(self):
+        twisted = borel_twist(xr_model(3), "x3")
+        for solve in (principal_obstruction, obstruction_by_copies):
+            with pytest.raises(ValueError) as err:
+                solve(twisted, [], 2)
+            assert str(err.value) == (
+                "differential of 'x3' is not quadratic in degree-1 generators"
+            )
+
+    @pytest.mark.parametrize("model", ["X5", "u5", "split7_4_total"])
+    def test_one_block_of_degree_one_columns_for_every_rank(self, monkeypatch, model):
+        # The constraints on different t_s never mix: one block, solved once.
+        model = OBSTRUCTION_MODELS[model]()
+        deg1 = [g for g in model.signature.generators if g.degree == 1]
+        cols = []
+
+        def recording(matrix):
+            cols.append(matrix.cols)
+            return rank_exact(matrix)
+
+        monkeypatch.setattr(models, "rank_exact", recording)
+        for r in range(1, 5):
+            cols.clear()
+            principal_obstruction(model, [], r)
+            assert cols == [len(deg1)], (r, cols)
+
+    def test_rank_zero_is_refused(self):
+        with pytest.raises(ValueError, match=r"^need torus rank r >= 1$"):
+            principal_obstruction(xr_model(2), [], 0)
+
+    def test_even_fiber_generator_is_refused(self):
+        twisted = borel_twist(xr_model(3), "x3")
+        with pytest.raises(ValueError, match=r"^fiber generator 't' has even degree$"):
+            principal_obstruction(twisted, ["t"], 1)
+
+    def test_unknown_fiber_generator_raises_key_error(self):
+        with pytest.raises(KeyError):
+            principal_obstruction(xr_model(2), ["zz"], 1)
