@@ -19,7 +19,7 @@ from .algebra import (
     basis_dimensions,
     transport,
 )
-from .cdga import CDGA
+from .cdga import CDGA, _Weights
 from .linalg import (
     ConsistencyError,
     _clear_denominators,
@@ -132,12 +132,12 @@ def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None, top=Non
     counts: dict = {}
     ledger: dict = {}
     pivot_keys: dict = {}
-    for n in degrees:
+    for i, n in enumerate(degrees):
         blocks = cdga._blocks(n, by_weight, share)
         below = n - 1 in ranks
         cleared = pivot_keys if below else {}
         pivot_keys = {}
-        clears_next = n + 1 in degrees
+        clears_next = i + 1 < len(degrees) and degrees[i + 1] == n + 1
         rank = count = 0
         row: dict = {}
         halves: dict = {}
@@ -386,6 +386,17 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
     of weight w and that of w_top - sigma(w) have equal ranks, so only the
     lesser of each pair is ranked (``_rank_blocks``).
 
+    A model with even generators and no symmetry is first scanned for a
+    contractible pair (``_contractible_pair``): generators x and y with a
+    term c*y in d x, x in no differential, its own included, and y in none
+    but d x, as a Borel twist d g += t makes when g occurs in no
+    differential. The model is then the sub-CDGA on the other generators
+    tensored with Lambda(x, d x), whose cohomology is Q in degree 0
+    (Felix-Halperin-Thomas, GTM 205, section 14), so that sub-CDGA is ranked
+    instead, its own pairs cancelled in turn, and the table, rank cache and
+    ledger are filled from it (``_from_quotient``), equal to what ranking
+    the model itself would store.
+
     The degrees ranked go in increasing order through ``_rank_blocks``,
     split once by ``CDGA._by_weight`` into torus-weight blocks, or one
     block per degree for models under ``_BLOCK_MIN_MONOMIALS``: each block's
@@ -435,12 +446,26 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
     )
 
 
-def _rank_table(cdga: CDGA, degrees: range, dims: list, jobs: Optional[int]) -> None:
-    """Rank every degree of ``betti`` in one pass; fill the rank cache and the ledger."""
+def _rank_table(
+    cdga: CDGA, degrees: range, dims: list, jobs: Optional[int], by_weight: Optional[bool] = None
+) -> None:
+    """Rank every degree of ``betti`` in one pass; fill the rank cache and the ledger.
+
+    ``by_weight`` is ``CDGA._by_weight``'s decision on the degrees ranked
+    unless given. When ``_contractible_pair`` finds a pair (x, y), nothing
+    of ``cdga`` is ranked: the sub-CDGA on the other generators is ranked
+    by this function, with that decision and ``cdga``'s generator weights,
+    and ``_from_quotient`` fills the cache and the ledger from it.
+    """
     mirror = _mirror_top(cdga)
     ranked = list(degrees if mirror is None else range((mirror - 1) // 2 + 1))
-    by_weight = cdga._by_weight([dims[n] for n in ranked])
+    if by_weight is None:
+        by_weight = cdga._by_weight([dims[n] for n in ranked])
     weights = cdga._weight_lattice().generators if by_weight else (0,) * len(cdga.signature)
+    pair = _contractible_pair(cdga)
+    if pair is not None:
+        _from_quotient(cdga, pair, degrees, dims, jobs, by_weight, weights)
+        return
     workers = _fork_workers(jobs, sum(dims[n] for n in ranked)) if by_weight else 0
     if workers > 1:
         ranks, counts, ledger = _ranks_in_children(cdga, ranked, workers, mirror)
@@ -466,6 +491,89 @@ def _rank_table(cdga: CDGA, degrees: range, dims: list, jobs: Optional[int]) -> 
                 )
     cdga._rank_cache.update(ranks)
     cdga._ledger = (weights, {n: dict(sorted(ledger[n].items())) for n in degrees})
+
+
+def _contractible_pair(cdga: CDGA) -> Optional[tuple]:
+    """The first pair (x, y) of generator indices, in signature order of x,
+    such that d x has a term c*y, x occurs in no differential, its own
+    included, and y occurs in no differential but d x; else None.
+
+    d being homogeneous, |y| = |x| + 1, so a purely odd model holds no pair
+    and is not scanned; nor is a model that carries a symmetry, whose
+    orbit ranking stays as it is.
+    """
+    sig = cdga.signature
+    if sig.is_purely_odd or cdga._symmetry is not None:
+        return None
+    users = [set() for _ in sig.generators]
+    for g, value in enumerate(cdga._diff):
+        for mono in value.terms:
+            for h, e in enumerate(mono.exponents()):
+                if e:
+                    users[h].add(g)
+    for x, value in enumerate(cdga._diff):
+        if users[x]:
+            continue
+        for mono in value.terms:
+            exponents = mono.exponents()
+            if sum(exponents) == 1:
+                y = exponents.index(1)
+                if users[y] == {x}:
+                    return x, y
+    return None
+
+
+def _from_quotient(
+    cdga: CDGA,
+    pair: tuple,
+    degrees: range,
+    dims: list,
+    jobs: Optional[int],
+    by_weight: bool,
+    weights: tuple,
+) -> None:
+    """Fill ``cdga``'s rank cache and ledger from the sub-CDGA without ``pair``.
+
+    With d x = c*y + phi, substituting y' = c*y + phi is a triangular
+    automorphism, weight-homogeneous, with d y' = d^2 x = 0. The other
+    generators form a sub-CDGA, since neither x nor y occurs in their
+    differentials, and the model is that sub-CDGA tensored with
+    Lambda(x, y'), d x = y', whose cohomology over Q is Q in degree 0 for
+    either parity of x (Felix-Halperin-Thomas, Rational Homotopy Theory,
+    GTM 205, section 14). So b_(n,w) is the sub-CDGA's in every degree of
+    the window and every torus weight.
+
+    The sub-CDGA keeps the differentials and the truncation, and is ranked
+    with the same split decision and, when split by weight, ``cdga``'s
+    generator weights restricted to it (no symmetry). Its ledger rows fill
+    ``cdga``'s, with {} above its own window, and rank d_n = dim_n - b_n -
+    rank d_(n-1), b_n the sum of row n, fills the rank cache in degree
+    order, so both are what ranking ``cdga`` itself would store.
+    """
+    sig = cdga.signature
+    kept = [g for g in sig.generators if g.index not in pair]
+    quotient_sig = Signature([(g.name, g.degree) for g in kept])
+    diffs = {}
+    for g in kept:
+        terms = {}
+        for mono, c in cdga._diff[g.index].terms.items():
+            exponents = mono.exponents()
+            terms[quotient_sig.monomial([exponents[h.index] for h in kept])] = c
+        diffs[g.name] = Element(quotient_sig, terms)
+    quotient = CDGA(quotient_sig, diffs, truncation=cdga.truncation, name=cdga.name)
+    if by_weight:
+        lattice = cdga._weight_lattice()
+        restricted = tuple(weights[g.index] for g in kept)
+        quotient._weights = _Weights(lattice.rank, restricted, None, lattice.span)
+    quotient_degrees = _degree_range(quotient)
+    quotient_dims = basis_dimensions(quotient_sig, quotient_degrees[-1] + 1)
+    _rank_table(quotient, quotient_degrees, quotient_dims, jobs, by_weight)
+    rows = {n: quotient._ledger[1].get(n, {}) for n in degrees}
+    rank = 0
+    for n in degrees:
+        rank = dims[n] - sum(rows[n].values()) - rank
+        cdga._rank_cache[n] = rank
+    cdga._ledger = (weights, rows)
 
 
 def _middle_row(cdga: CDGA, top: int, weights: tuple, ledger: dict) -> dict:

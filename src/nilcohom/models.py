@@ -197,6 +197,11 @@ def borel_twist(
     attached (the default from the cdga module unless supplied). Finiteness
     of the twisted cohomology is not claimed: consumers compare truncated
     Betti data against a predicted quotient model inside the window.
+
+    When g occurs in no differential, g and t form a contractible pair:
+    the twist is the model without g tensored with Lambda(g, d g), whose
+    cohomology is Q, so the twist's cohomology is that quotient's, degree
+    by degree and torus weight by weight, and ``betti`` ranks the quotient.
     """
     if gen_name not in c.signature:
         raise ValueError(f"no generator {gen_name!r} to twist")

@@ -44,6 +44,7 @@ from nilcohom.algebra import (
     _keys_by_weight,
     _weight_dimensions,
     basis_dimensions,
+    transport,
 )
 from nilcohom.cli import main
 from nilcohom import cdga as cdga_module
@@ -132,6 +133,13 @@ class TestBetti:
         # dim_n is counted. The d_14 = 0 gate walks the keys of degree 14,
         # so no basis is enumerated at all.
         assert betti(model).total == 720
+
+    def test_one_generator_of_a_high_degree(self):
+        # 10001 degrees are ranked, each checked once for the next one.
+        sig = Signature([("a", 20001)])
+        table = betti(CDGA(sig, {"a": Element.zero(sig)}))
+        assert table.total == 2
+        assert [n for n, b in enumerate(table.per_degree) if b] == [0, 20001]
 
     def test_json_shape(self, x5):
         d = betti(x5).to_json_dict()
@@ -1925,3 +1933,199 @@ def test_all_u7_classes_verify_within_a_minute():
     assert not report.independent
     assert report.dependency == ((i, -2), (5040, 1))
     assert elapsed < 10, f"{elapsed:.1f} s"
+
+
+DATA = Path(__file__).parent / "data"
+
+# d z = 2/3 y + x1*x2 over X_2: a contractible pair (z, y) with a fractional
+# coefficient c and a phi whose d is not zero, so d y = -d(phi)/c.
+FRACTIONAL_PAIR = """\
+algebra fractional_pair
+truncate 7
+gen a : 1
+gen b : 1
+gen x1 : 1
+gen x2 : 1
+gen z : 1
+gen y : 2
+d a = 0
+d b = 0
+d x1 = a*b
+d x2 = a*x1
+d z = 2/3*y + x1*x2
+d y = -3/2*a*b*x2
+"""
+
+
+def dsl_model(text: str) -> CDGA:
+    parsed = parse(text)
+    assert parsed.ok, parsed.diagnostics
+    return to_cdga(parsed.document)
+
+
+def ranked_state(model, jobs=None) -> tuple:
+    """The table, the rank cache items in key order and the ledger items
+    in key order that one ``betti`` pass stores on ``model``."""
+    table = betti(model, jobs=jobs)
+    weights, rows = model._ledger
+    ledger = [(n, list(row.items())) for n, row in rows.items()]
+    return table, list(model._rank_cache.items()), weights, ledger
+
+
+def unreduced_state(make, jobs=None) -> tuple:
+    """``ranked_state`` of a fresh ``make()`` with no pair cancelled."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cohomology, "_contractible_pair", lambda cdga: None)
+        return ranked_state(make(), jobs)
+
+
+def with_pair(base: CDGA, rng: random.Random) -> tuple:
+    """``base`` with two generators px, py added at random places,
+    d px = c*py + phi and d py = -d(phi)/c, for a random phi in ``base``'s
+    generators of degree |py|; returns (model, truncation). |px| is 1..3,
+    so either may be even."""
+    k = rng.randint(1, 3)
+    names = list(base.signature.names)
+    gens = [(g.name, g.degree) for g in base.signature.generators]
+    gens.insert(rng.randint(0, len(gens)), ("px", k))
+    gens.insert(rng.randint(0, len(gens)), ("py", k + 1))
+    sig = Signature(gens)
+    monos = list(basis_of_degree(base.signature, k + 1))
+    phi = Element(
+        base.signature,
+        {
+            mono: Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2, 7]))
+            for mono in rng.sample(monos, min(len(monos), rng.randint(0, 3)))
+        },
+    )
+    c = Fraction(rng.choice([1, -2, 3, 5]), rng.choice([1, 3, 4]))
+    diffs = {name: transport(base.d_of(name), sig, {}) for name in names}
+    diffs["px"] = Element.generator(sig, "py").scale(c) + transport(phi, sig, {})
+    diffs["py"] = transport(base.apply_d(phi), sig, {}).scale(-1 / c)
+    truncation = rng.randint(1, base.top_degree() + 3)
+    return CDGA(sig, diffs, truncation=truncation, name=f"{base.name}_pair"), truncation
+
+
+def twist_xr(r: int) -> CDGA:
+    return borel_twist(xr_model(r), f"x{r}")
+
+
+def twist_un(n: int) -> CDGA:
+    return borel_twist(upper_tri_model(n), f"x_{n}_1")
+
+
+def swapped_square(symmetric: bool) -> CDGA:
+    """The tensor square of the twist of X_3, with the swap of its factors
+    attached as a symmetry when ``symmetric``; it splits by weight."""
+    factor = twist_xr(3)
+    model = tensor_product(factor, factor)
+    if symmetric:
+        half = len(factor.signature)
+        model._symmetry = tuple(((i + half) % (2 * half), 1) for i in range(2 * half))
+    return model
+
+
+class TestContractiblePairs:
+    """A pair (x, y) with d x = c*y + phi, x in no differential and y in no
+    differential but d x, is cancelled before ranking: the model is the
+    quotient tensored with the contractible Lambda(x, d x). The table, the
+    rank cache and the ledger must equal the unreduced pass's, item for
+    item; with ``jobs=2`` the fork gate is lowered so that the models split
+    by weight are ranked in children."""
+
+    MODELS = {
+        **{f"twist-x{r}": functools.partial(twist_xr, r) for r in range(1, 10)},
+        **{f"twist-u{n}": functools.partial(twist_un, n) for n in (3, 4, 5)},
+        "two-polynomials": lambda: dsl_model((DATA / "two_polynomials.cdga").read_text()),
+        "fractional": lambda: dsl_model(FRACTIONAL_PAIR),
+        # The quotient has no generators at all.
+        "acyclic": lambda: dsl_model(
+            "algebra acyclic\ntruncate 6\ngen x : 2\ngen y : 3\nd x = 5*y\nd y = 0\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_matches_the_unreduced_pass(self, name, jobs, monkeypatch):
+        make = self.MODELS[name]
+        if jobs:
+            monkeypatch.setattr(cohomology, "FORK_MIN_MONOMIALS", 0)
+        sizes = []
+        real = cohomology._rank_table
+
+        def recording(cdga, *args):
+            sizes.append(len(cdga.signature))
+            return real(cdga, *args)
+
+        monkeypatch.setattr(cohomology, "_rank_table", recording)
+        model = make()
+        reduced = ranked_state(model, jobs)
+        pairs = 2 if name == "two-polynomials" else 1
+        assert sizes == [len(model.signature) - 2 * i for i in range(pairs + 1)]
+        assert reduced == unreduced_state(make, jobs)
+
+    def test_the_two_polynomial_row_is_the_dense_oracles(self):
+        model = self.MODELS["two-polynomials"]()
+        assert betti(model).per_degree == dense_betti(model) == (1, 4, 8, 11, 11, 8, 4, 1)
+
+    def test_a_fractional_pair_leaves_x2(self):
+        model = dsl_model(FRACTIONAL_PAIR)
+        assert cohomology._contractible_pair(model) == (4, 5)
+        assert betti(model).per_degree == betti(xr_model(2)).per_degree + (0, 0)
+        assert betti(model).per_degree == dense_betti(model)
+
+    def test_representatives_and_verify_run_on_the_reduced_ledger(self):
+        model = twist_un(5)
+        degrees = range(len(betti(model).per_degree))
+        classes = [c for n in degrees for c in representatives(model, n)]
+        assert len(classes) == betti(model).total
+        assert verify_classes(model, classes).ok
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # x occurs in another generator's differential. d^2 = 0 then
+            # puts y there too, as it does in the case of d x = y + x*z.
+            "gen x : 2\ngen y : 3\ngen w : 4\nd x = y\nd y = 0\nd w = x*y",
+            # y occurs in another generator's differential.
+            "gen a : 1\ngen x : 1\ngen y : 2\ngen w : 2\n"
+            "d a = 0\nd x = y\nd y = 0\nd w = a*y",
+            # x occurs in its own differential: d x = y + x*z.
+            "gen z : 1\ngen x : 2\ngen y : 3\n"
+            "d z = 0\nd x = y + x*z\nd y = -y*z",
+        ],
+        ids=["x-used", "y-used", "x-in-own-d"],
+    )
+    def test_no_pair_keeps_the_full_path(self, text):
+        model = dsl_model(f"algebra nopair\ntruncate 7\n{text}\n")
+        assert cohomology._contractible_pair(model) is None
+        assert betti(model).per_degree == dense_betti(model)
+
+    def test_a_symmetry_keeps_the_orbit_path(self):
+        symmetric, plain = swapped_square(True), swapped_square(False)
+        assert cohomology._contractible_pair(symmetric) is None
+        assert cohomology._contractible_pair(plain) is not None
+        table, cache, weights, ledger = ranked_state(symmetric)
+        assert symmetric._weights.mirrors is not None
+        assert (table, cache, weights, ledger) == ranked_state(plain)
+        assert table.per_degree == betti(tensor_product(xr_model(2), xr_model(2))).per_degree
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.sampled_from(
+            [("xr", r) for r in range(5)] + [("u", n) for n in (2, 3, 4)] + [("torus", k) for k in (1, 2, 3)]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_random_pair_leaves_the_base_cohomology(self, base, seed):
+        family, p = base
+        make_base = {"xr": xr_model, "u": upper_tri_model, "torus": torus_model}[family]
+        rng = random.Random(seed)
+        model, truncation = with_pair(make_base(p), rng)
+        row = betti(make_base(p)).per_degree
+        expected = tuple(row[n] if n < len(row) else 0 for n in range(truncation))
+        rebuilt = lambda: CDGA(model.signature, model.differentials, truncation=truncation)
+        assert cohomology._contractible_pair(model) is not None
+        reduced = ranked_state(model)
+        assert reduced[0].per_degree == expected
+        assert reduced == unreduced_state(rebuilt)
