@@ -29,8 +29,9 @@ of two halves of the generators and builds no ``Monomial``, and
 ``_block_columns`` expands d on one block into
 uncached integer columns keyed by target monomial. That is how
 ``cohomology.betti`` ranks a degree, block by block, dropping the sources
-that the pivots of the degree below clear; it stores the ranks and each
-block's Betti number on the CDGA, and ``representatives`` reads them.
+that the pivots of the degree below clear; it stores each block's Betti
+number on the CDGA, the ledger that the table and ``representatives`` are
+read from.
 
 A model constructor may attach a symmetry sigma, a signed involution of the
 generators that keeps degrees (``_symmetry``). It is data that is checked,
@@ -166,7 +167,6 @@ class CDGA:
         "_odd_terms",
         "_even_terms",
         "_integral",
-        "_rank_cache",
         "_ledger",
         "_weights",
         "_symmetry",
@@ -218,7 +218,6 @@ class CDGA:
         if truncation is None and not signature.is_purely_odd:
             truncation = default_truncation(signature)
         self.truncation = truncation
-        self._rank_cache: dict = {}
         # (generator weights of the split, {degree: {weight: b}}), set by
         # ``cohomology.betti`` when it ranks the table.
         self._ledger: Optional[tuple] = None

@@ -321,8 +321,11 @@ def _cmd_obstruction(args):
     ]
     try:
         report = principal_obstruction(model, fiber, args.rank)
-    except (ValueError, KeyError) as err:
+    except ValueError as err:
         raise UsageError(str(err)) from None
+    except KeyError as err:
+        # str() of a KeyError is the repr of its message.
+        raise UsageError(err.args[0]) from None
     outputs = {"name": model.name, "obstruction": report.to_json_dict()}
     tabular = (
         ["parameter", "status"],

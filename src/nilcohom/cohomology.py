@@ -78,7 +78,7 @@ def _middle(degrees: list, by_weight: bool, top: Optional[int]) -> Optional[int]
 
 
 def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None, top=None) -> tuple:
-    """({n: rank d_n}, {n: source monomials}, ledger) for the increasing ``degrees``.
+    """({n: source monomials}, ledger) for the increasing ``degrees``.
 
     Each degree is split by ``CDGA._blocks``. Each block's integer columns
     of d are assembled, eliminated as one piece with the count rule as the
@@ -88,8 +88,8 @@ def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None, top=Non
     pivot pairs a source with a target key, and the pivot targets of a
     block are a basis of its rows of d. With ``share``, {weight:
     sigma(weight)}, only the blocks of those weights are walked and ranked,
-    and one with sigma(w) != w counts twice, sources and rank; the counts
-    are of the sources before clearing.
+    and one with sigma(w) != w counts twice; the counts are of the sources
+    before clearing.
 
     The ledger is {n: {weight: b_(n,w)}} over the blocks with a nonzero
     Betti number b_(n,w) = dim - rank d_n|w - rank d_(n-1)|w, for each
@@ -128,17 +128,16 @@ def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None, top=Non
         share = {w: mirror for w, (_, mirror) in _weight_costs(cdga, degrees).items()}
     middle = _middle(degrees, by_weight, top)
     top_weight = sum(cdga._weight_lattice().generators) if middle is not None else None
-    ranks: dict = {}
     counts: dict = {}
     ledger: dict = {}
     pivot_keys: dict = {}
     for i, n in enumerate(degrees):
         blocks = cdga._blocks(n, by_weight, share)
-        below = n - 1 in ranks
+        below = i > 0 and degrees[i - 1] == n - 1
         cleared = pivot_keys if below else {}
         pivot_keys = {}
         clears_next = i + 1 < len(degrees) and degrees[i + 1] == n + 1
-        rank = count = 0
+        count = 0
         row: dict = {}
         halves: dict = {}
         for weight in sorted(blocks):
@@ -157,15 +156,13 @@ def _rank_blocks(cdga: CDGA, degrees: list, by_weight: bool, share=None, top=Non
                 r = halves[weight] = len(pivots)
                 if clears_next:
                     pivot_keys[weight] = {key for _, key in pivots}
-            rank += copies * r
             b = len(keys) - r - len(drop)
             if b:
                 row[weight] = row[mirror] = b
-        ranks[n] = rank
         counts[n] = count
         if below or n == 0:
             ledger[n] = row
-    return ranks, counts, ledger
+    return counts, ledger
 
 
 # ``betti`` forks only when the degrees left to rank hold this many basis
@@ -270,7 +267,7 @@ def _rank_share(
 
     Every child deals the same shares (``_weight_shares``) and takes its own;
     ``top`` is as for ``_rank_blocks``. Writes the share's ``_rank_blocks``
-    result, (ranks, counts, ledger), to ``fd`` with ``marshal``. Leaves
+    result, (counts, ledger), to ``fd`` with ``marshal``. Leaves
     through ``os._exit``, with status 0 only once the reply is written, so
     no parent cleanup (atexit, buffered output) runs twice.
     """
@@ -289,18 +286,17 @@ def _rank_share(
 
 
 def _ranks_in_children(cdga: CDGA, degrees: list, workers: int, top: Optional[int] = None) -> tuple:
-    """``_rank_blocks``'s (ranks, counts, ledger) for ``degrees``, from ``workers`` forked children.
+    """``_rank_blocks``'s (counts, ledger) for ``degrees``, from ``workers`` forked children.
 
-    The parent adds up the children's ranks and source counts of each
-    degree and joins their ledger entries. Every child is reaped before
-    this returns or raises; children still running when something fails
-    are killed first. Raises ConsistencyError when a child exits nonzero
+    The parent adds up the children's source counts of each degree and
+    joins their ledger entries. Every child is reaped before this returns
+    or raises; children still running when something fails are killed
+    first. Raises ConsistencyError when a child exits nonzero
     or its reply does not unmarshal or leaves out a degree. ``top`` goes to
     every child (``_rank_share``).
     """
     children = []
     pipes = []
-    ranks = dict.fromkeys(degrees, 0)
     counts = dict.fromkeys(degrees, 0)
     ledger: dict = {n: {} for n in degrees}
     try:
@@ -327,9 +323,8 @@ def _ranks_in_children(cdga: CDGA, degrees: list, workers: int, top: Optional[in
             if code:
                 raise failed
             try:
-                part_ranks, part_counts, part_ledger = marshal.loads(b"".join(chunks))
+                part_counts, part_ledger = marshal.loads(b"".join(chunks))
                 for n in degrees:
-                    ranks[n] += part_ranks[n]
                     counts[n] += part_counts[n]
                     ledger[n].update(part_ledger[n])
             except (EOFError, ValueError, TypeError, KeyError) as err:
@@ -343,7 +338,7 @@ def _ranks_in_children(cdga: CDGA, degrees: list, workers: int, top: Optional[in
             for pid, _ in children:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return ranks, counts, ledger
+    return counts, ledger
 
 
 class BettiTable(NamedTuple):
@@ -371,16 +366,16 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
 
     For purely odd signatures the whole table is produced; otherwise degrees
     0 .. truncation-1 are reported and ``truncated_at`` records the window.
-    The first call ranks the CDGA in one pass and stores the ranks in its
-    rank cache and the ledger of the Betti number of every block beside
-    them; every later call, with any ``jobs``, reads the table off the
-    cache and ranks nothing. dim_n is counted from the generator degrees,
+    The first call ranks the CDGA in one pass and stores on it the ledger
+    of the Betti number of every block; b_n is the sum of its row n, so
+    every later call, with any ``jobs``, reads the table off the ledger and
+    counts and ranks nothing. dim_n is counted from the generator degrees,
     not enumerated.
 
     When the window reaches the top degree of a purely odd model with
     d_(top-1) = 0, only the degrees n <= (top-1)/2 are ranked: rank d_(top-1-n)
-    equals rank d_n by Poincare duality and rank d_top is 0, and these
-    mirrored ranks join the rank cache after the ranked ones. Otherwise every
+    equals rank d_n by Poincare duality and rank d_top is 0, so the rows of
+    the degrees above are mirrored from those below. Otherwise every
     degree of the window is ranked. When that top is odd, 2m + 1, and the
     degrees are split by weight, d_m is self-dual block by block: the block
     of weight w and that of w_top - sigma(w) have equal ranks, so only the
@@ -393,9 +388,9 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
     differential. The model is then the sub-CDGA on the other generators
     tensored with Lambda(x, d x), whose cohomology is Q in degree 0
     (Felix-Halperin-Thomas, GTM 205, section 14), so that sub-CDGA is ranked
-    instead, its own pairs cancelled in turn, and the table, rank cache and
-    ledger are filled from it (``_from_quotient``), equal to what ranking
-    the model itself would store.
+    instead, its own pairs cancelled in turn, and the ledger is filled from
+    it (``_from_quotient``), equal to what ranking the model itself would
+    store.
 
     The degrees ranked go in increasing order through ``_rank_blocks``,
     split once by ``CDGA._by_weight`` into torus-weight blocks, or one
@@ -429,16 +424,14 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
     unit, takes its own share, ranks it through every degree, clearing as
     it goes, and sends back its ``_rank_blocks`` result, which the parent
     sums. Otherwise, and always with the default ``jobs=None``, the degrees
-    are ranked in this process. Both give the same table, rank cache and
-    ledger, and both must rank dim_n source monomials in each degree n, or
-    ``ConsistencyError`` is raised and nothing is cached.
+    are ranked in this process. Both give the same ledger, and both must
+    rank dim_n source monomials in each degree n, or ``ConsistencyError``
+    is raised and no ledger is stored.
     """
-    degrees = _degree_range(cdga)
-    dims = basis_dimensions(cdga.signature, degrees[-1] + 1)
     if cdga._ledger is None:
-        _rank_table(cdga, degrees, dims, jobs)
-    ranks = cdga._rank_cache
-    per_degree = [dims[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in degrees]
+        _rank_table(cdga, jobs)
+    rows = cdga._ledger[1]
+    per_degree = [sum(rows[n].values()) for n in _degree_range(cdga)]
     top = cdga.top_degree()
     truncated = top is None or _window_below_top(cdga, top)
     return BettiTable(
@@ -446,38 +439,35 @@ def betti(cdga: CDGA, jobs: Optional[int] = None) -> BettiTable:
     )
 
 
-def _rank_table(
-    cdga: CDGA, degrees: range, dims: list, jobs: Optional[int], by_weight: Optional[bool] = None
-) -> None:
-    """Rank every degree of ``betti`` in one pass; fill the rank cache and the ledger.
+def _rank_table(cdga: CDGA, jobs: Optional[int], by_weight: Optional[bool] = None) -> None:
+    """Rank every degree of ``betti``'s window in one pass and store the ledger.
 
     ``by_weight`` is ``CDGA._by_weight``'s decision on the degrees ranked
     unless given. When ``_contractible_pair`` finds a pair (x, y), nothing
     of ``cdga`` is ranked: the sub-CDGA on the other generators is ranked
     by this function, with that decision and ``cdga``'s generator weights,
-    and ``_from_quotient`` fills the cache and the ledger from it.
+    and ``_from_quotient`` fills the ledger from it.
     """
+    degrees = _degree_range(cdga)
     mirror = _mirror_top(cdga)
     ranked = list(degrees if mirror is None else range((mirror - 1) // 2 + 1))
+    dims = basis_dimensions(cdga.signature, ranked[-1] + 1)
     if by_weight is None:
         by_weight = cdga._by_weight([dims[n] for n in ranked])
     weights = cdga._weight_lattice().generators if by_weight else (0,) * len(cdga.signature)
     pair = _contractible_pair(cdga)
     if pair is not None:
-        _from_quotient(cdga, pair, degrees, dims, jobs, by_weight, weights)
+        _from_quotient(cdga, pair, degrees, jobs, by_weight, weights)
         return
     workers = _fork_workers(jobs, sum(dims[n] for n in ranked)) if by_weight else 0
     if workers > 1:
-        ranks, counts, ledger = _ranks_in_children(cdga, ranked, workers, mirror)
+        counts, ledger = _ranks_in_children(cdga, ranked, workers, mirror)
     else:
-        ranks, counts, ledger = _rank_blocks(cdga, ranked, by_weight, None, mirror)
+        counts, ledger = _rank_blocks(cdga, ranked, by_weight, None, mirror)
     for n in ranked:
         if counts[n] != dims[n]:
             raise ConsistencyError(f"ranked {counts[n]} of the {dims[n]} monomials of degree {n}")
     if mirror is not None:
-        for n in ranked:
-            ranks.setdefault(mirror - 1 - n, ranks[n])
-        ranks.setdefault(mirror, 0)
         top_weight = sum(weights)
         for n in ranked:
             ledger.setdefault(mirror - n, {top_weight - w: b for w, b in ledger[n].items()})
@@ -489,7 +479,6 @@ def _rank_table(
                 raise ConsistencyError(
                     f"the block of weight {w} in degree {n} has Betti number {b}"
                 )
-    cdga._rank_cache.update(ranks)
     cdga._ledger = (weights, {n: dict(sorted(ledger[n].items())) for n in degrees})
 
 
@@ -527,12 +516,11 @@ def _from_quotient(
     cdga: CDGA,
     pair: tuple,
     degrees: range,
-    dims: list,
     jobs: Optional[int],
     by_weight: bool,
     weights: tuple,
 ) -> None:
-    """Fill ``cdga``'s rank cache and ledger from the sub-CDGA without ``pair``.
+    """Fill ``cdga``'s ledger from the sub-CDGA without ``pair``.
 
     With d x = c*y + phi, substituting y' = c*y + phi is a triangular
     automorphism, weight-homogeneous, with d y' = d^2 x = 0. The other
@@ -546,9 +534,8 @@ def _from_quotient(
     The sub-CDGA keeps the differentials and the truncation, and is ranked
     with the same split decision and, when split by weight, ``cdga``'s
     generator weights restricted to it (no symmetry). Its ledger rows fill
-    ``cdga``'s, with {} above its own window, and rank d_n = dim_n - b_n -
-    rank d_(n-1), b_n the sum of row n, fills the rank cache in degree
-    order, so both are what ranking ``cdga`` itself would store.
+    ``cdga``'s, with {} above its own window, which is what ranking
+    ``cdga`` itself would store.
     """
     sig = cdga.signature
     kept = [g for g in sig.generators if g.index not in pair]
@@ -565,15 +552,8 @@ def _from_quotient(
         lattice = cdga._weight_lattice()
         restricted = tuple(weights[g.index] for g in kept)
         quotient._weights = _Weights(lattice.rank, restricted, None, lattice.span)
-    quotient_degrees = _degree_range(quotient)
-    quotient_dims = basis_dimensions(quotient_sig, quotient_degrees[-1] + 1)
-    _rank_table(quotient, quotient_degrees, quotient_dims, jobs, by_weight)
-    rows = {n: quotient._ledger[1].get(n, {}) for n in degrees}
-    rank = 0
-    for n in degrees:
-        rank = dims[n] - sum(rows[n].values()) - rank
-        cdga._rank_cache[n] = rank
-    cdga._ledger = (weights, rows)
+    _rank_table(quotient, jobs, by_weight)
+    cdga._ledger = (weights, {n: quotient._ledger[1].get(n, {}) for n in degrees})
 
 
 def _middle_row(cdga: CDGA, top: int, weights: tuple, ledger: dict) -> dict:
@@ -599,9 +579,9 @@ def _middle_row(cdga: CDGA, top: int, weights: tuple, ledger: dict) -> dict:
 def representatives(cdga: CDGA, n: int) -> list:
     """Closed elements whose classes form a basis of H^n; deterministic.
 
-    ``betti(cdga)`` runs first, a cache hit once the table is ranked, and
-    its ledger names the torus-weight blocks of degree n that carry
-    cohomology and how many classes each carries; degree n is split as
+    ``betti(cdga)`` runs first, which only reads the ledger once the table
+    is ranked. The ledger names the torus-weight blocks of degree n that
+    carry cohomology and how many classes each carries; degree n is split as
     ``betti`` split it, and only those blocks are walked and solved. d maps
     the block of weight w into the keys of weight w one degree up, so each
     block is solved alone, with d expanded on its keys by ``_d_key``. Its
@@ -621,7 +601,7 @@ def representatives(cdga: CDGA, n: int) -> list:
     at f, that is, when e_f is not in the span of the boundaries and the
     unit vectors of the free columns below f. A block whose d^2 check fails,
     or whose class count differs from its ledger entry, raises
-    ``ConsistencyError``. Nothing is written to the rank cache.
+    ``ConsistencyError``.
     """
     if n not in _degree_range(cdga):
         if cdga.top_degree() is not None and n > cdga.top_degree():
@@ -717,12 +697,12 @@ def verify_classes(cdga: CDGA, elems: Sequence[Element]) -> VerifyReport:
     ``dependency`` witnesses a vanishing combination of classes as
     ((index, coefficient), ...); an element whose class is zero appears as a
     single-term dependency. ``missing_degrees`` lists (degree, have, need),
-    with need from ``betti(cdga)``, a cache hit once the table is ranked.
+    with need from ``betti(cdga)``, read off the ledger once the table is
+    ranked.
 
     Independence is decided degree by degree, one weight block at a time
     (``_independent_in_degree``), and the blocks give the same report as
     one echelon of the whole degree.
-    Nothing is written to the rank cache.
     """
     degrees = []
     for i, e in enumerate(elems):

@@ -387,6 +387,14 @@ class TestObstructionCommand:
         assert forced_gens == {"a", "b", "x1", "x2", "x3", "x4"}
         assert out["solution_dimension"] == 2
 
+    def test_unknown_fiber_generator_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "obstruction", "--builtin", "xr:3", "--rank", "1", "--fiber-gens", "zz"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown generator 'zz'\n"
+
 
 class TestCenterCommand:
     def test_u6(self, capsys):

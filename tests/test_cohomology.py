@@ -231,9 +231,7 @@ class TestRepresentativesOfUn:
             representatives(model, k)
         # Top degree 6: d_0..d_2 ranked, the rest mirrored.
         assert passes == [[0, 1, 2]]
-        assert model._rank_cache == {
-            k: rank_only(model.differential_matrix(k)) for k in degrees
-        }
+        assert ledger_row_sums(model) == full_path_table(model)
         assert betti(model) == betti(upper_tri_model(4))
 
     @pytest.mark.parametrize(
@@ -246,18 +244,16 @@ class TestRepresentativesOfUn:
     )
     def test_each_degree_is_ranked_once(self, make, degrees, monkeypatch):
         # Each degree on a fresh model: the one Betti pass ranks the table,
-        # and the solved blocks add nothing to the rank cache.
+        # and the solved blocks leave its ledger as the pass stored it.
         passes = self.record_passes(monkeypatch)
         reference = make()
-        expected = {
-            k: rank_only(reference.differential_matrix(k)) for k in _degree_range(reference)
-        }
+        expected = full_path_table(reference)
         for n in degrees or range(1, reference.top_degree() + 1):
             model = make()
             passes.clear()
             representatives(model, n)
             assert len(passes) == 1 and len(set(passes[0])) == len(passes[0]), n
-            assert model._rank_cache == expected, n
+            assert ledger_row_sums(model) == expected, n
 
     def test_representatives_and_verify_share_one_pass(self, monkeypatch):
         passes = self.record_passes(monkeypatch)
@@ -269,16 +265,19 @@ class TestRepresentativesOfUn:
         assert table == betti(upper_tri_model(5))
 
     def test_verify_writes_no_rank(self, monkeypatch):
+        stubbed = []
+
         def stub(cdga):
             # The ledger's generator weights, all 0 as for an unsplit model,
             # are all verify reads of it; no block is ranked.
             cdga._ledger = ((0,) * len(cdga.signature), {})
+            stubbed.append(cdga._ledger)
             return BettiStub()
 
         monkeypatch.setattr(cohomology, "betti", stub)
         model = xr_model(5)
         verify_classes(model, x5_class_elements(model)[3:5])
-        assert model._rank_cache == {}
+        assert stubbed == [model._ledger] and model._ledger[1] == {}
 
     @pytest.mark.slow
     def test_cli_u6_representatives_span(self, capsys):
@@ -291,6 +290,25 @@ class TestRepresentativesOfUn:
         elems = [parse_element(model.signature, t) for k in sorted(reps, key=int) for t in reps[k]]
         assert len(elems) == 720
         assert verify_classes(model, elems).ok
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: upper_tri_model(5), lambda: xr_model(6), lambda: borel_twist(xr_model(7), "x7")],
+    ids=["u5", "xr6", "twist-x7"],
+)
+def test_a_ranked_model_counts_and_ranks_nothing(make, monkeypatch):
+    # The first ``betti`` stores the ledger; every later one, with any jobs,
+    # and the ones ``representatives`` and ``verify_classes`` make, read the
+    # table off it. The twist of X_7 is ranked as its quotient X_6.
+    model = make()
+    table = betti(model)
+    monkeypatch.setattr(cohomology, "basis_dimensions", refuse)
+    monkeypatch.setattr(cohomology, "_rank_blocks", refuse)
+    assert betti(model) == betti(model, jobs=2) == table
+    classes = [c for n in range(len(table.per_degree)) for c in representatives(model, n)]
+    assert len(classes) == table.total
+    assert verify_classes(model, classes).ok
 
 
 class BettiStub:
@@ -426,7 +444,7 @@ class TestLedgerChecks:
         model = upper_tri_model(6)
         with pytest.raises(ConsistencyError, match="has Betti number -"):
             betti(model)
-        assert model._rank_cache == {} and model._ledger is None
+        assert model._ledger is None
 
     def test_negative_block_betti_exits_3(self, extra_pivot, capsys):
         assert main(["cohomology", "--builtin", "upper-tri:6"]) == 3
@@ -646,6 +664,25 @@ def full_path_table(model):
     return tuple(dims[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in degrees)
 
 
+def ledger_row_sums(model) -> tuple:
+    """The b_n of every degree of the ledger ``betti`` stored on ``model``."""
+    return tuple(sum(row.values()) for row in model._ledger[1].values())
+
+
+def ledger_items(model) -> list:
+    """The stored ledger's rows, each with its items, in key order."""
+    return [(n, list(row.items())) for n, row in model._ledger[1].items()]
+
+
+def ledger_ranks(counts: dict, ledger: dict) -> dict:
+    """{n: rank d_n} of a ``_rank_blocks`` pass over consecutive degrees
+    from 0, from its result: rank d_n = dim_n - b_n - rank d_(n-1)."""
+    ranks: dict = {}
+    for n in counts:
+        ranks[n] = counts[n] - sum(ledger[n].values()) - ranks.get(n - 1, 0)
+    return ranks
+
+
 class TestPoincareMirroredRanks:
     """``betti`` ranks only the lower half of a purely odd model with
     d_(top-1) = 0 and mirrors the rest. These tests compare it with the full
@@ -674,15 +711,12 @@ class TestPoincareMirroredRanks:
         table = betti(model)
         assert table.per_degree == full_path_table(model)
         assert table.total == sum(table.per_degree)
-        assert model._rank_cache == {
-            n: rank_only(model.differential_matrix(n)) for n in range(model.top_degree() + 1)
-        }
 
     def test_betti_builds_no_matrix(self, monkeypatch):
         monkeypatch.setattr(CDGA, "differential_matrix", refuse)
         model = upper_tri_model(5)
         betti(model)
-        assert set(model._rank_cache) == set(range(model.top_degree() + 1))
+        assert list(model._ledger[1]) == list(range(model.top_degree() + 1))
 
     def test_non_unimodular_takes_the_full_path(self):
         sig = Signature([("x", 1), ("y", 1)])
@@ -722,7 +756,7 @@ class TestPoincareMirroredRanks:
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedRanks:
     """``betti`` with ``jobs`` >= 2 deals torus weights to forked children
-    above the size gate. The table and the rank cache, order included, must
+    above the size gate. The table and the ledger, order included, must
     equal the serial ones; no test here starts more than two children."""
 
     @pytest.fixture
@@ -751,7 +785,7 @@ class TestForkedRanks:
         forked = upper_tri_model(6)
         assert betti(forked, jobs=2) == betti(serial)
         assert len(forks) == 2
-        assert list(forked._rank_cache.items()) == list(serial._rank_cache.items())
+        assert ledger_items(forked) == ledger_items(serial)
 
     def test_truncated_window_matches_the_serial_path(self, forks):
         base = upper_tri_model(6)
@@ -760,7 +794,7 @@ class TestForkedRanks:
         assert _mirror_top(forked) is None
         assert betti(forked, jobs=2) == betti(serial)
         assert len(forks) == 2
-        assert list(forked._rank_cache.items()) == list(serial._rank_cache.items())
+        assert ledger_items(forked) == ledger_items(serial)
 
     def test_orbits_match_the_serial_path_without_symmetry(self, forks):
         # Children rank sigma-orbit representatives; the rebuild has no sigma
@@ -770,7 +804,7 @@ class TestForkedRanks:
         assert betti(forked, jobs=2) == betti(plain)
         assert len(forks) == 2
         assert forked._weights.mirrors is not None and plain._weights.mirrors is None
-        assert list(forked._rank_cache.items()) == list(plain._rank_cache.items())
+        assert ledger_items(forked) == ledger_items(plain)
 
     def test_two_polynomial_generators_match_the_serial_path(self, forks, monkeypatch):
         # Keys with two exponent fields, ranked in children: under the size
@@ -780,7 +814,7 @@ class TestForkedRanks:
         forked = tensor_product(borel_twist(xr_model(3), "x3"), borel_twist(xr_model(2), "x2"))
         assert betti(forked, jobs=2) == betti(serial)
         assert len(forks) == 2
-        assert list(forked._rank_cache.items()) == list(serial._rank_cache.items())
+        assert ledger_items(forked) == ledger_items(serial)
 
     def test_x9_is_under_the_size_gate(self, monkeypatch, no_fork):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
@@ -818,16 +852,16 @@ class TestForkedRanks:
 
         monkeypatch.setattr(cohomology, "_ranks_in_children", recording)
         # One pass deals every degree ranked to two children; later calls
-        # read the cache and the ledger, with any jobs.
+        # read the ledger, with any jobs.
         assert betti(model, jobs=2) == table
         assert verify_classes(model, representatives(model, 4)).independent
         assert betti(model, jobs=2) == table
         assert asked == [list(range(8))]
         assert len(forks) == 2
-        assert list(model._rank_cache.items()) == list(serial._rank_cache.items())
+        assert ledger_items(model) == ledger_items(serial)
 
     @pytest.mark.parametrize("name", ["u6", "u6_fiber_k4"])
-    def test_ledger_and_cache_do_not_depend_on_jobs(self, forks, monkeypatch, name):
+    def test_ledger_does_not_depend_on_jobs(self, forks, monkeypatch, name):
         # The fiber of split_at_k(6, 4) is under both gates, so they are
         # lowered: it is then split by weight, has an even top degree (its
         # middle row comes from the weights' Euler characteristics) and
@@ -843,9 +877,7 @@ class TestForkedRanks:
         assert len(forks) == 2
         assert forked._ledger[0] != (0,) * len(forked.signature)
         assert forked._weights.mirrors is not None
-        assert list(forked._rank_cache.items()) == list(serial._rank_cache.items())
-        items = lambda m: [(n, list(row.items())) for n, row in m._ledger[1].items()]
-        assert items(forked) == items(serial)
+        assert ledger_items(forked) == ledger_items(serial)
         assert forked._ledger[0] == serial._ledger[0]
 
     def test_u6_middle_pairs_do_not_depend_on_jobs(self, forks, monkeypatch):
@@ -865,9 +897,7 @@ class TestForkedRanks:
         serial, forked = upper_tri_model(6), upper_tri_model(6)
         assert betti(forked, jobs=2) == betti(serial, jobs=1)
         assert len(forks) == 2 and tops == [15]
-        assert list(forked._rank_cache.items()) == list(serial._rank_cache.items())
-        items = lambda m: [(n, list(row.items())) for n, row in m._ledger[1].items()]
-        assert items(forked) == items(serial)
+        assert ledger_items(forked) == ledger_items(serial)
 
     def test_failing_child_raises_and_leaves_no_zombie(self, forks, monkeypatch):
         def broken(*args):
@@ -878,7 +908,7 @@ class TestForkedRanks:
         with pytest.raises(RuntimeError, match="exit status 1"):
             betti(model, jobs=2)
         assert len(forks) == 2
-        assert model._rank_cache == {}
+        assert model._ledger is None
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -900,7 +930,7 @@ class TestForkedRanks:
         with pytest.raises(RuntimeError, match="monomials of degree"):
             betti(model, jobs=2)
         assert len(forks) == 2
-        assert model._rank_cache == {}
+        assert model._ledger is None
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -920,12 +950,12 @@ class TestForkedRanks:
 
     @pytest.mark.parametrize(
         "reply",
-        [b"not marshal", b"garbage", b"0:1:2", marshal.dumps(({}, {}, {}))],
+        [b"not marshal", b"garbage", b"0:1:2", marshal.dumps(({}, {}))],
         ids=["unknown-type", "short", "null", "no-degrees"],
     )
     def test_a_malformed_reply_raises(self, forks, monkeypatch, reply):
-        # The child exits 0, but its reply is not a (ranks, counts, ledger)
-        # triple over every degree.
+        # The child exits 0, but its reply is not a (counts, ledger) pair
+        # over every degree.
         def garbled(cdga, degrees, index, workers, fd, top=None):
             os.write(fd, reply)
             os._exit(0)
@@ -935,7 +965,7 @@ class TestForkedRanks:
         with pytest.raises(ConsistencyError, match="exit status 0"):
             betti(model, jobs=2)
         assert len(forks) == 2
-        assert model._rank_cache == {} and model._ledger is None
+        assert model._ledger is None
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -952,7 +982,6 @@ class TestForkedRanks:
         model = upper_tri_model(6)
         with pytest.raises(ConsistencyError, match="monomials of degree"):
             betti(model, jobs=1)
-        assert model._rank_cache == {}
         assert model._ledger is None
 
     def test_shares_are_longest_first(self):
@@ -1172,8 +1201,7 @@ class TestWeightBlocksAgainstComponents:
     def test_block_ranks_match_the_matrix_path(self, model, grouping):
         degrees = list(_degree_range(model))
         expected = {n: rank_only(model.differential_matrix(n)) for n in degrees}
-        ranks, counts, ledger = _rank_blocks(model, degrees, self.by_weight(model, degrees))
-        assert ranks == expected
+        counts, ledger = _rank_blocks(model, degrees, self.by_weight(model, degrees))
         dims = {n: len(basis_of_degree(model.signature, n)) for n in degrees}
         assert counts == dims
         # The blocks' Betti numbers add up to each degree's.
@@ -1183,11 +1211,18 @@ class TestWeightBlocksAgainstComponents:
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
     def test_cleared_ranks_equal_uncleared_ranks(self, model, grouping):
-        # A degree ranked on its own has no pivot rows below it to clear.
+        # The cleared pass's ranks follow from its ledger; uncleared, every
+        # block of a degree is ranked on its own, whole and without orbits.
         degrees = list(_degree_range(model))
         by_weight = self.by_weight(model, degrees)
-        uncleared = {n: _rank_blocks(model, [n], by_weight)[0][n] for n in degrees}
-        assert _rank_blocks(model, degrees, by_weight)[0] == uncleared
+        uncleared = {
+            n: sum(
+                len(_row_pivots(model._block_columns(keys)))
+                for keys in model._blocks(n, by_weight).values()
+            )
+            for n in degrees
+        }
+        assert ledger_ranks(*_rank_blocks(model, degrees, by_weight)) == uncleared
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
     def test_clearing_drops_exactly_the_pivot_rows_below(self, model, grouping, monkeypatch):
@@ -1224,7 +1259,7 @@ class TestWeightBlocksAgainstComponents:
         monkeypatch.setattr(CDGA, "_blocks", blocks)
         monkeypatch.setattr(CDGA, "_block_columns", columns)
         monkeypatch.setattr(cohomology, "_row_pivots", pivots)
-        ranks, _, _ = _rank_blocks(model, degrees, by_weight)
+        ranks = ledger_ranks(*_rank_blocks(model, degrees, by_weight))
         assert expanded == {n: ranked[n] - (pivot_rows[n - 1] if n else 0) for n in degrees}
         if not orbits:
             dims = basis_dimensions(model.signature, degrees[-1])
@@ -1444,7 +1479,7 @@ class TestOrbitRanking:
         with pytest.raises(ValueError, match=message.format(m=n // 2 + 1, n=n // 2)):
             betti(model) if n == 6 else model._weight_lattice()
         assert model._weights is None
-        assert model._rank_cache == {}
+        assert model._ledger is None
 
     def test_a_degree_changing_symmetry_is_refused(self):
         # degree_shift keeps u_4's generator order and the off-diagonal
@@ -1964,12 +1999,10 @@ def dsl_model(text: str) -> CDGA:
 
 
 def ranked_state(model, jobs=None) -> tuple:
-    """The table, the rank cache items in key order and the ledger items
-    in key order that one ``betti`` pass stores on ``model``."""
+    """The table, and the generator weights and the ledger items in key
+    order that one ``betti`` pass stores on ``model``."""
     table = betti(model, jobs=jobs)
-    weights, rows = model._ledger
-    ledger = [(n, list(row.items())) for n, row in rows.items()]
-    return table, list(model._rank_cache.items()), weights, ledger
+    return table, model._ledger[0], ledger_items(model)
 
 
 def unreduced_state(make, jobs=None) -> tuple:
@@ -2028,9 +2061,9 @@ def swapped_square(symmetric: bool) -> CDGA:
 class TestContractiblePairs:
     """A pair (x, y) with d x = c*y + phi, x in no differential and y in no
     differential but d x, is cancelled before ranking: the model is the
-    quotient tensored with the contractible Lambda(x, d x). The table, the
-    rank cache and the ledger must equal the unreduced pass's, item for
-    item; with ``jobs=2`` the fork gate is lowered so that the models split
+    quotient tensored with the contractible Lambda(x, d x). The table and
+    the ledger must equal the unreduced pass's, item for item; with
+    ``jobs=2`` the fork gate is lowered so that the models split
     by weight are ranked in children."""
 
     MODELS = {
@@ -2105,9 +2138,9 @@ class TestContractiblePairs:
         symmetric, plain = swapped_square(True), swapped_square(False)
         assert cohomology._contractible_pair(symmetric) is None
         assert cohomology._contractible_pair(plain) is not None
-        table, cache, weights, ledger = ranked_state(symmetric)
+        table, weights, ledger = ranked_state(symmetric)
         assert symmetric._weights.mirrors is not None
-        assert (table, cache, weights, ledger) == ranked_state(plain)
+        assert (table, weights, ledger) == ranked_state(plain)
         assert table.per_degree == betti(tensor_product(xr_model(2), xr_model(2))).per_degree
 
     @settings(max_examples=60, deadline=None)
