@@ -700,14 +700,17 @@ def verify_classes(cdga: CDGA, elems: Sequence[Element]) -> VerifyReport:
     with need from ``betti(cdga)``, read off the ledger once the table is
     ranked.
 
-    Independence is decided degree by degree, one weight block at a time
-    (``_independent_in_degree``), and the blocks give the same report as
-    one echelon of the whole degree.
+    Independence is decided degree by degree, in one echelon over the
+    weights the degree's elements carry (``_independent_in_degree``), which
+    gives the same report as one echelon of the whole degree. Raises
+    ValueError for a zero element, as for an inhomogeneous one.
     """
     degrees = []
     for i, e in enumerate(elems):
         if e.signature != cdga.signature:
             raise ValueError(f"element {i} lives over a different signature")
+        if e.is_zero():
+            raise ValueError(f"element {i} is zero")
         d = e.homogeneous_degree()
         if d is None:
             raise ValueError(f"element {i} is not homogeneous")
@@ -751,50 +754,44 @@ def verify_classes(cdga: CDGA, elems: Sequence[Element]) -> VerifyReport:
 def _independent_in_degree(cdga: CDGA, d: int, elems: Sequence, indices: list) -> tuple:
     """(number of independent classes, first dependency or None) of the
     elements ``elems[i]``, i in ``indices``, all of degree d, by one
-    ``Fraction`` echelon per weight block.
+    ``Fraction`` echelon.
 
-    The blocks group the elements by weight under the generator weights of
-    ``betti``'s ledger, or, when an element spans several weights, under
-    all-zero weights, which make the degree one block. A block's echelon
-    takes d of its degree-(d-1) keys (``_d_key``) in lexicographic order,
-    then its elements. Element i carries a tag coordinate tag + i set to 1,
-    above every key, so a residue left with only tag entries is an explicit
-    vanishing combination of classes; it still joins the echelon, under a
-    tag, so it only reduces tags of later residues. The dependency reported
-    is the one of least index.
+    The echelon takes d of the degree-(d-1) keys (``_d_key``) whose weight,
+    under the generator weights of ``betti``'s ledger, is carried by some
+    term of the elements, each weight's keys in lexicographic order, then
+    the elements in index order. Element i carries a tag coordinate tag + i
+    set to 1, above every key, so a residue left with only tag entries is an
+    explicit vanishing combination of classes; it still joins the echelon,
+    under a tag, so it only reduces tags of later residues. The dependency
+    reported is the one of least index.
 
-    d keeps weights, so the blocks are direct summands: a residue of weight
-    w only meets rows led by a key of weight w or a tag of its own block,
-    and each residue is the one a single echelon of the whole degree would
-    leave.
+    d keeps weights, so a boundary row of weight w only meets rows led by a
+    key of weight w, and a residue only meets rows whose keys share a weight
+    with it: each residue is the one an echelon of the whole degree would
+    leave, and a weight no element carries is never walked. The echelon
+    holds the boundary rows of every carried weight at once, their sum
+    rather than the largest weight's, and never more than the whole degree.
     """
     sig = cdga.signature
     weights = cdga._ledger[0]
-    blocks: dict = {}
-    for i in indices:
-        found = {
-            sum(weights[g] * k for g, k in enumerate(mono.exponents()) if k)
-            for mono in elems[i].terms
-        }
-        if len(found) != 1:
-            weights = (0,) * len(sig)
-            blocks = {0: indices}
-            break
-        blocks.setdefault(found.pop(), []).append(i)
-    sources = _keys_by_weight(sig, d - 1, weights, blocks) if d else {}
+    found = {
+        sum(weights[g] * k for g, k in enumerate(mono.exponents()) if k)
+        for i in indices
+        for mono in elems[i].terms
+    }
+    sources = _keys_by_weight(sig, d - 1, weights, found) if d else {}
     tag = 1 << (len(sig.odd_indices) + _EXPONENT_BITS * len(sig.even_indices))
+    echelon: dict = {}
+    boundaries = (cdga._d_key(key) for keys in sources.values() for key in keys)
+    _extend_echelon(echelon, ({k: Fraction(v) for k, v in b.items()} for b in boundaries))
+    tagged = (
+        {**{_encode(mono): c for mono, c in elems[i].terms.items()}, tag + i: Fraction(1)}
+        for i in indices
+    )
     dependent: dict = {}
-    for weight, members in blocks.items():
-        echelon: dict = {}
-        boundaries = (cdga._d_key(key) for key in sources.get(weight, ()))
-        _extend_echelon(echelon, ({k: Fraction(v) for k, v in b.items()} for b in boundaries))
-        tagged = (
-            {**{_encode(mono): c for mono, c in elems[i].terms.items()}, tag + i: Fraction(1)}
-            for i in members
-        )
-        for i, residue in zip(members, _extend_echelon(echelon, tagged)):
-            if min(residue) >= tag:
-                dependent[i] = residue
+    for i, residue in zip(indices, _extend_echelon(echelon, tagged)):
+        if min(residue) >= tag:
+            dependent[i] = residue
     if not dependent:
         return len(indices), None
     first = dependent[min(dependent)]

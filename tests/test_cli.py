@@ -472,8 +472,11 @@ class TestVerifyCommand:
         assert verdict["dependency"] is not None
         assert 2 in [m["degree"] for m in verdict["missing_degrees"]]
 
-    @pytest.mark.parametrize("line", ["a + a*b", "0"])
-    def test_inhomogeneous_or_zero_class_exits_2(self, capsys, tmp_path, line):
+    @pytest.mark.parametrize(
+        "line, reason",
+        [("a + a*b", "is not homogeneous"), ("0", "is zero"), ("a*a", "is zero")],
+    )
+    def test_inhomogeneous_or_zero_class_exits_2(self, capsys, tmp_path, line, reason):
         path = tmp_path / "classes.txt"
         path.write_text(line + "\n")
         code, out, err = run_cli(
@@ -481,7 +484,7 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert out == ""
-        assert err == "error: element 0 is not homogeneous\n"
+        assert err == f"error: element 0 {reason}\n"
 
     def test_classes_file_not_utf8_exits_2(self, capsys, tmp_path):
         path = tmp_path / "classes.txt"

@@ -1738,11 +1738,12 @@ def fresh(model):
 
 
 class TestVerifyByBlock:
-    """``verify_classes`` reduces each degree one weight block at a time:
-    the elements' blocks under the ledger's generator weights, or, when an
-    element spans several weights, the whole degree as one block of weight
-    0. The reference is one tagged echelon of the whole degree for every
-    degree; the reports must agree byte for byte, ``dependency`` included."""
+    """``verify_classes`` reduces each degree in one echelon over the weights
+    its elements carry: ``_keys_by_weight`` is called once per degree above
+    0, with the ledger's generator weights and ``keep`` the union of the
+    elements' term weights, also when an element spans several weights. The
+    reference is one tagged echelon of the whole degree for every degree;
+    the reports must agree byte for byte, ``dependency`` included."""
 
     MODELS = {
         "u4": lambda: upper_tri_model(4),
@@ -1790,9 +1791,8 @@ class TestVerifyByBlock:
         assert name != "rational5" or not model._integral
         classes = self.classes(model)
         ledger = tuple(model._ledger[0])
-        zero = (0,) * len(ledger)
         calls = record_splits(monkeypatch)
-        seen = set()
+        several = False
         for seed in range(12):
             elems = mixed_inputs(model, classes, random.Random(seed))
             by_degree: dict = {}
@@ -1800,19 +1800,20 @@ class TestVerifyByBlock:
                 by_degree.setdefault(e.homogeneous_degree(), []).append(e)
             calls.clear()
             report = verify_classes(model, elems)
-            # Each degree above 0 is split once: by the ledger's weights, or
-            # as one block of weight 0 when an element spans several.
+            # Each degree above 0 is walked once, under the ledger's weights,
+            # keeping the weights its elements' terms carry.
             assert calls == [
-                (d, zero if any(len(term_weights(e, ledger)) > 1 for e in es) else ledger)
+                (d, ledger, set().union(*(term_weights(e, ledger) for e in es)))
                 for d, es in sorted(by_degree.items())
                 if d
             ]
-            seen.update(weights for _, weights in calls)
+            several |= any(len(term_weights(e, ledger)) > 1 for e in elems)
             assert report.to_json_dict() == verify_by_whole_degrees(make(), elems).to_json_dict()
-        # Both splits were taken; they coincide when the ledger's weights are 0.
-        assert seen == {ledger, zero}
+        # Some seed gave an element of several weights, unless every
+        # generator weight is 0 and so every element has one weight.
+        assert several or not any(ledger)
 
-    def test_whole_degree_only_for_several_weights(self, monkeypatch):
+    def test_a_sum_walks_only_its_weights(self, monkeypatch):
         monkeypatch.setattr(cdga_module, "_BLOCK_MIN_MONOMIALS", 0)
         model = xr_model(5)
         classes = self.classes(model)
@@ -1820,13 +1821,13 @@ class TestVerifyByBlock:
         calls = record_splits(monkeypatch)
 
         def run(elems) -> list:
-            """The degrees reduced as one block of weight 0."""
+            """The (degree, keep) of each degree's walk."""
             calls.clear()
             report = verify_classes(model, elems)
-            assert {w for _, w in calls} <= {weights, (0,) * len(weights)}
-            whole = [d for d, w in calls if w != weights]
+            walks = [(d, keep) for d, w, keep in calls if w == weights]
+            assert len(walks) == len(calls)
             assert report.to_json_dict() == verify_by_whole_degrees(xr_model(5), elems).to_json_dict()
-            return whole
+            return walks
 
         by_degree = {}
         for c in classes:
@@ -1837,16 +1838,33 @@ class TestVerifyByBlock:
         first, second = by_degree[2][:2]
         assert term_weights(first, weights) != term_weights(second, weights)
         assert len(term_weights(x3, weights)) == 1
-        assert run(classes) == []
-        assert run(classes + [x3]) == []  # not closed, but independent
-        # A deficit stays in its block.
-        assert run(classes + [by_degree[3][0].scale(2)]) == []
-        assert run(classes + [boundary]) == []
-        assert run([first + second, second]) == [2]  # several weights, independent
+        run(classes)
+        run(classes + [x3])  # not closed, but independent
+        run(classes + [by_degree[3][0].scale(2)])
+        run(classes + [boundary])
+        # Several weights, independent: only the sum's two weights are walked.
+        pair = term_weights(first, weights) | term_weights(second, weights)
+        assert run([first + second, second]) == [(2, pair)]
+
+    def test_a_sum_of_two_u6_classes_is_reduced_over_their_weights(self, monkeypatch):
+        # The sum spans two weights; the degree is walked under the ledger's
+        # weights, kept to those two, and the dependency is the sum's.
+        model = upper_tri_model(6)
+        sevens = representatives(model, 7)
+        weights = tuple(model._ledger[0])
+        a = sevens[0]
+        b = next(c for c in sevens if term_weights(c, weights) != term_weights(a, weights))
+        (wa,), (wb,) = term_weights(a, weights), term_weights(b, weights)
+        elems = [a + b, a, b]
+        calls = record_splits(monkeypatch)
+        report = verify_classes(model, elems)
+        assert calls == [(7, weights, {wa, wb})]
+        assert report.dependency == ((0, -1), (1, 1), (2, 1))
+        assert report.to_json_dict() == verify_by_whole_degrees(upper_tri_model(6), elems).to_json_dict()
 
     def test_a_doubled_class_stays_in_its_block(self, monkeypatch):
-        # A dependent element is reduced in its own block; it must not make
-        # its degree one block under all-zero weights.
+        # A dependent element is reduced under the ledger's weights; it must
+        # not make its degree one block under all-zero weights.
         model = upper_tri_model(6)
         classes = self.classes(model)
         weights = tuple(model._ledger[0])
@@ -1855,7 +1873,7 @@ class TestVerifyByBlock:
         elems = classes + [classes[i].scale(2)]
         calls = record_splits(monkeypatch)
         report = verify_classes(model, elems)
-        assert [w for d, w in calls if d == 8] == [weights]
+        assert [w for d, w, _ in calls if d == 8] == [weights]
         assert report.dependency == ((i, -2), (len(classes), 1))
         assert report.to_json_dict() == verify_by_whole_degrees(upper_tri_model(6), elems).to_json_dict()
 
@@ -1866,14 +1884,15 @@ def term_weights(e, weights) -> set:
 
 
 def record_splits(monkeypatch) -> list:
-    """Record (degree, generator weights) of every ``_keys_by_weight`` call
-    made through ``cohomology``, one per degree above 0 that
-    ``verify_classes`` reduces once the CDGA is ranked; returns the list."""
+    """Record (degree, generator weights, kept weights) of every
+    ``_keys_by_weight`` call made through ``cohomology``, one per degree
+    above 0 that ``verify_classes`` reduces once the CDGA is ranked; returns
+    the list."""
     calls = []
     real = cohomology._keys_by_weight
 
     def spy(sig, n, weights, keep=None):
-        calls.append((n + 1, tuple(weights)))
+        calls.append((n + 1, tuple(weights), None if keep is None else set(keep)))
         return real(sig, n, weights, keep)
 
     monkeypatch.setattr(cohomology, "_keys_by_weight", spy)
